@@ -10,21 +10,7 @@ distinct outputs each route can produce, invariance probes, and hand-derived
 VJPs for the differentiable routes.
 """
 
-from .attention import (
-    AttentionConfig,
-    BirkhoffNormalizer,
-    NormSoftmax,
-    QontotNormalizer,
-    QrNormalizer,
-    SinkhornNaive,
-    SinkhornOT,
-    Softmax,
-    attention_forward,
-    norm_softmax,
-    sinkhorn_naive_vjp,
-    softmax_rows,
-    softmax_vjp,
-)
+from .attention import AttentionConfig, attention_forward, sinkhorn_naive_vjp, softmax_vjp
 from .birkhoff import (
     DYKSTRA,
     SPLITTING_QP,
@@ -66,7 +52,21 @@ from .expressivity import (
     tradeoff_sweep,
     uniqueness_sweep,
 )
-from .operators import OPERATOR_NAMES, Operator, make_operator, qontot_theta
+from .operators import (
+    OPERATOR_NAMES,
+    BirkhoffNormalizer,
+    NormSoftmax,
+    Normalizer,
+    QontotNormalizer,
+    QrNormalizer,
+    SinkhornNaive,
+    SinkhornOT,
+    Softmax,
+    make_operator,
+    norm_softmax,
+    qontot_theta,
+    softmax_rows,
+)
 from .qontot import (
     SIMPLE,
     TROTTER,
@@ -91,8 +91,8 @@ __all__ = [
     "Dsm",
     "GridSpec",
     "NormSoftmax",
+    "Normalizer",
     "OPERATOR_NAMES",
-    "Operator",
     "ProjectionError",
     "ProjectionSettings",
     "QontotNormalizer",

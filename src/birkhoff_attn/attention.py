@@ -1,10 +1,12 @@
 """Attention forward passes with pluggable row-normalizers.
 
 The score matrix is qm @ km.T; a normalizer turns it into row-wise mixing
-weights for the value matrix.  Besides the softmax family this supports the
-doubly stochastic normalizers: those see the temperature-scaled scores
-directly, except the Sinkhorn family, which needs positive entries and so
-receives exp_scale(scores, tau).
+weights for the value matrix.  Any operator spec from
+:mod:`~birkhoff_attn.operators` (a :class:`~birkhoff_attn.operators.Normalizer`,
+as returned by ``make_operator``) can serve; its ``attend`` method applies
+the temperature: the softmax family uses it as the softmax temperature, the
+Sinkhorn family, which needs positive entries, receives exp_scale(scores,
+tau), and the doubly stochastic normalizers see scores / tau.
 
 Backward passes are provided for the differentiable normalizers as explicit
 vector-Jacobian products (no autograd): row softmax, and the unrolled
@@ -13,120 +15,26 @@ alternating-normalization iteration.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Union
+from dataclasses import dataclass
 
 import numpy as np
 
-from .birkhoff import ProjectionSettings, project
-from .core import as_dsm, as_square
-from .qontot import CircuitConfig, simulate_dsm
-from .qr import qr_dsm
-from .sinkhorn import exp_scale, sinkhorn_naive, sinkhorn_ot
-
-_DENOM_FLOOR = 1e-6
-
-
-def softmax_rows(m, tau: float = 1.0) -> np.ndarray:
-    """Row-wise softmax of m/tau with per-row max subtraction."""
-    m = as_square(m)
-    if not tau > 0.0:
-        raise ValueError(f"tau must be positive, got {tau}")
-    z = (m - m.max(axis=1, keepdims=True)) / tau
-    e = np.exp(z)
-    return e / e.sum(axis=1, keepdims=True)
-
-
-def norm_softmax(m, tau: float = 1.0, power: int = 1) -> np.ndarray:
-    """Row softmax at a data-driven temperature.
-
-    The temperature is the population std (power 1) or variance (power 2) of
-    all entries of m, capped above by tau and floored at 1e-6 so a constant
-    input cannot divide by zero.
-    """
-    m = as_square(m)
-    if power not in (1, 2):
-        raise ValueError(f"power must be 1 (std) or 2 (variance), got {power}")
-    stat = float(m.std()) ** power
-    return softmax_rows(m, max(min(stat, tau), _DENOM_FLOOR))
-
-
-# ---------------------------------------------------------------------------
-# normalizer variants
-
-@dataclass(frozen=True)
-class Softmax:
-    pass
-
-
-@dataclass(frozen=True)
-class NormSoftmax:
-    power: int = 1
-
-
-@dataclass(frozen=True)
-class SinkhornNaive:
-    iterations: int = 21
-
-
-@dataclass(frozen=True)
-class SinkhornOT:
-    iterations: int = 21
-
-
-@dataclass(frozen=True)
-class QrNormalizer:
-    noise_seed: int | None = None
-
-
-@dataclass(frozen=True)
-class QontotNormalizer:
-    config: CircuitConfig
-    theta: np.ndarray
-
-
-@dataclass(frozen=True)
-class BirkhoffNormalizer:
-    settings: ProjectionSettings = field(default_factory=ProjectionSettings)
-
-
-NormalizerKind = Union[
-    Softmax, NormSoftmax, SinkhornNaive, SinkhornOT,
-    QrNormalizer, QontotNormalizer, BirkhoffNormalizer,
-]
+from .core import as_square
+from .operators import Normalizer, Softmax, softmax_rows
+from .sinkhorn import _check_sinkhorn_args
 
 
 @dataclass(frozen=True)
 class AttentionConfig:
-    normalizer: NormalizerKind = Softmax()
+    normalizer: Normalizer = Softmax()
     temperature: float | None = None  # None: sqrt of the key width
-
-
-def _normalize(scores: np.ndarray, kind: NormalizerKind, tau: float) -> np.ndarray:
-    if isinstance(kind, Softmax):
-        return softmax_rows(scores, tau)
-    if isinstance(kind, NormSoftmax):
-        return norm_softmax(scores, tau, kind.power)
-    if isinstance(kind, SinkhornNaive):
-        return sinkhorn_naive(exp_scale(scores, tau), kind.iterations)
-    if isinstance(kind, SinkhornOT):
-        return sinkhorn_ot(exp_scale(scores, tau), kind.iterations)
-    logits = scores / tau
-    if isinstance(kind, QrNormalizer):
-        return qr_dsm(logits, kind.noise_seed).matrix
-    if isinstance(kind, QontotNormalizer):
-        return simulate_dsm(kind.config, kind.theta, logits).matrix
-    if isinstance(kind, BirkhoffNormalizer):
-        return project(logits, kind.settings).matrix
-    raise TypeError(f"unknown normalizer {kind!r}")
 
 
 def attention_forward(qm, km, vm, config: AttentionConfig | None = None) -> dict:
     """Normalized attention: weights from qm @ km.T, output = weights @ vm.
 
     Returns {"attn": weights, "output": weights @ vm}.  The default
-    temperature is sqrt(d_k).  Doubly stochastic normalizers are validated
-    before use.
+    temperature is sqrt(d_k).
     """
     config = config or AttentionConfig()
     qm = np.asarray(qm, dtype=np.float64)
@@ -139,9 +47,7 @@ def attention_forward(qm, km, vm, config: AttentionConfig | None = None) -> dict
             f"incompatible shapes qm{qm.shape} km{km.shape} vm{vm.shape}"
         )
     tau = config.temperature if config.temperature is not None else float(np.sqrt(km.shape[1]))
-    attn = _normalize(qm @ km.T, config.normalizer, tau)
-    if isinstance(config.normalizer, (QrNormalizer, QontotNormalizer, BirkhoffNormalizer)):
-        attn = as_dsm(attn, tolerance=1e-8).matrix
+    attn = config.normalizer.attend(qm @ km.T, tau)
     return {"attn": attn, "output": attn @ vm}
 
 
@@ -159,10 +65,7 @@ def sinkhorn_naive_vjp(m, k: int, upstream) -> np.ndarray:
     upstream = as_square(upstream, "upstream")
     if upstream.shape != m.shape:
         raise ValueError("upstream must match m in shape")
-    if not np.all(m > 0.0):
-        raise ValueError("sinkhorn input must be strictly positive")
-    if k < 1 or k % 2 == 0:
-        raise ValueError(f"iteration count must be odd and >= 1, got {k}")
+    _check_sinkhorn_args(m, k)
     steps = []
     out = m.copy()
     for t in range(k):

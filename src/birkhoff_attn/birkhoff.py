@@ -121,7 +121,8 @@ def project(m, settings: ProjectionSettings | None = None) -> Dsm:
 
     Raises :class:`ProjectionError` with the last iterate attached when the
     iteration budget runs out before the successive-iterate gap drops below
-    ``settings.tolerance``.
+    ``settings.tolerance``, or when the iteration stops at a matrix that
+    fails the 1e-8 validation.
     """
     m = as_square(m)
     settings = settings or ProjectionSettings()
@@ -134,7 +135,14 @@ def project(m, settings: ProjectionSettings | None = None) -> Dsm:
             out,
             check_stochasticity(out),
         )
-    return as_dsm(out, tolerance=1e-8)
+    try:
+        return as_dsm(out, tolerance=1e-8)
+    except ValueError as exc:
+        raise ProjectionError(
+            f"{settings.method} stopped off the Birkhoff polytope: {exc}",
+            out,
+            check_stochasticity(out),
+        ) from exc
 
 
 def birkhoff_distance(m, settings: ProjectionSettings | None = None) -> float:

@@ -16,38 +16,28 @@ regardless of worker count (bench wall-times excepted).
 from __future__ import annotations
 
 import argparse
+import io
 import json
 import os
 import sys
+from dataclasses import fields
 
 import numpy as np
 
-from .attention import (
-    AttentionConfig,
-    BirkhoffNormalizer,
-    NormSoftmax,
-    QontotNormalizer,
-    QrNormalizer,
-    SinkhornNaive,
-    SinkhornOT,
-    Softmax,
-    attention_forward,
-    sinkhorn_naive_vjp,
-    softmax_vjp,
-    softmax_rows,
-)
-from .birkhoff import ProjectionError, ProjectionSettings, project
+from .attention import AttentionConfig, attention_forward, sinkhorn_naive_vjp, softmax_vjp
+from .birkhoff import ProjectionError, project
 from .core import (
     check_stochasticity,
     frobenius_distance,
-    load_matrix_csv,
-    load_matrix_json,
+    load_matrix,
+    matrix_record,
+    save_matrix_json,
     spearman_rho,
 )
 from .counting import count_brute, decomposition_check, f3_analytic
 from .expressivity import GridSpec, grid_total, probe_invariances, tradeoff_sweep, uniqueness_sweep
-from .operators import OPERATOR_NAMES, make_operator, qontot_theta
-from .qontot import CircuitConfig, bench_circuit, param_count, sample_shots, simulate_dsm
+from .operators import OPERATOR_NAMES, SPECS, Normalizer, make_operator, softmax_rows
+from .qontot import CircuitConfig, bench_circuit, param_count, sample_shots
 from .sinkhorn import exp_scale, sinkhorn_naive
 
 _FULL_GATE = 1 << 20  # sweep sizes above this need --full
@@ -63,35 +53,25 @@ class _Numerical(Exception):
         self.matrix = matrix
 
 
-def _matrix_json(m: np.ndarray | None):
-    if m is None:
-        return None
-    return {"n": int(m.shape[0]), "data": [float(x) for x in np.asarray(m).ravel()]}
-
-
 def _print_matrix(m: np.ndarray, fmt: str) -> None:
-    if fmt == "json":
-        json.dump(_matrix_json(m), sys.stdout)
-        sys.stdout.write("\n")
-    else:
+    if fmt != "json":
         np.savetxt(sys.stdout, m, delimiter=",", fmt="%.17g")
+        return
+    if m.shape[0] != m.shape[1]:
+        raise _Usage(f"JSON output holds square matrices only; the {m.shape[0]}x{m.shape[1]} "
+                     "result needs --format csv")
+    save_matrix_json(sys.stdout, m)
+    sys.stdout.write("\n")
 
 
 def _read_matrix(args) -> np.ndarray:
     path = _opt(args, "input", str, None)
     if path is None or path == "-":
         text = sys.stdin.read()
-        stripped = text.lstrip()
-        if not stripped:
+        if not text.strip():
             raise _Usage("empty matrix input on stdin")
-        from io import StringIO
-
-        if stripped[0] == "{":
-            return load_matrix_json(StringIO(text))
-        return load_matrix_csv(StringIO(text))
-    if path.endswith(".json"):
-        return load_matrix_json(path)
-    return load_matrix_csv(path)
+        return load_matrix(io.StringIO(text))
+    return load_matrix(path)
 
 
 # --- flag resolution: explicit flag > --config file > builtin default -------
@@ -155,53 +135,56 @@ def _flag(value: bool | None) -> bool:
     return bool(value)
 
 
-# --- operator settings shared by apply / sweeps / props ---------------------
+# --- the operator spec shared by apply / apply-attn / sweeps / props / shots --
 
-def _theta_for(args, config: CircuitConfig) -> np.ndarray:
-    theta_file = _opt(args, "theta_file", str, None)
-    theta_seed = _resolve(args, "theta_seed", int)
-    if (theta_file is None) == (theta_seed is None):
-        raise _Usage("qontot needs exactly one of --theta-seed / --theta-file")
-    if theta_file is not None:
-        theta = np.loadtxt(theta_file, delimiter=",", dtype=np.float64).ravel()
-        if theta.size != param_count(config):
-            raise _Usage(
-                f"theta file has {theta.size} values, config needs {param_count(config)}"
-            )
-        return theta
-    return qontot_theta(config, theta_seed)
+# make_operator setting -> (flag destination, cast)
+_SETTING_FLAGS = {
+    "iterations": ("k", int),
+    "tau": ("tau", float),
+    "power": ("power", int),
+    "method": ("method", str),
+    "tolerance": ("tolerance", float),
+    "max_iterations": ("max_iterations", int),
+    "noise_seed": ("seed", int),
+    "aux_qubits": ("aux_qubits", int),
+    "layers": ("layers", int),
+    "ansatz": ("ansatz", str),
+}
 
 
-def _operator_settings(args, name: str, dsm_dim: int) -> dict:
-    if name in ("sinkhorn-naive", "sinkhorn-ot"):
-        return {"iterations": _opt(args, "k", int, 21)}
-    if name == "birkhoff-project":
-        return {
-            "method": _opt(args, "method", str, "dykstra"),
-            "tolerance": _opt(args, "tolerance", float, 1e-11),
-            "max_iterations": _opt(args, "max_iterations", int, 100_000),
-        }
-    if name == "qr":
-        return {"noise_seed": _req(args, "seed", int)}
+def _operator(args, name: str, dsm_dim: int) -> Normalizer:
+    """The spec of operator ``name`` from the flags; settings not given keep its defaults.
+
+    qontot takes its size from ``dsm_dim`` and its parameters from exactly
+    one of --theta-seed / --theta-file.  Settings the spec rejects are usage
+    errors.
+    """
+    if name not in SPECS:
+        raise _Usage(f"unknown operator {name!r} (choose from {', '.join(OPERATOR_NAMES)})")
     if name == "qontot":
-        config = CircuitConfig(
-            dsm_dim=dsm_dim,
-            aux_qubits=_opt(args, "aux_qubits", int, 0),
-            layers=_opt(args, "layers", int, 1),
-            ansatz=_opt(args, "ansatz", str, "simple"),
-        )
-        return {
-            "dsm_dim": config.dsm_dim,
-            "aux_qubits": config.aux_qubits,
-            "layers": config.layers,
-            "ansatz": config.ansatz,
-            "theta": _theta_for(args, config),
-        }
-    if name == "softmax":
-        return {"tau": _opt(args, "tau", float, 1.0)}
-    if name == "norm-softmax":
-        return {"tau": _opt(args, "tau", float, 1.0), "power": _opt(args, "power", int, 1)}
-    raise _Usage(f"unknown operator {name!r} (choose from {', '.join(OPERATOR_NAMES)})")
+        keys = ("aux_qubits", "layers", "ansatz")
+    else:
+        keys = [f.name for f in fields(SPECS[name])]
+    settings = {key: value for key in keys
+                if (value := _resolve(args, *_SETTING_FLAGS[key])) is not None}
+    theta = None
+    if name == "qr":
+        settings["noise_seed"] = _req(args, "seed", int)
+    elif name == "qontot":
+        theta_file = _opt(args, "theta_file", str, None)
+        theta_seed = _resolve(args, "theta_seed", int)
+        if (theta_file is None) == (theta_seed is None):
+            raise _Usage("qontot needs exactly one of --theta-seed / --theta-file")
+        if theta_file is not None:
+            theta = np.loadtxt(theta_file, delimiter=",", dtype=np.float64).ravel()
+        settings.update(dsm_dim=dsm_dim, theta=theta, theta_seed=theta_seed)
+    try:
+        op = make_operator(name, **settings)
+    except ValueError as exc:
+        raise _Usage(str(exc)) from exc
+    if theta is not None and theta.size != param_count(op.config):
+        raise _Usage(f"theta file has {theta.size} values, config needs {param_count(op.config)}")
+    return op
 
 
 # --- subcommand implementations --------------------------------------------
@@ -209,14 +192,13 @@ def _operator_settings(args, name: str, dsm_dim: int) -> dict:
 def _cmd_apply(args) -> int:
     name = _req(args, "op", str)
     m = _read_matrix(args)
-    settings = _operator_settings(args, name, m.shape[0])
+    op = _operator(args, name, m.shape[0])
     fmt = _opt(args, "format", str, "csv")
     try:
-        op = make_operator(name, **settings)
         x = exp_scale(m, _opt(args, "tau", float, 1.0)) if (
             op.needs_positive and _flag(_opt(args, "exp_scale", bool, False))
         ) else m
-        out = op.fn(x)
+        out = op(x)
     except (ValueError, ProjectionError) as exc:
         raise _Numerical(str(exc), m) from exc
     _print_matrix(out, fmt)
@@ -234,40 +216,6 @@ def _cmd_apply(args) -> int:
     return 0
 
 
-_NORMALIZERS = ("softmax", "norm-softmax", "sinkhorn-naive", "sinkhorn-ot",
-                "qr", "qontot", "birkhoff-project")
-
-
-def _normalizer_for(args, name: str, dsm_dim: int):
-    if name == "softmax":
-        return Softmax()
-    if name == "norm-softmax":
-        return NormSoftmax(power=_opt(args, "power", int, 1))
-    if name == "sinkhorn-naive":
-        return SinkhornNaive(iterations=_opt(args, "k", int, 21))
-    if name == "sinkhorn-ot":
-        return SinkhornOT(iterations=_opt(args, "k", int, 21))
-    if name == "qr":
-        return QrNormalizer(noise_seed=_req(args, "seed", int))
-    if name == "qontot":
-        config = CircuitConfig(
-            dsm_dim=dsm_dim,
-            aux_qubits=_opt(args, "aux_qubits", int, 0),
-            layers=_opt(args, "layers", int, 1),
-            ansatz=_opt(args, "ansatz", str, "simple"),
-        )
-        return QontotNormalizer(config=config, theta=_theta_for(args, config))
-    if name == "birkhoff-project":
-        return BirkhoffNormalizer(
-            settings=ProjectionSettings(
-                method=_opt(args, "method", str, "dykstra"),
-                tolerance=_opt(args, "tolerance", float, 1e-11),
-                max_iterations=_opt(args, "max_iterations", int, 100_000),
-            )
-        )
-    raise _Usage(f"unknown normalizer {name!r} (choose from {', '.join(_NORMALIZERS)})")
-
-
 def _load_table(path: str) -> np.ndarray:
     # Q/K/V operands are T x d and need not be square.
     out = np.loadtxt(path, delimiter=",", dtype=np.float64, ndmin=2)
@@ -282,7 +230,7 @@ def _cmd_apply_attn(args) -> int:
     km = _load_table(_req(args, "key_file", str))
     vm = _load_table(_req(args, "value_file", str))
     config = AttentionConfig(
-        normalizer=_normalizer_for(args, name, qm.shape[0]),
+        normalizer=_operator(args, name, qm.shape[0]),
         temperature=_opt(args, "temperature", float, None),
     )
     try:
@@ -311,11 +259,11 @@ def _cmd_sweep_unique(args) -> int:
     if total > _FULL_GATE and not _flag(_opt(args, "full", bool, False)):
         raise _Usage(f"sweep covers {total} inputs; pass --full to confirm")
     name = _req(args, "op", str)
-    settings = _operator_settings(args, name, spec.n)
+    op = _operator(args, name, spec.n)
     try:
         report = uniqueness_sweep(
             spec,
-            (name, settings),
+            op,
             exp_scale_tau=_opt(args, "tau", float, 1.0),
             workers=_workers(args),
             start=_opt(args, "start", int, 0),
@@ -347,11 +295,11 @@ def _cmd_sweep_tradeoff(args) -> int:
     n = _opt(args, "n", int, 8)
     trials = _opt(args, "trials", int, 100)
     seed = _req(args, "seed", int)
-    settings = _operator_settings(args, name, n)
+    op = _operator(args, name, n)
     rng = np.random.default_rng(seed)
     inputs = [rng.standard_normal((n, n)) for _ in range(trials)]
     try:
-        rows = tradeoff_sweep(inputs, (name, settings),
+        rows = tradeoff_sweep(inputs, op,
                               exp_scale_tau=_opt(args, "tau", float, 1.0))
     except (ValueError, ProjectionError) as exc:
         raise _Numerical(str(exc), None) from exc
@@ -364,10 +312,10 @@ def _cmd_sweep_tradeoff(args) -> int:
 def _cmd_props(args) -> int:
     name = _req(args, "op", str)
     n = _opt(args, "n", int, 4)
-    settings = _operator_settings(args, name, n)
+    op = _operator(args, name, n)
     try:
         result = probe_invariances(
-            (name, settings),
+            op,
             trials=_opt(args, "trials", int, 10),
             seed=_req(args, "seed", int),
             n=n,
@@ -407,18 +355,12 @@ def _cmd_count(args) -> int:
 
 def _cmd_shots(args) -> int:
     m = _read_matrix(args)
-    config = CircuitConfig(
-        dsm_dim=m.shape[0],
-        aux_qubits=_opt(args, "aux_qubits", int, 0),
-        layers=_opt(args, "layers", int, 1),
-        ansatz=_opt(args, "ansatz", str, "simple"),
-    )
-    theta = _theta_for(args, config)
+    circuit = _operator(args, "qontot", m.shape[0])
     shots = _req(args, "shots", int)
     seed = _req(args, "seed", int)
     try:
-        sampled = sample_shots(config, theta, m, shots, seed)
-        exact = simulate_dsm(config, theta, m).matrix
+        sampled = sample_shots(circuit.config, circuit.theta, m, shots, seed)
+        exact = circuit(m)
         out = project(sampled).matrix if _flag(_opt(args, "project", bool, False)) else sampled
         metrics = {
             "shots": shots,
@@ -633,7 +575,8 @@ def main(argv=None) -> int:
         sys.stderr.write(f"error: {exc}\n")
         return 1
     except _Numerical as exc:
-        json.dump({"error": str(exc), "input": _matrix_json(exc.matrix)}, sys.stderr)
+        echo = None if exc.matrix is None else matrix_record(exc.matrix)
+        json.dump({"error": str(exc), "input": echo}, sys.stderr)
         sys.stderr.write("\n")
         return 2
 

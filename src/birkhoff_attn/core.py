@@ -8,6 +8,7 @@ small report / wrapper types defined here.
 
 from __future__ import annotations
 
+import io
 import json
 from dataclasses import dataclass
 
@@ -161,9 +162,20 @@ def load_matrix_json(path) -> np.ndarray:
     return as_square(np.asarray(data, dtype=np.float64).reshape(n, n))
 
 
+def matrix_record(m) -> dict:
+    """The JSON record ``{"n": n, "data": [row-major entries]}`` of a square matrix.
+
+    Only the shape is checked, so a record can echo a matrix that failed
+    other validation.
+    """
+    m = np.asarray(m, dtype=np.float64)
+    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+        raise ValueError(f"a matrix record holds a square matrix, got shape {m.shape}")
+    return {"n": int(m.shape[0]), "data": [float(x) for x in m.ravel()]}
+
+
 def save_matrix_json(path, m) -> None:
-    m = as_square(m)
-    obj = {"n": int(m.shape[0]), "data": [float(x) for x in m.ravel()]}
+    obj = matrix_record(as_square(m))
     if hasattr(path, "write"):
         json.dump(obj, path)
     else:
@@ -172,8 +184,16 @@ def save_matrix_json(path, m) -> None:
 
 
 def load_matrix(path, fmt: str | None = None) -> np.ndarray:
-    """Load a square matrix, inferring CSV vs JSON from suffix when fmt is None."""
-    if fmt is None:
+    """Load a square matrix from a path or a readable text stream.
+
+    When fmt is None the format is inferred: JSON for a path ending in
+    ".json" or a stream whose first non-blank character is "{", else CSV.
+    """
+    if fmt is None and hasattr(path, "read"):
+        text = path.read()
+        fmt = "json" if text.lstrip().startswith("{") else "csv"
+        path = io.StringIO(text)
+    elif fmt is None:
         fmt = "json" if str(path).endswith(".json") else "csv"
     if fmt == "json":
         return load_matrix_json(path)

@@ -17,13 +17,14 @@ worker count.
 from __future__ import annotations
 
 import hashlib
+import pickle
 from dataclasses import dataclass
 from itertools import product
 
 import numpy as np
 
 from .core import frobenius_distance, shannon_entropy
-from .operators import Operator, make_operator
+from .operators import make_operator
 from .sinkhorn import exp_scale
 
 _SWEEP_CHUNK = 512  # fixed regardless of worker count
@@ -114,21 +115,19 @@ class SweepReport:
     residual_stats: dict
 
 
-def _resolve(operator) -> Operator:
-    if isinstance(operator, Operator):
-        return operator
+def _resolve(operator):
+    """The spec of a (name, settings) pair; a spec or bare callable is used as given."""
     if isinstance(operator, tuple):
         name, kw = operator
         return make_operator(name, **kw)
-    return Operator("custom", operator)
+    return operator
 
 
-def _apply(op: Operator, m: np.ndarray, tau: float) -> np.ndarray:
-    return op.fn(exp_scale(m, tau) if op.needs_positive else m)
+def _apply(op, m: np.ndarray, tau: float) -> np.ndarray:
+    return op(exp_scale(m, tau) if getattr(op, "needs_positive", False) else m)
 
 
-def _sweep_chunk(spec: GridSpec, operator, tau: float, lo: int, hi: int):
-    op = _resolve(operator)
+def _sweep_chunk(spec: GridSpec, op, tau: float, lo: int, hi: int):
     # 128-bit digests as two uint64 columns: 16 bytes/output keeps the full
     # 43M-input grids inside a few hundred MB, where a dict of raw matrix
     # bytes would not fit in memory.
@@ -163,18 +162,23 @@ def uniqueness_sweep(spec: GridSpec, operator, *, exp_scale_tau: float = 1.0,
                      max_total: int = 2**32) -> SweepReport:
     """Count distinct rounded outputs over the grid.
 
-    ``operator`` is an :class:`Operator`, a bare callable, or a picklable
-    (name, settings) pair; only the latter works with ``workers > 1``.
-    Positive-domain operators receive exp_scale(m, exp_scale_tau).
+    ``operator`` is an operator spec (see :func:`make_operator`), a
+    (name, settings) pair for it, or a bare callable; ``workers > 1`` needs
+    it to pickle, which every spec does.  Positive-domain operators receive
+    exp_scale(m, exp_scale_tau).
     """
     total = grid_total(spec)
     if total > max_total:
         raise ValueError(f"grid has {total} matrices, above the {max_total} guard")
     stop = total if stop is None else min(stop, total)
-    if workers > 1 and not isinstance(operator, tuple):
-        raise ValueError("parallel sweeps need a picklable (name, settings) operator")
+    op = _resolve(operator)
+    if workers > 1:
+        try:
+            pickle.dumps(op)
+        except (pickle.PicklingError, AttributeError, TypeError) as exc:
+            raise ValueError(f"parallel sweeps need a picklable operator: {exc}") from exc
     tasks = [
-        (spec, operator, exp_scale_tau, lo, min(lo + _SWEEP_CHUNK, stop))
+        (spec, op, exp_scale_tau, lo, min(lo + _SWEEP_CHUNK, stop))
         for lo in range(start, stop, _SWEEP_CHUNK)
     ]
     if workers > 1 and len(tasks) > 1:
@@ -226,13 +230,13 @@ def probe_invariances(operator, trials: int = 10, seed: int = 0, n: int = 4,
     scale_witness = None
     perm_witness = None
     for _ in range(trials):
-        if op.needs_positive:
+        if getattr(op, "needs_positive", False):
             m = rng.uniform(0.1, 10.0, (n, n))
         else:
             m = rng.standard_normal((n, n))
-        base = op.fn(m)
+        base = op(m)
         for lam in (0.5, 2.0, 10.0):
-            dev = float(np.abs(op.fn(lam * m) - base).max())
+            dev = float(np.abs(op(lam * m) - base).max())
             if dev > tolerance and scale_witness is None:
                 scale_witness = {
                     "matrix": m.tolist(),
@@ -241,7 +245,7 @@ def probe_invariances(operator, trials: int = 10, seed: int = 0, n: int = 4,
                 }
         p1 = rng.permutation(n)
         p2 = rng.permutation(n)
-        dev = float(np.abs(op.fn(m[p1][:, p2]) - base[p1][:, p2]).max())
+        dev = float(np.abs(op(m[p1][:, p2]) - base[p1][:, p2]).max())
         if dev > tolerance and perm_witness is None:
             perm_witness = {
                 "matrix": m.tolist(),
@@ -250,7 +254,7 @@ def probe_invariances(operator, trials: int = 10, seed: int = 0, n: int = 4,
                 "max_abs_deviation": dev,
             }
     return {
-        "operator": op.name,
+        "operator": getattr(op, "name", "custom"),
         "trials": trials,
         "tolerance": tolerance,
         "scale_invariant": scale_witness is None,

@@ -1,31 +1,176 @@
-"""Named constructors for the matrix-to-matrix normalizers.
+"""The matrix-to-matrix normalizers, one frozen spec per operator.
 
-Sweeps, invariance probes and the command line all refer to operators by
-name plus a flat settings dict, which keeps them easy to rebuild inside
-worker processes.  ``needs_positive`` marks operators whose domain is
-strictly positive matrices (the Sinkhorn family); sweep drivers feed those
-through :func:`~birkhoff_attn.sinkhorn.exp_scale` first.
+Each operator is a frozen, picklable dataclass derived from the exported
+base :class:`Normalizer`.  Its fields are the operator's settings, with
+their defaults; calling a spec applies the operator to one square matrix,
+and ``attend(scores, tau)`` applies it to attention scores at temperature
+tau.  ``needs_positive`` marks operators whose domain is strictly positive
+matrices (the Sinkhorn family); sweep drivers feed those through
+:func:`~birkhoff_attn.sinkhorn.exp_scale` first, and in attention they
+receive exp_scale(scores, tau).  Because specs pickle, sweeps ship them to
+worker processes as they are.
+
+:func:`make_operator` returns the callable, picklable spec for a name and
+its settings; sweeps, invariance probes, attention and the command line
+all use it.  Specs replace the ``Operator`` wrapper: call the spec where
+``op.fn`` was called.  :class:`BirkhoffNormalizer` takes the
+:class:`~birkhoff_attn.birkhoff.ProjectionSettings` fields as its own, in
+place of ``BirkhoffNormalizer(settings=...)``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable
+from dataclasses import dataclass, fields
+from typing import ClassVar
 
 import numpy as np
 
-from . import attention
 from .birkhoff import ProjectionSettings, project
+from .core import as_square
 from .qontot import CircuitConfig, param_count, simulate_dsm
 from .qr import qr_dsm
-from .sinkhorn import sinkhorn_naive, sinkhorn_ot
+from .sinkhorn import exp_scale, sinkhorn_naive, sinkhorn_ot
+
+_DENOM_FLOOR = 1e-6
+
+
+def softmax_rows(m, tau: float = 1.0) -> np.ndarray:
+    """Row-wise softmax of m/tau with per-row max subtraction."""
+    m = as_square(m)
+    if not tau > 0.0:
+        raise ValueError(f"tau must be positive, got {tau}")
+    z = (m - m.max(axis=1, keepdims=True)) / tau
+    e = np.exp(z)
+    return e / e.sum(axis=1, keepdims=True)
+
+
+def norm_softmax(m, tau: float = 1.0, power: int = 1) -> np.ndarray:
+    """Row softmax at a data-driven temperature.
+
+    The temperature is the population std (power 1) or variance (power 2) of
+    all entries of m, capped above by tau and floored at 1e-6 so a constant
+    input cannot divide by zero.
+    """
+    m = as_square(m)
+    if power not in (1, 2):
+        raise ValueError(f"power must be 1 (std) or 2 (variance), got {power}")
+    stat = float(m.std()) ** power
+    return softmax_rows(m, max(min(stat, tau), _DENOM_FLOOR))
+
+
+class Normalizer:
+    """Base of the operator specs.
+
+    A subclass is a frozen dataclass whose fields are the operator's
+    settings; it sets the class attributes ``name`` and ``needs_positive``
+    and defines ``__call__``.  By default ``attend`` normalizes the
+    temperature-scaled scores ``scores / tau``.
+    """
+
+    name: ClassVar[str]
+    needs_positive: ClassVar[bool] = False
+
+    def __call__(self, m) -> np.ndarray:
+        raise NotImplementedError
+
+    def attend(self, scores: np.ndarray, tau: float) -> np.ndarray:
+        """Attention weights from the score matrix at temperature tau."""
+        return self(scores / tau)
 
 
 @dataclass(frozen=True)
-class Operator:
-    name: str
-    fn: Callable[[np.ndarray], np.ndarray]
-    needs_positive: bool = False
+class Softmax(Normalizer):
+    """Row softmax; in attention, tau is its temperature."""
+
+    name = "softmax"
+    tau: float = 1.0
+
+    def __call__(self, m) -> np.ndarray:
+        return softmax_rows(m, self.tau)
+
+    def attend(self, scores, tau):
+        return softmax_rows(scores, tau)
+
+
+@dataclass(frozen=True)
+class NormSoftmax(Normalizer):
+    """Row softmax at the std (power 1) or variance (power 2) of the input, capped at tau."""
+
+    name = "norm-softmax"
+    power: int = 1
+    tau: float = 1.0
+
+    def __call__(self, m) -> np.ndarray:
+        return norm_softmax(m, self.tau, self.power)
+
+    def attend(self, scores, tau):
+        return norm_softmax(scores, tau, self.power)
+
+
+class _Sinkhorn(Normalizer):
+    """The Sinkhorn family: positive inputs only, so attention exponentiates the scores."""
+
+    needs_positive = True
+
+    def attend(self, scores, tau):
+        return self(exp_scale(scores, tau))
+
+
+@dataclass(frozen=True)
+class SinkhornNaive(_Sinkhorn):
+    name = "sinkhorn-naive"
+    iterations: int = 21
+
+    def __call__(self, m) -> np.ndarray:
+        return sinkhorn_naive(m, self.iterations)
+
+
+@dataclass(frozen=True)
+class SinkhornOT(_Sinkhorn):
+    name = "sinkhorn-ot"
+    iterations: int = 21
+
+    def __call__(self, m) -> np.ndarray:
+        return sinkhorn_ot(m, self.iterations)
+
+
+@dataclass(frozen=True)
+class BirkhoffNormalizer(ProjectionSettings, Normalizer):
+    """Frobenius-nearest doubly stochastic matrix; the fields are the projection settings."""
+
+    name = "birkhoff-project"
+
+    def __call__(self, m) -> np.ndarray:
+        return project(m, self).matrix
+
+
+@dataclass(frozen=True)
+class QrNormalizer(Normalizer):
+    name = "qr"
+    noise_seed: int | None = None
+
+    def __call__(self, m) -> np.ndarray:
+        return qr_dsm(m, self.noise_seed).matrix
+
+
+@dataclass(frozen=True)
+class QontotNormalizer(Normalizer):
+    """Simulated circuit with parameter vector theta."""
+
+    name = "qontot"
+    config: CircuitConfig
+    theta: np.ndarray
+
+    def __call__(self, m) -> np.ndarray:
+        return simulate_dsm(self.config, self.theta, m).matrix
+
+
+SPECS = {
+    cls.name: cls
+    for cls in (SinkhornNaive, SinkhornOT, BirkhoffNormalizer, QrNormalizer,
+                QontotNormalizer, Softmax, NormSoftmax)
+}
+OPERATOR_NAMES = tuple(SPECS)
 
 
 def qontot_theta(config: CircuitConfig, theta_seed: int) -> np.ndarray:
@@ -33,66 +178,32 @@ def qontot_theta(config: CircuitConfig, theta_seed: int) -> np.ndarray:
     return np.random.default_rng(theta_seed).uniform(-1.0, 1.0, param_count(config))
 
 
-def make_operator(name: str, **kw) -> Operator:
-    if name == "sinkhorn-naive":
-        k = int(kw.pop("iterations", 21))
-        _reject_extras(name, kw)
-        return Operator(name, lambda m: sinkhorn_naive(m, k), needs_positive=True)
-    if name == "sinkhorn-ot":
-        k = int(kw.pop("iterations", 21))
-        _reject_extras(name, kw)
-        return Operator(name, lambda m: sinkhorn_ot(m, k), needs_positive=True)
-    if name == "birkhoff-project":
-        settings = ProjectionSettings(
-            method=kw.pop("method", "dykstra"),
-            tolerance=float(kw.pop("tolerance", 1e-11)),
-            max_iterations=int(kw.pop("max_iterations", 100_000)),
-        )
-        _reject_extras(name, kw)
-        return Operator(name, lambda m: project(m, settings).matrix)
-    if name == "qr":
-        seed = kw.pop("noise_seed", None)
-        seed = None if seed is None else int(seed)
-        _reject_extras(name, kw)
-        return Operator(name, lambda m: qr_dsm(m, noise_seed=seed).matrix)
+def make_operator(name: str, **kw) -> Normalizer:
+    """The spec of operator ``name``; settings not given keep the spec's defaults.
+
+    The settings are the spec's fields, except for qontot, which takes the
+    CircuitConfig fields flat (``dsm_dim`` required; ``aux_qubits``,
+    ``layers``, ``ansatz``) and either ``theta`` or a ``theta_seed`` for
+    :func:`qontot_theta`; an explicit theta wins.
+    """
+    if name not in SPECS:
+        raise ValueError(f"unknown operator {name!r}")
     if name == "qontot":
-        config = CircuitConfig(
-            dsm_dim=int(kw.pop("dsm_dim")),
-            aux_qubits=int(kw.pop("aux_qubits", 0)),
-            layers=int(kw.pop("layers", 1)),
-            ansatz=kw.pop("ansatz", "simple"),
-        )
+        circuit = {key: kw.pop(key) for key in ("aux_qubits", "layers", "ansatz") if key in kw}
+        config = CircuitConfig(dsm_dim=int(kw.pop("dsm_dim")), **circuit)
         theta = kw.pop("theta", None)
         if theta is None:
             theta = qontot_theta(config, int(kw.pop("theta_seed")))
         else:
             theta = np.asarray(theta, dtype=np.float64)
             kw.pop("theta_seed", None)
-        _reject_extras(name, kw)
-        return Operator(name, lambda m: simulate_dsm(config, theta, m).matrix)
-    if name == "softmax":
-        tau = float(kw.pop("tau", 1.0))
-        _reject_extras(name, kw)
-        return Operator(name, lambda m: attention.softmax_rows(m, tau))
-    if name == "norm-softmax":
-        tau = float(kw.pop("tau", 1.0))
-        power = int(kw.pop("power", 1))
-        _reject_extras(name, kw)
-        return Operator(name, lambda m: attention.norm_softmax(m, tau, power))
-    raise ValueError(f"unknown operator {name!r}")
+        _reject_extras(name, kw.keys())
+        return QontotNormalizer(config, theta)
+    cls = SPECS[name]
+    _reject_extras(name, kw.keys() - {f.name for f in fields(cls)})
+    return cls(**kw)
 
 
-def _reject_extras(name: str, kw: dict) -> None:
-    if kw:
-        raise ValueError(f"unexpected settings for operator {name!r}: {sorted(kw)}")
-
-
-OPERATOR_NAMES = (
-    "sinkhorn-naive",
-    "sinkhorn-ot",
-    "birkhoff-project",
-    "qr",
-    "qontot",
-    "softmax",
-    "norm-softmax",
-)
+def _reject_extras(name: str, extras) -> None:
+    if extras:
+        raise ValueError(f"unexpected settings for operator {name!r}: {sorted(extras)}")

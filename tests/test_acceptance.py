@@ -122,7 +122,7 @@ def test_c03_soundness_margins(note):
     for trial in range(1000):
         m = rng.standard_normal((8, 8))
         dmax["qr"] = max(dmax["qr"], birkhoff_distance(qr_dsm(m, noise_seed=trial)))
-        dmax["qontot"] = max(dmax["qontot"], birkhoff_distance(qont.fn(m)))
+        dmax["qontot"] = max(dmax["qontot"], birkhoff_distance(qont(m)))
         dmax["projection"] = max(dmax["projection"], birkhoff_distance(project(m)))
         sink3.append(birkhoff_distance(sinkhorn_naive(exp_scale(m, 1.0), 3)))
     median3 = float(np.median(sink3))

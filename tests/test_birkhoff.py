@@ -12,6 +12,7 @@ from birkhoff_attn import (
     affine_project,
     as_dsm,
     birkhoff_distance,
+    check_stochasticity,
     frobenius_distance,
     project,
 )
@@ -111,6 +112,17 @@ class TestProject:
         err = exc_info.value
         assert err.last_iterate.shape == (5, 5)
         assert err.report.max_row_deviation >= 0.0
+
+    def test_raises_with_last_iterate_when_stopping_off_the_polytope(self):
+        # at this scale Dykstra's gap test passes while the marginals are still
+        # off by ~4e-7, above the 1e-8 validation
+        m = 1e9 * np.random.default_rng(0).standard_normal((4, 4))
+        with pytest.raises(ProjectionError, match="off the Birkhoff polytope") as exc_info:
+            project(m)
+        err = exc_info.value
+        assert err.last_iterate.shape == (4, 4)
+        assert err.report == check_stochasticity(err.last_iterate)
+        assert max(err.report.max_row_deviation, err.report.max_col_deviation) > 1e-8
 
     def test_settings_validation(self):
         with pytest.raises(ValueError, match="method"):

@@ -10,12 +10,24 @@ import pytest
 from numpy.testing import assert_allclose
 
 import birkhoff_attn
-from birkhoff_attn import GridSpec, exp_scale, grid_total, sinkhorn_naive, softmax_rows
+from birkhoff_attn import (
+    OPERATOR_NAMES,
+    GridSpec,
+    exp_scale,
+    grid_total,
+    load_matrix_json,
+    sinkhorn_naive,
+    softmax_rows,
+)
 from birkhoff_attn.cli import main
 from birkhoff_attn.expressivity import _SWEEP_CHUNK
 
 CSV_2X2 = "2,1\n1,2\n"
 CSV_ID4 = "1,0,0,0\n0,1,0,0\n0,0,1,0\n0,0,0,1\n"
+CSV_POS4 = "2,1,1,1\n1,2,1,1\n1,1,2,1\n1,1,1,3\n"
+QKV_FLAGS = ["--q-file", "q.csv", "--key-file", "k.csv", "--value-file", "v.csv"]
+# flags each operator needs beyond its defaults
+OPERATOR_FLAGS = {"qr": ["--seed", "0"], "qontot": ["--theta-seed", "0"]}
 
 
 def invoke(argv, capsys, monkeypatch=None, stdin_text=None):
@@ -28,6 +40,12 @@ def invoke(argv, capsys, monkeypatch=None, stdin_text=None):
 
 def parse_csv(text):
     return np.loadtxt(io.StringIO(text), delimiter=",", ndmin=2)
+
+
+def write_qkv(directory, t=3, d_v=2):
+    rng = np.random.default_rng(0)
+    for name, shape in (("q.csv", (t, 3)), ("k.csv", (t, 3)), ("v.csv", (t, d_v))):
+        np.savetxt(directory / name, rng.standard_normal(shape), delimiter=",", fmt="%.17g")
 
 
 class TestApply:
@@ -161,6 +179,76 @@ class TestApplyAttn:
                               capsys, monkeypatch)
         assert code == 1
         assert "--q-file" in err
+
+    def test_json_output_of_attention_weights_loads_back(self, capsys, monkeypatch, tmp_path):
+        monkeypatch.chdir(tmp_path)
+        write_qkv(tmp_path, d_v=5)
+        code, out, _ = invoke(["apply-attn", "--normalizer", "softmax", *QKV_FLAGS,
+                               "--emit", "attn", "--format", "json"], capsys)
+        assert code == 0
+        assert load_matrix_json(io.StringIO(out)).shape == (3, 3)
+
+    def test_non_square_json_output_is_usage_error(self, capsys, monkeypatch, tmp_path):
+        # a 3x5 output has no {"n", "data"} form that load_matrix_json reads back
+        monkeypatch.chdir(tmp_path)
+        write_qkv(tmp_path, d_v=5)
+        code, out, err = invoke(["apply-attn", "--normalizer", "softmax", *QKV_FLAGS,
+                                 "--format", "json"], capsys)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ") and "--format csv" in err
+
+
+class TestOperatorFlags:
+    @pytest.mark.parametrize("name", OPERATOR_NAMES)
+    def test_apply_and_apply_attn_accept_the_same_names(self, name, capsys, monkeypatch,
+                                                         tmp_path):
+        monkeypatch.chdir(tmp_path)
+        write_qkv(tmp_path, t=4)
+        flags = OPERATOR_FLAGS.get(name, [])
+        code, _, err = invoke(["apply", "--op", name, *flags, "--exp-scale"],
+                              capsys, monkeypatch, stdin_text=CSV_POS4)
+        assert code == 0, err
+        code, _, err = invoke(["apply-attn", "--normalizer", name, *flags, *QKV_FLAGS], capsys)
+        assert code == 0, err
+
+    def test_unknown_name_lists_the_operators(self, capsys, monkeypatch, tmp_path):
+        monkeypatch.chdir(tmp_path)
+        write_qkv(tmp_path)
+        errors = []
+        for argv in (["apply", "--op", "softermax"],
+                     ["apply-attn", "--normalizer", "softermax", *QKV_FLAGS]):
+            code, _, err = invoke(argv, capsys, monkeypatch, stdin_text=CSV_2X2)
+            assert code == 1
+            errors.append(err)
+        assert errors[0] == errors[1]
+        assert ", ".join(OPERATOR_NAMES) in errors[0]
+
+    @pytest.mark.parametrize("argv, stdin_text, message", [
+        (["apply", "--op", "birkhoff-project", "--tolerance", "-1"], CSV_2X2, "tolerance"),
+        (["apply", "--op", "qontot", "--layers", "0", "--theta-seed", "0"], CSV_ID4, "layers"),
+        (["apply", "--op", "qontot", "--theta-seed", "0"], "1,0,0\n0,1,0\n0,0,1\n", "dsm_dim"),
+        (["apply-attn", "--normalizer", "birkhoff-project", "--tolerance", "-1", *QKV_FLAGS],
+         None, "tolerance"),
+        (["apply-attn", "--normalizer", "qontot", "--aux-qubits", "-1", "--theta-seed", "0",
+          *QKV_FLAGS], None, "aux_qubits"),
+        (["sweep-unique", "--op", "birkhoff-project", "--tolerance", "-1", "--n", "2", "--d", "2"],
+         None, "tolerance"),
+        (["sweep-tradeoff", "--op", "birkhoff-project", "--max-iterations", "0", "--seed", "0"],
+         None, "max_iterations"),
+        (["props", "--op", "qontot", "--layers", "0", "--theta-seed", "0", "--seed", "0"],
+         None, "layers"),
+        (["shots", "--layers", "0", "--theta-seed", "0", "--shots", "10", "--seed", "0"],
+         CSV_ID4, "layers"),
+    ])
+    def test_invalid_setting_is_usage_error(self, argv, stdin_text, message, capsys,
+                                            monkeypatch, tmp_path):
+        monkeypatch.chdir(tmp_path)
+        write_qkv(tmp_path, t=4)
+        code, out, err = invoke(argv, capsys, monkeypatch, stdin_text=stdin_text or "")
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ") and message in err
 
 
 class TestUsageErrors:

@@ -1,3 +1,4 @@
+import io
 import json
 
 import numpy as np
@@ -154,6 +155,13 @@ class TestSerialization:
         save_matrix_csv(tmp_path / "a.csv", m)
         assert_allclose(load_matrix(tmp_path / "a.json"), m)
         assert_allclose(load_matrix(tmp_path / "a.csv"), m)
+
+    def test_load_matrix_sniffs_stream(self):
+        m = np.array([[2.0, 1.0], [1.0, 2.0]])
+        stream = io.StringIO()
+        save_matrix_json(stream, m)
+        assert_allclose(load_matrix(io.StringIO("\n  " + stream.getvalue())), m, atol=0)
+        assert_allclose(load_matrix(io.StringIO("2,1\n1,2\n")), m, atol=0)
 
     def test_json_rejects_wrong_length(self, tmp_path):
         path = tmp_path / "bad.json"

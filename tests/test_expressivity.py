@@ -7,6 +7,7 @@ from birkhoff_attn import (
     enumerate_grid,
     grid_matrix,
     grid_total,
+    make_operator,
     probe_invariances,
     sphere_columns,
     tradeoff_sweep,
@@ -118,10 +119,11 @@ class TestUniquenessSweep:
 
     def test_worker_count_changes_nothing(self):
         spec = GridSpec(n=2, d=5)  # 625 inputs: two fixed-size chunks
-        op = ("softmax", {"tau": 1.0})
-        base = uniqueness_sweep(spec, op, workers=1)
-        for workers in (2, 3):
-            assert base == uniqueness_sweep(spec, op, workers=workers)
+        for op in (("softmax", {"tau": 1.0}),
+                   make_operator("qontot", dsm_dim=2, layers=2, theta_seed=0)):
+            base = uniqueness_sweep(spec, op, workers=1)
+            for workers in (2, 3):
+                assert base == uniqueness_sweep(spec, op, workers=workers)
 
     def test_parallel_needs_picklable_operator(self):
         with pytest.raises(ValueError, match="picklable"):

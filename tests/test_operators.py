@@ -1,27 +1,34 @@
+import pickle
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
 from birkhoff_attn import (
+    AttentionConfig,
     CircuitConfig,
     OPERATOR_NAMES,
+    attention_forward,
+    exp_scale,
     make_operator,
     param_count,
     qontot_theta,
     sinkhorn_naive,
 )
 
+# the settings each operator needs beyond its defaults, for 4x4 inputs
+SETTINGS = {
+    "qontot": {"dsm_dim": 4, "theta_seed": 0},
+    "qr": {"noise_seed": 1},
+}
+
 
 class TestMakeOperator:
     def test_every_listed_name_builds(self):
-        settings = {
-            "qontot": {"dsm_dim": 4, "theta_seed": 0},
-            "qr": {"noise_seed": 1},
-        }
         for name in OPERATOR_NAMES:
-            op = make_operator(name, **settings.get(name, {}))
+            op = make_operator(name, **SETTINGS.get(name, {}))
             assert op.name == name
-            assert callable(op.fn)
+            assert callable(op)
 
     def test_positivity_flags(self):
         assert make_operator("sinkhorn-naive").needs_positive
@@ -32,7 +39,7 @@ class TestMakeOperator:
     def test_sinkhorn_iterations_are_applied(self):
         m = np.random.default_rng(0).uniform(0.5, 2.0, (3, 3))
         op = make_operator("sinkhorn-naive", iterations=3)
-        assert_allclose(op.fn(m), sinkhorn_naive(m, 3), atol=0)
+        assert_allclose(op(m), sinkhorn_naive(m, 3), atol=0)
 
     def test_unknown_name_raises(self):
         with pytest.raises(ValueError, match="unknown operator"):
@@ -51,14 +58,40 @@ class TestMakeOperator:
     def test_qontot_explicit_theta_wins_over_seed(self):
         theta = np.zeros(param_count(CircuitConfig(dsm_dim=4)))
         op = make_operator("qontot", dsm_dim=4, theta=theta, theta_seed=99)
-        assert np.array_equal(op.fn(np.random.default_rng(1).standard_normal((4, 4))),
+        assert np.array_equal(op(np.random.default_rng(1).standard_normal((4, 4))),
                               np.eye(4))
 
     def test_projection_method_setting_flows_through(self):
         m = np.random.default_rng(2).standard_normal((3, 3))
         dykstra = make_operator("birkhoff-project")
         admm = make_operator("birkhoff-project", method="splitting-qp")
-        assert np.abs(dykstra.fn(m) - admm.fn(m)).max() < 1e-7
+        assert np.abs(dykstra(m) - admm(m)).max() < 1e-7
+
+
+@pytest.mark.parametrize("name", OPERATOR_NAMES)
+class TestSpec:
+    def test_pickle_round_trip_gives_the_same_output(self, name):
+        op = make_operator(name, **SETTINGS.get(name, {}))
+        clone = pickle.loads(pickle.dumps(op))
+        assert type(clone) is type(op)
+        m = np.random.default_rng(3).uniform(0.1, 2.0, (4, 4))
+        assert np.array_equal(clone(m), op(m))
+
+    def test_attention_applies_the_temperature_rule(self, name):
+        rng = np.random.default_rng(4)
+        qm, km = rng.standard_normal((2, 4, 3))
+        vm = rng.standard_normal((4, 2))
+        op = make_operator(name, **SETTINGS.get(name, {}))
+        result = attention_forward(qm, km, vm, AttentionConfig(op, temperature=1.5))
+        scores = qm @ km.T
+        if op.needs_positive:
+            want = op(exp_scale(scores, 1.5))
+        elif name in ("softmax", "norm-softmax"):
+            want = make_operator(name, tau=1.5)(scores)
+        else:
+            want = op(scores / 1.5)
+        assert np.array_equal(result["attn"], want)
+        assert np.array_equal(result["output"], want @ vm)
 
 
 class TestQontotTheta:
