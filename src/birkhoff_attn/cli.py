@@ -16,10 +16,10 @@ regardless of worker count (bench wall-times excepted).
 from __future__ import annotations
 
 import argparse
-import io
 import json
 import os
 import sys
+from contextlib import contextmanager
 from dataclasses import fields
 
 import numpy as np
@@ -64,21 +64,26 @@ def _print_matrix(m: np.ndarray, fmt: str) -> None:
     sys.stdout.write("\n")
 
 
+@contextmanager
+def _reading(source: str):
+    """Turn a missing, unreadable or malformed input into a usage error naming it."""
+    try:
+        yield
+    except (OSError, ValueError) as exc:
+        raise _Usage(f"{source}: {exc}") from exc
+
+
 def _read_matrix(args) -> np.ndarray:
-    path = _opt(args, "input", str, None)
-    if path is None or path == "-":
-        text = sys.stdin.read()
-        if not text.strip():
-            raise _Usage("empty matrix input on stdin")
-        return load_matrix(io.StringIO(text))
-    return load_matrix(path)
+    path = _opt(args, "input", str, "-")
+    with _reading("stdin" if path == "-" else path):
+        return load_matrix(sys.stdin if path == "-" else path)
 
 
 # --- flag resolution: explicit flag > --config file > builtin default -------
 
 def _load_config(path: str) -> dict:
     out = {}
-    with open(path) as fh:
+    with _reading(path), open(path) as fh:
         for line in fh:
             line = line.strip()
             if not line or line.startswith("#"):
@@ -131,8 +136,12 @@ def _workers(args) -> int:
     return value
 
 
-def _flag(value: bool | None) -> bool:
-    return bool(value)
+def _boolean(text: str) -> bool:
+    """A config-file switch: ``true`` or ``false`` in any case, nothing else."""
+    value = text.lower()
+    if value not in ("true", "false"):
+        raise ValueError(text)
+    return value == "true"
 
 
 # --- the operator spec shared by apply / apply-attn / sweeps / props / shots --
@@ -176,7 +185,7 @@ def _operator(args, name: str, dsm_dim: int) -> Normalizer:
         if (theta_file is None) == (theta_seed is None):
             raise _Usage("qontot needs exactly one of --theta-seed / --theta-file")
         if theta_file is not None:
-            theta = np.loadtxt(theta_file, delimiter=",", dtype=np.float64).ravel()
+            theta = _load_table(theta_file).ravel()
         settings.update(dsm_dim=dsm_dim, theta=theta, theta_seed=theta_seed)
     try:
         op = make_operator(name, **settings)
@@ -196,7 +205,7 @@ def _cmd_apply(args) -> int:
     fmt = _opt(args, "format", str, "csv")
     try:
         x = exp_scale(m, _opt(args, "tau", float, 1.0)) if (
-            op.needs_positive and _flag(_opt(args, "exp_scale", bool, False))
+            op.needs_positive and _opt(args, "exp_scale", _boolean, False)
         ) else m
         out = op(x)
     except (ValueError, ProjectionError) as exc:
@@ -217,8 +226,9 @@ def _cmd_apply(args) -> int:
 
 
 def _load_table(path: str) -> np.ndarray:
-    # Q/K/V operands are T x d and need not be square.
-    out = np.loadtxt(path, delimiter=",", dtype=np.float64, ndmin=2)
+    # CSV operands (T x d for Q/K/V, a flat theta) need not be square.
+    with _reading(path):
+        out = np.loadtxt(path, delimiter=",", dtype=np.float64, ndmin=2)
     if not np.all(np.isfinite(out)):
         raise _Usage(f"{path} contains NaN or inf")
     return out
@@ -256,7 +266,7 @@ def _grid_spec(args) -> GridSpec:
 def _cmd_sweep_unique(args) -> int:
     spec = _grid_spec(args)
     total = grid_total(spec)
-    if total > _FULL_GATE and not _flag(_opt(args, "full", bool, False)):
+    if total > _FULL_GATE and not _opt(args, "full", _boolean, False):
         raise _Usage(f"sweep covers {total} inputs; pass --full to confirm")
     name = _req(args, "op", str)
     op = _operator(args, name, spec.n)
@@ -361,7 +371,7 @@ def _cmd_shots(args) -> int:
     try:
         sampled = sample_shots(circuit.config, circuit.theta, m, shots, seed)
         exact = circuit(m)
-        out = project(sampled).matrix if _flag(_opt(args, "project", bool, False)) else sampled
+        out = project(sampled).matrix if _opt(args, "project", _boolean, False) else sampled
         metrics = {
             "shots": shots,
             "frobenius_to_exact": frobenius_distance(out, exact),

@@ -88,6 +88,22 @@ def as_dsm(m, tolerance: float = 1e-9) -> Dsm:
     return Dsm(m, float(tolerance), report)
 
 
+def _odometer(lo: int, hi: int, base: int, width: int) -> np.ndarray:
+    """Base-``base`` digits of lo..hi-1 as a (hi - lo, width) array, most significant first.
+
+    The dtype is the smallest unsigned one holding ``base - 1``.  Decoding is
+    int64: a range outside [0, min(base**width, 2**63)) raises IndexError.
+    """
+    if not 0 <= lo <= hi <= min(base**width, 2**63):
+        raise IndexError(f"index range [{lo}, {hi}) outside the {base}^{width} odometer")
+    rem = np.arange(lo, hi, dtype=np.int64)
+    digits = np.empty((rem.size, width), dtype=np.min_scalar_type(base - 1))
+    for c in reversed(range(width)):
+        digits[:, c] = rem % base
+        rem //= base
+    return digits
+
+
 def _matrix_of(p) -> np.ndarray:
     return p.matrix if isinstance(p, Dsm) else as_square(p)
 
@@ -138,8 +154,7 @@ def spearman_rho(a, b) -> float:
 # matrix serialization: CSV (one row per line) and JSON ({"n": .., "data": ..})
 
 def load_matrix_csv(path) -> np.ndarray:
-    out = np.loadtxt(path, delimiter=",", ndmin=2, dtype=np.float64)
-    return as_square(out, str(path))
+    return as_square(np.loadtxt(path, delimiter=",", ndmin=2, dtype=np.float64))
 
 
 def save_matrix_csv(path, m) -> None:
@@ -188,9 +203,12 @@ def load_matrix(path, fmt: str | None = None) -> np.ndarray:
 
     When fmt is None the format is inferred: JSON for a path ending in
     ".json" or a stream whose first non-blank character is "{", else CSV.
+    A stream holding only whitespace is rejected.
     """
     if fmt is None and hasattr(path, "read"):
         text = path.read()
+        if not text.strip():
+            raise ValueError("empty matrix input")
         fmt = "json" if text.lstrip().startswith("{") else "csv"
         path = io.StringIO(text)
     elif fmt is None:

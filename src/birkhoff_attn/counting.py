@@ -19,6 +19,8 @@ from math import comb
 
 import numpy as np
 
+from .core import _odometer
+
 _FEASIBILITY_BITS = 48
 _CHUNK = 1 << 20
 
@@ -89,13 +91,7 @@ def _digit_chunks(k: int, p: int):
     """Yield the full odometer {0..p-1}^k in chunks, first cell most significant."""
     total = p**k
     for lo in range(0, total, _CHUNK):
-        idx = np.arange(lo, min(lo + _CHUNK, total), dtype=np.int64)
-        digits = np.empty((idx.size, k), dtype=np.int16)
-        rem = idx.copy()
-        for c in reversed(range(k)):
-            digits[:, c] = rem % p
-            rem //= p
-        yield digits
+        yield _odometer(lo, min(lo + _CHUNK, total), p, k)
 
 
 def c2_brute(n: int, p: int) -> int:

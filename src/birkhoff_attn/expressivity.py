@@ -23,7 +23,7 @@ from itertools import product
 
 import numpy as np
 
-from .core import frobenius_distance, shannon_entropy
+from .core import _odometer, frobenius_distance, shannon_entropy
 from .operators import make_operator
 from .sinkhorn import exp_scale
 
@@ -74,36 +74,38 @@ def grid_total(spec: GridSpec) -> int:
     return len(sphere_columns(spec.n, spec.d)) ** spec.n
 
 
+def grid_matrices(spec: GridSpec, lo: int, hi: int) -> np.ndarray:
+    """Decode grid matrices lo..hi-1 as a (hi-lo, n, n) stack (see :func:`grid_matrix`)."""
+    n = spec.n
+    if spec.domain == CUBE:
+        return _odometer(lo, hi, spec.d, n * n).reshape(-1, n, n) / (spec.d - 1)
+    cols = sphere_columns(n, spec.d)
+    picks = _odometer(lo, hi, len(cols), n)  # picks[b, c]: the column c of matrix b
+    return np.ascontiguousarray(cols[picks].transpose(0, 2, 1))
+
+
 def grid_matrix(spec: GridSpec, index: int) -> np.ndarray:
     """Decode grid matrix ``index`` (odometer order, first cell/column most significant)."""
-    if spec.domain == CUBE:
-        cells = spec.n * spec.n
-        digits = np.empty(cells, dtype=np.int64)
-        for c in reversed(range(cells)):
-            index, digits[c] = divmod(index, spec.d)
-        if index:
-            raise IndexError("grid index out of range")
-        return digits.reshape(spec.n, spec.n) / (spec.d - 1)
-    cols = sphere_columns(spec.n, spec.d)
-    picks = np.empty(spec.n, dtype=np.int64)
-    for c in reversed(range(spec.n)):
-        index, picks[c] = divmod(index, len(cols))
-    if index:
-        raise IndexError("grid index out of range")
-    return cols[picks].T.copy()
+    return grid_matrices(spec, index, index + 1)[0]
 
 
-def enumerate_grid(spec: GridSpec, start: int = 0, stop: int | None = None,
-                   max_total: int = 2**32):
-    """Yield (index, matrix) over [start, stop); guards against runaway sizes."""
+def _index_range(spec: GridSpec, start: int, stop: int | None, max_total: int) -> tuple[int, int]:
+    """The sweep window [start, stop) with stop clipped to the grid; guards runaway sizes."""
     total = grid_total(spec)
     if total > max_total:
         raise ValueError(f"grid has {total} matrices, above the {max_total} guard")
     stop = total if stop is None else min(stop, total)
     if not 0 <= start <= stop:
         raise ValueError(f"bad index range [{start}, {stop})")
-    for index in range(start, stop):
-        yield index, grid_matrix(spec, index)
+    return start, stop
+
+
+def enumerate_grid(spec: GridSpec, start: int = 0, stop: int | None = None,
+                   max_total: int = 2**32):
+    """Yield (index, matrix) over [start, stop); guards against runaway sizes."""
+    start, stop = _index_range(spec, start, stop, max_total)
+    for lo in range(start, stop, _SWEEP_CHUNK):
+        yield from enumerate(grid_matrices(spec, lo, min(lo + _SWEEP_CHUNK, stop)), lo)
 
 
 @dataclass(frozen=True)
@@ -134,18 +136,14 @@ def _sweep_chunk(spec: GridSpec, op, tau: float, lo: int, hi: int):
     digests = np.empty((hi - lo, 2), dtype=np.uint64)
     entropies = np.empty(hi - lo)
     residuals = np.empty(hi - lo)
-    for index, m in enumerate_grid(spec, lo, hi):
+    for j, m in enumerate(grid_matrices(spec, lo, hi)):
         out = _apply(op, m, tau)
         rounded = np.round(out, spec.rounding_decimals) + 0.0  # +0.0 folds -0.0 into 0.0
         digest = hashlib.blake2b(rounded.tobytes(), digest_size=16).digest()
-        digests[index - lo] = np.frombuffer(digest, dtype=np.uint64)
-        entropies[index - lo] = shannon_entropy(out)
-        residuals[index - lo] = frobenius_distance(m, out)
+        digests[j] = np.frombuffer(digest, dtype=np.uint64)
+        entropies[j] = shannon_entropy(out)
+        residuals[j] = frobenius_distance(m, out)
     return digests, entropies, residuals
-
-
-def _sweep_chunk_star(args):
-    return _sweep_chunk(*args)
 
 
 def _stats(values: np.ndarray) -> dict:
@@ -167,31 +165,26 @@ def uniqueness_sweep(spec: GridSpec, operator, *, exp_scale_tau: float = 1.0,
     it to pickle, which every spec does.  Positive-domain operators receive
     exp_scale(m, exp_scale_tau).
     """
-    total = grid_total(spec)
-    if total > max_total:
-        raise ValueError(f"grid has {total} matrices, above the {max_total} guard")
-    stop = total if stop is None else min(stop, total)
+    start, stop = _index_range(spec, start, stop, max_total)
     op = _resolve(operator)
     if workers > 1:
         try:
             pickle.dumps(op)
         except (pickle.PicklingError, AttributeError, TypeError) as exc:
             raise ValueError(f"parallel sweeps need a picklable operator: {exc}") from exc
+    # an empty window still runs one empty chunk, so there are always parts to join
     tasks = [
         (spec, op, exp_scale_tau, lo, min(lo + _SWEEP_CHUNK, stop))
-        for lo in range(start, stop, _SWEEP_CHUNK)
+        for lo in range(start, stop, _SWEEP_CHUNK) or [start]
     ]
     if workers > 1 and len(tasks) > 1:
         import multiprocessing
 
         with multiprocessing.get_context("fork").Pool(workers) as pool:
-            results = pool.map(_sweep_chunk_star, tasks)
+            results = pool.starmap(_sweep_chunk, tasks)
     else:
-        results = [_sweep_chunk_star(t) for t in tasks]
-    digests = (np.concatenate([r[0] for r in results])
-               if results else np.zeros((0, 2), dtype=np.uint64))
-    entropies = np.concatenate([r[1] for r in results]) if results else np.zeros(0)
-    residuals = np.concatenate([r[2] for r in results]) if results else np.zeros(0)
+        results = [_sweep_chunk(*task) for task in tasks]
+    digests, entropies, residuals = (np.concatenate(parts) for parts in zip(*results))
     _, counts = np.unique(digests, axis=0, return_counts=True)
     return SweepReport(
         total_inputs=stop - start,

@@ -23,14 +23,14 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
 
 import numpy as np
 
 from .core import Dsm, as_dsm, as_square
 
 _MAX_QUBITS = 24
-_COLUMN_CHUNK = 64  # fixed regardless of worker count, so reductions are reproducible
+_COLUMN_CHUNK = 64  # fixed, so the summation order and the output bits never change
 
 SIMPLE = "simple"
 TROTTER = "trotter"
@@ -212,17 +212,13 @@ def _fold_chunk(config: CircuitConfig, phi: np.ndarray, lo: int, hi: int) -> np.
     return partial
 
 
-def _fold_chunk_star(args) -> np.ndarray:
-    return _fold_chunk(*args)
-
-
-def simulate_dsm(config: CircuitConfig, theta, m, workers: int = 1) -> Dsm:
+def simulate_dsm(config: CircuitConfig, theta, m) -> Dsm:
     """Exact doubly stochastic matrix of the data-injected circuit.
 
-    Streams basis-state columns in fixed-size chunks; partial sums are
-    combined in chunk order, so the result is bit-identical for any
-    ``workers`` count.  With theta = 0 every gate is the identity and the
-    output is exactly the identity matrix.
+    Streams basis-state columns in fixed-size chunks and adds the partial
+    sums in chunk order, so the summation order never changes.  With
+    theta = 0 every gate is the identity and the output is exactly the
+    identity matrix.
     """
     m = as_square(m)
     if m.shape[0] != config.dsm_dim:
@@ -233,18 +229,9 @@ def simulate_dsm(config: CircuitConfig, theta, m, workers: int = 1) -> Dsm:
         raise ValueError(f"theta must have length {expected}, got {theta.shape}")
     phi = inject(theta, m)
     dim = 1 << config.total_qubits
-    chunks = [(config, phi, lo, min(lo + _COLUMN_CHUNK, dim)) for lo in range(0, dim, _COLUMN_CHUNK)]
-    if workers > 1 and len(chunks) > 1:
-        import multiprocessing
-
-        with multiprocessing.get_context("fork").Pool(workers) as pool:
-            partials = pool.map(_fold_chunk_star, chunks)
-    else:
-        partials = [_fold_chunk_star(c) for c in chunks]
-    s = partials[0]
-    for part in partials[1:]:
-        s = s + part
-    return as_dsm(s / config.aux_dim)
+    partials = (_fold_chunk(config, phi, lo, min(lo + _COLUMN_CHUNK, dim))
+                for lo in range(0, dim, _COLUMN_CHUNK))
+    return as_dsm(reduce(np.add, partials) / config.aux_dim)
 
 
 def sample_shots(config: CircuitConfig, theta, m, shots: int, seed: int) -> np.ndarray:
@@ -272,26 +259,28 @@ def bench_circuit(configs, reps: int = 5, theta_seed: int = 0) -> list[dict]:
 
     Returns one row {layers, qubits, median_seconds} per config; parameters
     and the injected matrix are drawn from ``theta_seed`` so reruns time the
-    same workload.
+    same workload.  Each config is warmed up once, then the reps run
+    round-robin across configs, so a drift in machine speed hits them alike.
     """
     if reps < 1:
         raise ValueError("reps must be >= 1")
-    rows = []
+    runs = []
     for config in configs:
         rng = np.random.default_rng(theta_seed)
         theta = rng.uniform(-1.0, 1.0, param_count(config))
         m = rng.standard_normal((config.dsm_dim, config.dsm_dim))
         simulate_dsm(config, theta, m)  # warm caches before timing
-        times = []
-        for _ in range(reps):
+        runs.append((config, theta, m, []))
+    for _ in range(reps):
+        for config, theta, m, times in runs:
             start = time.perf_counter()
             simulate_dsm(config, theta, m)
             times.append(time.perf_counter() - start)
-        rows.append(
-            {
-                "layers": config.layers,
-                "qubits": config.total_qubits,
-                "median_seconds": float(np.median(times)),
-            }
-        )
-    return rows
+    return [
+        {
+            "layers": config.layers,
+            "qubits": config.total_qubits,
+            "median_seconds": float(np.median(times)),
+        }
+        for config, _, _, times in runs
+    ]

@@ -2,13 +2,16 @@
 
 Nothing here shares code with src/: the circuit oracle builds full dense
 unitaries from Kronecker products, Sinkhorn is redone in mpmath arbitrary
-precision, the polytope projections solve KKT systems with lstsq, and QR
-comes from LAPACK's Householder factorization.  Agreement between these and
-the streaming / iterative / hand-rolled implementations is the point of the
-tests that import this module.
+precision, the polytope projections solve KKT systems with lstsq, QR comes
+from LAPACK's Householder factorization, and grid matrices are decoded one
+Python-int ``divmod`` at a time.  Agreement between these and the streaming /
+iterative / hand-rolled / vectorized implementations is the point of the tests
+that import this module.
 """
 
 from __future__ import annotations
+
+from itertools import product
 
 import numpy as np
 
@@ -129,6 +132,32 @@ def dense_dsm(dsm_dim: int, aux_qubits: int, layers: int, ansatz: str,
         for acol in range(aux_dim):
             out += probs[arow * t:(arow + 1) * t, acol * t:(acol + 1) * t]
     return out / aux_dim
+
+
+# --- grid decoding ------------------------------------------------------------
+
+def odometer_digits(index: int, base: int, width: int) -> list[int]:
+    """Base-``base`` digits of ``index``, first digit most significant, by divmod."""
+    if index < 0:
+        raise IndexError("negative index")
+    digits = []
+    for _ in range(width):
+        index, digit = divmod(index, base)
+        digits.append(digit)
+    if index:
+        raise IndexError("index past the last odometer reading")
+    return digits[::-1]
+
+
+def grid_matrix_oracle(n: int, d: int, domain: str, index: int) -> np.ndarray:
+    """Grid matrix ``index``: cube cells, or unit-norm sphere columns, in odometer order."""
+    scale = d - 1
+    if domain == "cube":
+        digits = odometer_digits(index, d, n * n)
+        return np.array(digits, dtype=np.float64).reshape(n, n) / scale
+    cols = [c for c in product(range(d), repeat=n) if sum(v * v for v in c) == scale * scale]
+    picks = odometer_digits(index, len(cols), n)
+    return np.array([cols[k] for k in picks], dtype=np.float64).T / scale
 
 
 # --- arbitrary precision Sinkhorn ------------------------------------------

@@ -264,6 +264,34 @@ class TestUsageErrors:
     def test_help_exits_zero(self, capsys):
         assert main(["--help"]) == 0
 
+    @pytest.mark.parametrize("argv, stdin_text, source, message", [
+        (["apply", "--op", "softmax"], "1,2\n3,4,5\n", "stdin", "number of columns"),
+        (["apply", "--op", "softmax"], "1,2,3\n4,5,6\n", "stdin", "must be square"),
+        (["apply", "--op", "softmax"], '{"n": 2}', "stdin", "'data'"),
+        (["apply", "--op", "softmax"], " \n", "stdin", "empty matrix input"),
+        (["apply", "--op", "softmax", "--input", "missing.csv"], None, "missing.csv", "not found"),
+        (["apply-attn", "--normalizer", "softmax", "--q-file", "q.csv", "--key-file",
+          "ragged.csv", "--value-file", "v.csv"], None, "ragged.csv", "number of columns"),
+        (["apply-attn", "--normalizer", "softmax", "--q-file", "q.csv", "--key-file",
+          "missing.csv", "--value-file", "v.csv"], None, "missing.csv", "not found"),
+        (["apply", "--op", "qontot", "--theta-file", "missing.csv"], CSV_ID4, "missing.csv",
+         "not found"),
+        (["count", "--n", "3", "--p", "2", "--config", "missing.cfg"], None, "missing.cfg",
+         "No such file"),
+    ], ids=["ragged-stdin", "non-square-stdin", "json-without-data", "empty-stdin",
+            "missing-input", "ragged-key-file", "missing-key-file", "missing-theta-file",
+            "missing-config"])
+    def test_unreadable_input_names_its_source(self, argv, stdin_text, source, message,
+                                                capsys, monkeypatch, tmp_path):
+        monkeypatch.chdir(tmp_path)
+        write_qkv(tmp_path)
+        (tmp_path / "ragged.csv").write_text("1,2,3\n4,5\n1,2,3\n")
+        code, out, err = invoke(argv, capsys, monkeypatch, stdin_text=stdin_text or "")
+        assert code == 1
+        assert out == ""
+        assert err.startswith(f"error: {source}: ") and err.count("\n") == 1
+        assert message in err and "StringIO" not in err
+
 
 class TestCount:
     def test_brute(self, capsys, monkeypatch):
@@ -457,6 +485,44 @@ class TestConfigFile:
         assert code == 0
         assert json.loads(out) == {"n": 3, "p": 3, "f": 21,
                                    "c1": None, "c2": None, "c12": None}
+
+    @pytest.mark.parametrize("value, code, message", [
+        ("false", 1, "--full"),
+        ("False", 1, "--full"),
+        ("TRUE", 0, ""),
+        ("no", 1, "bad config value for full: 'no'"),
+        ("1", 1, "bad config value for full: '1'"),
+    ])
+    def test_full_takes_true_or_false(self, value, code, message, capsys, monkeypatch,
+                                      tmp_path):
+        config = tmp_path / "sweep.cfg"
+        config.write_text(f"full={value}\n")
+        got, _, err = invoke(
+            ["sweep-unique", "--op", "softmax", "--n", "4", "--d", "3", "--stop", "2",
+             "--workers", "1", "--config", str(config)],
+            capsys, monkeypatch,
+        )
+        assert got == code
+        assert message in err
+
+    def test_exp_scale_and_project_take_true_or_false(self, capsys, monkeypatch, tmp_path):
+        config = tmp_path / "switches.cfg"
+        apply = ["apply", "--op", "sinkhorn-naive", "--k", "5"]
+        shots = ["shots", "--shots", "800", "--seed", "1", "--theta-seed", "2"]
+        for argv, stdin_text, key in ((apply, CSV_2X2, "exp-scale"), (shots, CSV_ID4, "project")):
+            def run(value):
+                config.write_text(f"{key}={value}\n")
+                return invoke([*argv, "--config", str(config)], capsys, monkeypatch,
+                              stdin_text=stdin_text)
+
+            plain = invoke(argv, capsys, monkeypatch, stdin_text=stdin_text)
+            assert plain[0] == 0
+            assert run("false") == plain
+            switched = run("True")
+            assert switched[0] == 0 and switched[1] != plain[1]
+            code, out, err = run("no")
+            assert code == 1 and out == ""
+            assert f"bad config value for {key.replace('-', '_')}: 'no'" in err
 
     def test_bad_config_line(self, capsys, monkeypatch, tmp_path):
         config = tmp_path / "broken.cfg"

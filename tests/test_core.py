@@ -20,6 +20,7 @@ from birkhoff_attn import (
     shannon_entropy,
     spearman_rho,
 )
+from birkhoff_attn.core import _odometer
 
 import oracles
 
@@ -197,3 +198,24 @@ def test_spearman_stays_in_unit_interval(seed):
     rng = np.random.default_rng(seed)
     a, b = rng.standard_normal((2, 4, 4))
     assert -1.0 - 1e-12 <= spearman_rho(a, b) <= 1.0 + 1e-12
+
+
+class TestOdometer:
+    @pytest.mark.parametrize("base, width, itemsize", [
+        (2, 5, 1), (256, 2, 1), (257, 2, 2), (40000, 1, 2), (70000, 2, 4),
+    ])
+    def test_matches_divmod_oracle(self, base, width, itemsize):
+        total = base ** width
+        for lo, hi in ((0, 3), (total - 3, total)):
+            digits = _odometer(lo, hi, base, width)
+            assert digits.dtype.kind == "u" and digits.dtype.itemsize == itemsize
+            want = [oracles.odometer_digits(i, base, width) for i in range(lo, hi)]
+            assert digits.tolist() == want
+
+    # a negative index, a reversed range, one past 2^3, and an index past int64
+    @pytest.mark.parametrize("lo, hi, width", [
+        (-1, 2, 3), (3, 2, 3), (0, 9, 3), (2**63, 2**63 + 1, 64),
+    ])
+    def test_range_outside_the_odometer_raises(self, lo, hi, width):
+        with pytest.raises(IndexError):
+            _odometer(lo, hi, 2, width)

@@ -98,6 +98,10 @@ class TestC2:
         for p in range(2, 7):
             assert c2_closed(4, p) == c2_brute(4, p)
 
+    def test_grid_wider_than_int16(self):
+        # p - 1 = 39999 does not fit an int16 digit
+        assert c2_brute(2, 40000) == c2_closed(2, 40000) == 0
+
     def test_only_all_zero_interior_violates_for_three_by_binary(self):
         # n=3, p=2: bound is 1, so the single candidate with total 0 is the
         # all-zero interior
@@ -122,6 +126,9 @@ class TestDecomposition:
             c = decomposition_check(n, p)
             assert c["f"] == c["total"] - c["c1"] - c["c2"] + c["c12"]
             assert c["c2"] == c2_brute(n, p)
+
+    def test_grid_wider_than_int16(self):
+        assert decomposition_check(2, 40000)["f"] == 40000
 
     def test_f_agrees_with_completion_census(self):
         assert decomposition_check(4, 3)["f"] == census_by_completion(4, 3)

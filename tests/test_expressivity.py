@@ -13,6 +13,9 @@ from birkhoff_attn import (
     tradeoff_sweep,
     uniqueness_sweep,
 )
+from birkhoff_attn.expressivity import _SWEEP_CHUNK, grid_matrices
+
+import oracles
 
 
 class TestGridSpec:
@@ -80,6 +83,30 @@ class TestGridMatrix:
         for index, m in enumerate_grid(spec, start=10, stop=20):
             assert_allclose(m, grid_matrix(spec, index), atol=0)
 
+    @pytest.mark.parametrize("spec", [
+        GridSpec(n=2, d=5),
+        GridSpec(n=3, d=3),
+        GridSpec(n=4, d=3, domain="sphere"),
+        GridSpec(n=4, d=5, domain="sphere"),
+    ])
+    def test_decoders_match_divmod_oracle(self, spec):
+        total = grid_total(spec)
+        assert total > _SWEEP_CHUNK + 3
+        # the first index, the last index, and a window across a chunk boundary
+        for lo, hi in ((0, 1), (total - 1, total), (_SWEEP_CHUNK - 3, _SWEEP_CHUNK + 3)):
+            want = [oracles.grid_matrix_oracle(spec.n, spec.d, spec.domain, index)
+                    for index in range(lo, hi)]
+            stack = grid_matrices(spec, lo, hi)
+            assert stack.shape == (hi - lo, spec.n, spec.n)
+            assert np.array_equal(stack, want)
+            for index, m in enumerate_grid(spec, lo, hi):
+                assert np.array_equal(m, want[index - lo])
+                assert np.array_equal(grid_matrix(spec, index), want[index - lo])
+        with pytest.raises(IndexError):
+            grid_matrices(spec, total - 1, total + 1)
+        with pytest.raises(IndexError):
+            grid_matrix(spec, -1)
+
     def test_enumerate_guards_runaway_totals(self):
         spec = GridSpec(n=4, d=20)  # 20^16 matrices
         with pytest.raises(ValueError, match="guard"):
@@ -116,6 +143,18 @@ class TestUniquenessSweep:
         report = uniqueness_sweep(spec, lambda m: m, start=5, stop=30)
         assert report.total_inputs == 25
         assert report.unique_outputs == 25
+
+    @pytest.mark.parametrize("start, stop", [(10, 5), (20, None)])
+    def test_window_outside_the_grid_raises(self, start, stop):
+        # the 2x2 binary grid has 16 inputs
+        with pytest.raises(ValueError, match="bad index range"):
+            uniqueness_sweep(GridSpec(n=2, d=2), lambda m: m, start=start, stop=stop)
+
+    def test_raised_guard_reaches_every_chunk(self):
+        spec = GridSpec(n=6, d=2)  # 2^36 inputs, above the default 2^32 guard
+        report = uniqueness_sweep(spec, lambda m: m, start=2**35, stop=2**35 + 3,
+                                  max_total=2**36)
+        assert report.total_inputs == report.unique_outputs == 3
 
     def test_worker_count_changes_nothing(self):
         spec = GridSpec(n=2, d=5)  # 625 inputs: two fixed-size chunks

@@ -139,15 +139,6 @@ class TestSimulateDsm:
         assert d.report.max_row_deviation < 1e-9
         assert d.report.max_col_deviation < 1e-9
 
-    def test_worker_count_does_not_change_bits(self):
-        c = CircuitConfig(dsm_dim=8, aux_qubits=1, layers=2)
-        rng = np.random.default_rng(4)
-        theta = rng.uniform(-1, 1, param_count(c))
-        m = rng.standard_normal((8, 8))
-        one = simulate_dsm(c, theta, m, workers=1).matrix
-        for workers in (2, 3):
-            assert np.array_equal(one, simulate_dsm(c, theta, m, workers=workers).matrix)
-
     def test_reachable_range_grows_with_depth(self):
         # mean per-cell spread over random theta draws; deeper circuits reach
         # more of the polytope, and for q=2 the odd (offset) layer pairs
