@@ -29,13 +29,13 @@ from .core import (
     load_matrix,
     load_matrix_csv,
     load_matrix_json,
+    load_table_csv,
     save_matrix_csv,
     save_matrix_json,
     shannon_entropy,
     spearman_rho,
 )
 from .counting import (
-    c2_brute,
     c2_closed,
     count_brute,
     decomposition_check,
@@ -111,7 +111,6 @@ __all__ = [
     "bench_circuit",
     "birkhoff_distance",
     "build_block",
-    "c2_brute",
     "c2_closed",
     "check_stochasticity",
     "count_brute",
@@ -126,6 +125,7 @@ __all__ = [
     "load_matrix",
     "load_matrix_csv",
     "load_matrix_json",
+    "load_table_csv",
     "make_operator",
     "norm_softmax",
     "param_count",

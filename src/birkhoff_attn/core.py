@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import io
 import json
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -153,12 +154,27 @@ def spearman_rho(a, b) -> float:
 # ---------------------------------------------------------------------------
 # matrix serialization: CSV (one row per line) and JSON ({"n": .., "data": ..})
 
+def load_table_csv(path) -> np.ndarray:
+    """A float64 2-D table from CSV, one row per line, of any shape; empty input is rejected."""
+    with warnings.catch_warnings():
+        # an empty input is reported below as an error, not as numpy's warning
+        warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+        out = np.loadtxt(path, delimiter=",", ndmin=2, dtype=np.float64)
+    if out.size == 0:
+        raise ValueError("empty matrix input")
+    return out
+
+
 def load_matrix_csv(path) -> np.ndarray:
-    return as_square(np.loadtxt(path, delimiter=",", ndmin=2, dtype=np.float64))
+    return as_square(load_table_csv(path))
 
 
 def save_matrix_csv(path, m) -> None:
-    np.savetxt(path, as_square(m), delimiter=",", fmt="%.17g")
+    """Write a 2-D array of any shape as CSV, one row per line, at full precision."""
+    m = np.asarray(m, dtype=np.float64)
+    if m.ndim != 2:
+        raise ValueError(f"CSV output holds a 2-D array, got shape {m.shape}")
+    np.savetxt(path, m, delimiter=",", fmt="%.17g")
 
 
 def load_matrix_json(path) -> np.ndarray:

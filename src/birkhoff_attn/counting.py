@@ -94,17 +94,6 @@ def _digit_chunks(k: int, p: int):
         yield _odometer(lo, min(lo + _CHUNK, total), p, k)
 
 
-def c2_brute(n: int, p: int) -> int:
-    """Candidates whose interior total falls below (n-2)(p-1), by enumeration."""
-    k = _check_args(n, p)
-    bound = (n - 2) * (p - 1)
-    count = 0
-    for digits in _digit_chunks(k, p):
-        totals = digits.sum(axis=1, dtype=np.int64)
-        count += int((totals < bound).sum())
-    return count
-
-
 def c2_closed(n: int, p: int) -> int:
     """Closed form for c2 via inclusion-exclusion over bounded compositions.
 

@@ -24,7 +24,6 @@ from itertools import product
 import numpy as np
 
 from .core import _odometer, frobenius_distance, shannon_entropy
-from .operators import make_operator
 from .sinkhorn import exp_scale
 
 _SWEEP_CHUNK = 512  # fixed regardless of worker count
@@ -117,14 +116,6 @@ class SweepReport:
     residual_stats: dict
 
 
-def _resolve(operator):
-    """The spec of a (name, settings) pair; a spec or bare callable is used as given."""
-    if isinstance(operator, tuple):
-        name, kw = operator
-        return make_operator(name, **kw)
-    return operator
-
-
 def _apply(op, m: np.ndarray, tau: float) -> np.ndarray:
     return op(exp_scale(m, tau) if getattr(op, "needs_positive", False) else m)
 
@@ -160,21 +151,19 @@ def uniqueness_sweep(spec: GridSpec, operator, *, exp_scale_tau: float = 1.0,
                      max_total: int = 2**32) -> SweepReport:
     """Count distinct rounded outputs over the grid.
 
-    ``operator`` is an operator spec (see :func:`make_operator`), a
-    (name, settings) pair for it, or a bare callable; ``workers > 1`` needs
-    it to pickle, which every spec does.  Positive-domain operators receive
-    exp_scale(m, exp_scale_tau).
+    ``operator`` is an operator spec (see :func:`make_operator`) or a bare
+    callable; ``workers > 1`` needs it to pickle, which every spec does.
+    Positive-domain operators receive exp_scale(m, exp_scale_tau).
     """
     start, stop = _index_range(spec, start, stop, max_total)
-    op = _resolve(operator)
     if workers > 1:
         try:
-            pickle.dumps(op)
+            pickle.dumps(operator)
         except (pickle.PicklingError, AttributeError, TypeError) as exc:
             raise ValueError(f"parallel sweeps need a picklable operator: {exc}") from exc
     # an empty window still runs one empty chunk, so there are always parts to join
     tasks = [
-        (spec, op, exp_scale_tau, lo, min(lo + _SWEEP_CHUNK, stop))
+        (spec, operator, exp_scale_tau, lo, min(lo + _SWEEP_CHUNK, stop))
         for lo in range(start, stop, _SWEEP_CHUNK) or [start]
     ]
     if workers > 1 and len(tasks) > 1:
@@ -197,10 +186,9 @@ def uniqueness_sweep(spec: GridSpec, operator, *, exp_scale_tau: float = 1.0,
 
 def tradeoff_sweep(inputs, operator, *, exp_scale_tau: float = 1.0) -> list[dict]:
     """Per-input entropy of the output and Frobenius residual to the input."""
-    op = _resolve(operator)
     rows = []
     for m in inputs:
-        out = _apply(op, np.asarray(m, dtype=np.float64), exp_scale_tau)
+        out = _apply(operator, np.asarray(m, dtype=np.float64), exp_scale_tau)
         rows.append(
             {"entropy": shannon_entropy(out), "residual": frobenius_distance(m, out)}
         )
@@ -218,18 +206,17 @@ def probe_invariances(operator, trials: int = 10, seed: int = 0, n: int = 4,
     witness (input, transform, max deviation); everything derives from
     ``seed``, so witnesses are reproducible.
     """
-    op = _resolve(operator)
     rng = np.random.default_rng(seed)
     scale_witness = None
     perm_witness = None
     for _ in range(trials):
-        if getattr(op, "needs_positive", False):
+        if getattr(operator, "needs_positive", False):
             m = rng.uniform(0.1, 10.0, (n, n))
         else:
             m = rng.standard_normal((n, n))
-        base = op(m)
+        base = operator(m)
         for lam in (0.5, 2.0, 10.0):
-            dev = float(np.abs(op(lam * m) - base).max())
+            dev = float(np.abs(operator(lam * m) - base).max())
             if dev > tolerance and scale_witness is None:
                 scale_witness = {
                     "matrix": m.tolist(),
@@ -238,7 +225,7 @@ def probe_invariances(operator, trials: int = 10, seed: int = 0, n: int = 4,
                 }
         p1 = rng.permutation(n)
         p2 = rng.permutation(n)
-        dev = float(np.abs(op(m[p1][:, p2]) - base[p1][:, p2]).max())
+        dev = float(np.abs(operator(m[p1][:, p2]) - base[p1][:, p2]).max())
         if dev > tolerance and perm_witness is None:
             perm_witness = {
                 "matrix": m.tolist(),
@@ -247,7 +234,7 @@ def probe_invariances(operator, trials: int = 10, seed: int = 0, n: int = 4,
                 "max_abs_deviation": dev,
             }
     return {
-        "operator": getattr(op, "name", "custom"),
+        "operator": getattr(operator, "name", "custom"),
         "trials": trials,
         "tolerance": tolerance,
         "scale_invariant": scale_witness is None,

@@ -3,8 +3,9 @@
 Nothing here shares code with src/: the circuit oracle builds full dense
 unitaries from Kronecker products, Sinkhorn is redone in mpmath arbitrary
 precision, the polytope projections solve KKT systems with lstsq, QR comes
-from LAPACK's Householder factorization, and grid matrices are decoded one
-Python-int ``divmod`` at a time.  Agreement between these and the streaming /
+from LAPACK's Householder factorization, grid matrices are decoded one
+Python-int ``divmod`` at a time, and counting candidates are walked with
+``itertools.product``.  Agreement between these and the streaming /
 iterative / hand-rolled / vectorized implementations is the point of the tests
 that import this module.
 """
@@ -158,6 +159,26 @@ def grid_matrix_oracle(n: int, d: int, domain: str, index: int) -> np.ndarray:
     cols = [c for c in product(range(d), repeat=n) if sum(v * v for v in c) == scale * scale]
     picks = odometer_digits(index, len(cols), n)
     return np.array([cols[k] for k in picks], dtype=np.float64).T / scale
+
+
+# --- grid-DSM counting -------------------------------------------------------
+
+def c2_brute(n: int, p: int) -> int:
+    """Interior candidates whose total falls below (n-2)(p-1), each one enumerated.
+
+    The (n-1)^2 free cells in {0..p-1} split into head cells, walked with
+    ``itertools.product``, and tail cells, whose totals are all listed by
+    repeated outer sums; every (head, tail) pair is one candidate.
+    """
+    k = (n - 1) ** 2
+    bound = (n - 2) * (p - 1)
+    tail = np.zeros(1, dtype=np.int64)
+    for _ in range(k - k // 2):
+        tail = (tail[:, None] + np.arange(p)).ravel()
+    count = 0
+    for head in product(range(p), repeat=k // 2):
+        count += int((tail < bound - sum(head)).sum())
+    return count
 
 
 # --- arbitrary precision Sinkhorn ------------------------------------------

@@ -82,7 +82,7 @@ def test_c01_sphere_census(note, capsys):
     dt = time.perf_counter() - t0
     report = json.loads(capsys.readouterr().out)
     qontot = uniqueness_sweep(GridSpec(n=4, d=3, domain="sphere"),
-                              ("qontot", QONTOT_CENSUS))
+                              make_operator("qontot", **QONTOT_CENSUS))
     ok = (code == 0 and report["total_inputs"] == 625
           and report["unique_outputs"] == 621 and dt < 10.0
           and qontot.unique_outputs >= 624)
@@ -153,11 +153,10 @@ def test_c04_constant_column_collapse(note):
 
 def test_c05_invariance_matrix(note):
     probes = {
-        "sinkhorn-naive": ("sinkhorn-naive", {"iterations": 201}),
-        "birkhoff-project": ("birkhoff-project", {}),
-        "qr": ("qr", {"noise_seed": 0}),
-        "qontot": ("qontot", {"dsm_dim": 4, "layers": 8, "ansatz": "trotter",
-                              "theta_seed": 0}),
+        "sinkhorn-naive": make_operator("sinkhorn-naive", iterations=201),
+        "birkhoff-project": make_operator("birkhoff-project"),
+        "qr": make_operator("qr", noise_seed=0),
+        "qontot": make_operator("qontot", dsm_dim=4, layers=8, ansatz="trotter", theta_seed=0),
     }
     got = {name: probe_invariances(op, trials=10, seed=5)
            for name, op in probes.items()}
@@ -291,8 +290,8 @@ def test_c09_runtime_shape(note, capsys):
 def test_c10_tradeoff_ordering(note):
     rng = np.random.default_rng(2024)
     inputs = [rng.standard_normal((8, 8)) for _ in range(100)]
-    rows_q = tradeoff_sweep(inputs, ("qontot", QONTOT_TRADEOFF))
-    rows_s = tradeoff_sweep(inputs, ("sinkhorn-naive", {"iterations": 21}))
+    rows_q = tradeoff_sweep(inputs, make_operator("qontot", **QONTOT_TRADEOFF))
+    rows_s = tradeoff_sweep(inputs, make_operator("sinkhorn-naive", iterations=21))
     ent_q = float(np.median([r["entropy"] for r in rows_q]))
     ent_s = float(np.median([r["entropy"] for r in rows_s]))
     res_q = float(np.median([r["residual"] for r in rows_q]))
@@ -308,9 +307,9 @@ def test_c11_hypercube_ordering(note):
     unique = {
         name: uniqueness_sweep(spec, op).unique_outputs
         for name, op in (
-            ("qontot", ("qontot", QONTOT_CUBE)),
-            ("sinkhorn", ("sinkhorn-naive", {"iterations": 21})),
-            ("birkhoff", ("birkhoff-project", {})),
+            ("qontot", make_operator("qontot", **QONTOT_CUBE)),
+            ("sinkhorn", make_operator("sinkhorn-naive", iterations=21)),
+            ("birkhoff", make_operator("birkhoff-project")),
         )
     }
     ok = unique["qontot"] > unique["sinkhorn"] > unique["birkhoff"]
@@ -326,9 +325,9 @@ def test_c11_full_cube(note, request):
     unique = {
         name: uniqueness_sweep(spec, op).unique_outputs
         for name, op in (
-            ("qontot", ("qontot", QONTOT_CUBE)),
-            ("sinkhorn", ("sinkhorn-naive", {"iterations": 21})),
-            ("birkhoff", ("birkhoff-project", {})),
+            ("qontot", make_operator("qontot", **QONTOT_CUBE)),
+            ("sinkhorn", make_operator("sinkhorn-naive", iterations=21)),
+            ("birkhoff", make_operator("birkhoff-project")),
         )
     }
     ok = unique["qontot"] > unique["sinkhorn"] > unique["birkhoff"]

@@ -240,6 +240,11 @@ class TestOperatorFlags:
          None, "layers"),
         (["shots", "--layers", "0", "--theta-seed", "0", "--shots", "10", "--seed", "0"],
          CSV_ID4, "layers"),
+        (["sweep-unique", "--op", "softmax", "--n", "0", "--d", "2"], None, "n must be"),
+        (["sweep-unique", "--op", "softmax", "--n", "2", "--d", "2", "--rounding-decimals", "-1"],
+         None, "rounding_decimals"),
+        (["bench", "--layers", "0"], None, "layers"),
+        (["bench", "--dsm-dim", "3"], None, "dsm_dim"),
     ])
     def test_invalid_setting_is_usage_error(self, argv, stdin_text, message, capsys,
                                             monkeypatch, tmp_path):
@@ -278,14 +283,19 @@ class TestUsageErrors:
          "not found"),
         (["count", "--n", "3", "--p", "2", "--config", "missing.cfg"], None, "missing.cfg",
          "No such file"),
+        (["apply", "--op", "softmax", "--input", "empty.csv"], None, "empty.csv",
+         "empty matrix input"),
+        (["apply-attn", "--normalizer", "softmax", "--q-file", "empty.csv", "--key-file",
+          "k.csv", "--value-file", "v.csv"], None, "empty.csv", "empty matrix input"),
     ], ids=["ragged-stdin", "non-square-stdin", "json-without-data", "empty-stdin",
             "missing-input", "ragged-key-file", "missing-key-file", "missing-theta-file",
-            "missing-config"])
+            "missing-config", "empty-input-file", "empty-q-file"])
     def test_unreadable_input_names_its_source(self, argv, stdin_text, source, message,
                                                 capsys, monkeypatch, tmp_path):
         monkeypatch.chdir(tmp_path)
         write_qkv(tmp_path)
         (tmp_path / "ragged.csv").write_text("1,2,3\n4,5\n1,2,3\n")
+        (tmp_path / "empty.csv").write_text("")
         code, out, err = invoke(argv, capsys, monkeypatch, stdin_text=stdin_text or "")
         assert code == 1
         assert out == ""
@@ -523,6 +533,38 @@ class TestConfigFile:
             code, out, err = run("no")
             assert code == 1 and out == ""
             assert f"bad config value for {key.replace('-', '_')}: 'no'" in err
+
+    @pytest.mark.parametrize("argv, stdin_text, key, good, bad", [
+        (["count", "--p", "3"], None, "n", "3", "x"),
+        (["apply", "--op", "softmax"], CSV_2X2, "tau", "0.5", "x"),
+        (["count", "--n", "3", "--p", "3"], None, "mode", "decompose", "foo"),
+        (["apply-attn", "--normalizer", "softmax", *QKV_FLAGS], None, "emit", "attn", "foo"),
+        (["apply", "--op", "softmax"], CSV_2X2, "format", "json", "xml"),
+        (["bench", "--reps", "1"], None, "layers", "1,3", "1,x"),
+    ], ids=["int", "float", "choices-mode", "choices-emit", "choices-format", "list"])
+    def test_value_is_checked_like_its_flag(self, argv, stdin_text, key, good, bad, capsys,
+                                            monkeypatch, tmp_path):
+        monkeypatch.chdir(tmp_path)
+        write_qkv(tmp_path)
+        config = tmp_path / "flag.cfg"
+
+        def run(*extra):
+            return invoke([*argv, *extra], capsys, monkeypatch, stdin_text=stdin_text or "")
+
+        def rows(out):  # bench's last column is a wall time
+            if argv[0] != "bench":
+                return out
+            return [line.rsplit(",", 1)[0] for line in out.splitlines()]
+
+        config.write_text(f"{key}={good}\n")
+        from_config = run("--config", str(config))
+        from_flag = run(f"--{key}", good)
+        assert from_config[0] == from_flag[0] == 0, from_config[2]
+        assert rows(from_config[1]) == rows(from_flag[1])
+        config.write_text(f"{key}={bad}\n")
+        code, out, err = run("--config", str(config))
+        assert code == 1 and out == ""
+        assert f"bad config value for {key}: '{bad}'" in err
 
     def test_bad_config_line(self, capsys, monkeypatch, tmp_path):
         config = tmp_path / "broken.cfg"

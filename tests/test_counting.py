@@ -4,7 +4,8 @@ from math import factorial
 import numpy as np
 import pytest
 
-from birkhoff_attn import c2_brute, c2_closed, count_brute, decomposition_check, f3_analytic
+from birkhoff_attn import c2_closed, count_brute, decomposition_check, f3_analytic
+from oracles import c2_brute
 
 
 def census_by_completion(n: int, p: int) -> int:

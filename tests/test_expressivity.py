@@ -158,7 +158,7 @@ class TestUniquenessSweep:
 
     def test_worker_count_changes_nothing(self):
         spec = GridSpec(n=2, d=5)  # 625 inputs: two fixed-size chunks
-        for op in (("softmax", {"tau": 1.0}),
+        for op in (make_operator("softmax", tau=1.0),
                    make_operator("qontot", dsm_dim=2, layers=2, theta_seed=0)):
             base = uniqueness_sweep(spec, op, workers=1)
             for workers in (2, 3):
@@ -179,7 +179,7 @@ class TestTradeoffSweep:
     def test_row_per_input(self):
         rng = np.random.default_rng(0)
         inputs = [rng.standard_normal((3, 3)) for _ in range(4)]
-        rows = tradeoff_sweep(inputs, ("softmax", {"tau": 1.0}))
+        rows = tradeoff_sweep(inputs, make_operator("softmax", tau=1.0))
         assert len(rows) == 4
         assert all(set(r) == {"entropy", "residual"} for r in rows)
 
@@ -192,14 +192,15 @@ class TestTradeoffSweep:
 
 class TestProbeInvariances:
     def test_sinkhorn_is_scale_invariant_and_equivariant(self):
-        result = probe_invariances(("sinkhorn-naive", {"iterations": 21}), trials=5, seed=0)
+        result = probe_invariances(make_operator("sinkhorn-naive", iterations=21), trials=5,
+                                   seed=0)
         assert result["scale_invariant"] is True
         assert result["permutation_equivariant"] is True
         assert result["scale_witness"] is None
         assert result["permutation_witness"] is None
 
     def test_qr_breaks_permutation_equivariance_with_witness(self):
-        result = probe_invariances(("qr", {"noise_seed": 0}), trials=8, seed=1)
+        result = probe_invariances(make_operator("qr", noise_seed=0), trials=8, seed=1)
         assert result["scale_invariant"] is True
         assert result["permutation_equivariant"] is False
         w = result["permutation_witness"]
@@ -208,12 +209,12 @@ class TestProbeInvariances:
         assert sorted(w["row_permutation"]) == [0, 1, 2, 3]
 
     def test_softmax_scale_dependence_is_caught(self):
-        result = probe_invariances(("softmax", {"tau": 1.0}), trials=5, seed=2)
+        result = probe_invariances(make_operator("softmax", tau=1.0), trials=5, seed=2)
         assert result["scale_invariant"] is False
         assert result["scale_witness"]["lam"] in (0.5, 2.0, 10.0)
 
     def test_same_seed_reproduces_witnesses(self):
-        op = ("qontot", {"dsm_dim": 4, "layers": 2, "theta_seed": 5})
+        op = make_operator("qontot", dsm_dim=4, layers=2, theta_seed=5)
         a = probe_invariances(op, trials=4, seed=3)
         b = probe_invariances(op, trials=4, seed=3)
         assert a == b
