@@ -7,7 +7,9 @@ resolved by gauging the column multipliers to sum to zero).  The full
 projection is computed either by Dykstra's alternating projections between
 the two sets, or by an operator-splitting solver on the explicit quadratic
 program min 0.5 x'x - q'x, A x = 1, x >= 0 with x the row-major flattening.
-Two genuinely different routes make cross-validation meaningful.
+Two genuinely different routes make cross-validation meaningful.  The
+Dykstra route also projects a (B, n, n) stack in one call, each matrix to the
+same bits as alone.
 """
 
 from __future__ import annotations
@@ -17,10 +19,20 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 
-from .core import Dsm, StochasticityReport, as_dsm, as_square, check_stochasticity, frobenius_distance
+from .core import (
+    Dsm,
+    StochasticityReport,
+    _deviations,
+    _frobenius_norms,
+    as_dsm,
+    as_square,
+    check_stochasticity,
+    frobenius_distance,
+)
 
 DYKSTRA = "dykstra"
 SPLITTING_QP = "splitting-qp"
+_VALIDATION = 1e-8  # as_dsm tolerance every projection must pass
 
 
 @dataclass(frozen=True)
@@ -52,32 +64,50 @@ def affine_project(m) -> np.ndarray:
 
     Solves the equality-constrained least squares problem in closed form:
     Y = M + mu 1' + 1 nu' with multipliers fixed by the marginal equations
-    and the gauge sum(nu) = 0.  Entries may be negative.
+    and the gauge sum(nu) = 0.  Entries may be negative.  Takes a matrix or a
+    (B, n, n) stack.
     """
-    m = as_square(m)
-    n = m.shape[0]
-    r = m.sum(axis=1)
-    c = m.sum(axis=0)
-    s = r.sum()
+    m = as_square(m, stack=True)
+    n = m.shape[-1]
+    r = m.sum(axis=-1, keepdims=True)  # row sums as a column
+    c = m.sum(axis=-2, keepdims=True)  # column sums as a row
+    s = r.sum(axis=-2, keepdims=True)
     mu = (1.0 - r) / n
     nu = (1.0 - c) / n - (n - s) / n**2
-    return m + mu[:, None] + nu[None, :]
+    return m + mu + nu
 
 
 def _dykstra(m: np.ndarray, tol: float, max_iterations: int):
-    """Dykstra's alternating projections (affine set, non-negative orthant)."""
+    """Dykstra's alternating projections (affine set, non-negative orthant) on a (B, n, n) stack.
+
+    Each matrix leaves the iteration once its own successive-iterate gap is
+    below tol (after the first step), so it ends on the iterate it would
+    reach alone.  Returns the final iterates and a (B,) converged flag.
+    """
+    out = np.empty_like(m)
+    converged = np.zeros(len(m), dtype=bool)
+    live = np.arange(len(m))  # indices of the matrices still iterating
     x = m
     p = np.zeros_like(m)  # correction for the affine step
     q = np.zeros_like(m)  # correction for the orthant step
     for it in range(max_iterations):
-        y = affine_project(x + p)
-        p = x + p - y
-        x_new = np.maximum(y + q, 0.0)
-        q = y + q - x_new
-        if float(np.linalg.norm(x_new - x)) < tol and it > 0:
-            return x_new, True
+        if not live.size:
+            break
+        xp = x + p
+        y = affine_project(xp)
+        p = xp - y
+        yq = y + q
+        x_new = np.maximum(yq, 0.0)
+        q = yq - x_new
+        done = _frobenius_norms(x_new - x) < tol
         x = x_new
-    return x, False
+        if it > 0 and done.any():
+            out[live[done]] = x[done]
+            converged[live[done]] = True
+            keep = ~done
+            live, x, p, q = live[keep], x[keep], p[keep], q[keep]
+    out[live] = x
+    return out, converged
 
 
 def _constraint_matrix(n: int) -> np.ndarray:
@@ -116,18 +146,42 @@ def _splitting_qp(m: np.ndarray, tol: float, max_iterations: int):
     return z.reshape(n, n), False
 
 
-def project(m, settings: ProjectionSettings | None = None) -> Dsm:
+def project(m, settings: ProjectionSettings | None = None):
     """Frobenius-nearest doubly stochastic matrix, validated at 1e-8.
+
+    Returns a :class:`Dsm` for one matrix.  On the Dykstra route a (B, n, n)
+    stack is projected in one call and comes back as the (B, n, n) array of
+    projections, each validated as a single matrix would be; the
+    splitting-qp route takes one matrix at a time.
 
     Raises :class:`ProjectionError` with the last iterate attached when the
     iteration budget runs out before the successive-iterate gap drops below
     ``settings.tolerance``, or when the iteration stops at a matrix that
-    fails the 1e-8 validation.
+    fails the 1e-8 validation; for a stack, the error is the first failing
+    matrix's in index order.
     """
-    m = as_square(m)
+    m = as_square(m, stack=True)
     settings = settings or ProjectionSettings()
-    solver = _dykstra if settings.method == DYKSTRA else _splitting_qp
-    out, converged = solver(m, settings.tolerance, settings.max_iterations)
+    if settings.method == SPLITTING_QP:
+        if m.ndim == 3:
+            raise ValueError(f"the {SPLITTING_QP} route projects one matrix at a time")
+        return _validated(*_splitting_qp(m, settings.tolerance, settings.max_iterations),
+                          settings)
+    out, converged = _dykstra(m.reshape(-1, *m.shape[-2:]), settings.tolerance,
+                              settings.max_iterations)
+    if m.ndim == 2:
+        return _validated(out[0], converged[0], settings)
+    row_dev, col_dev, min_entry = _deviations(out)
+    passed = (converged & (np.maximum(row_dev, col_dev) <= _VALIDATION)
+              & (min_entry >= -_VALIDATION))
+    if not passed.all():
+        first = int(np.argmin(passed))
+        _validated(out[first], converged[first], settings)  # raises for this matrix
+    return out
+
+
+def _validated(out: np.ndarray, converged: bool, settings: ProjectionSettings) -> Dsm:
+    """One projection's result as a Dsm, or its ProjectionError."""
     if not converged:
         raise ProjectionError(
             f"no convergence within {settings.max_iterations} iterations "
@@ -136,7 +190,7 @@ def project(m, settings: ProjectionSettings | None = None) -> Dsm:
             check_stochasticity(out),
         )
     try:
-        return as_dsm(out, tolerance=1e-8)
+        return as_dsm(out, tolerance=_VALIDATION)
     except ValueError as exc:
         raise ProjectionError(
             f"{settings.method} stopped off the Birkhoff polytope: {exc}",

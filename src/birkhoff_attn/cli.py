@@ -212,8 +212,8 @@ def _cmd_apply(args) -> int:
     args.echo = m
     x = exp_scale(m, args.tau) if op.needs_positive and args.exp_scale else m
     out = op(x)
+    report = check_stochasticity(out)  # before printing, so a failed run leaves stdout empty
     _print_matrix(out, args.format)
-    report = check_stochasticity(out)
     json.dump(
         {
             "op": name,

@@ -17,15 +17,20 @@ import numpy as np
 from scipy.stats import rankdata
 
 
-def as_square(m, name: str = "matrix") -> np.ndarray:
-    """Coerce to a float64 square 2-D array, rejecting NaN/inf."""
+def as_square(m, name: str = "matrix", stack: bool = False) -> np.ndarray:
+    """Coerce to a float64 square 2-D array, rejecting NaN/inf.
+
+    With ``stack=True`` a (B, n, n) stack of square matrices passes too; the
+    stacked kernels treat a single matrix as a batch of one.
+    """
     m = getattr(m, "matrix", m)  # accept Dsm wrappers anywhere a matrix is
     out = np.asarray(m, dtype=np.float64)
-    if out.ndim != 2 or out.shape[0] != out.shape[1]:
-        raise ValueError(f"{name} must be square 2-D, got shape {out.shape}")
-    if out.shape[0] < 1:
+    if out.ndim not in ((2, 3) if stack else (2,)) or out.shape[-1] != out.shape[-2]:
+        kind = "square 2-D or a (B, n, n) stack" if stack else "square 2-D"
+        raise ValueError(f"{name} must be {kind}, got shape {out.shape}")
+    if out.shape[-1] < 1:
         raise ValueError(f"{name} must have n >= 1")
-    if not np.all(np.isfinite(out)):
+    if not np.isfinite(out).all():
         raise ValueError(f"{name} contains non-finite entries")
     return out
 
@@ -46,10 +51,7 @@ class StochasticityReport:
 
 def check_stochasticity(m, include_birkhoff_distance: bool = False) -> StochasticityReport:
     """Measure worst row/column sum deviation from 1 and the minimum entry."""
-    m = as_square(m)
-    row_dev = float(np.max(np.abs(m.sum(axis=1) - 1.0)))
-    col_dev = float(np.max(np.abs(m.sum(axis=0) - 1.0)))
-    min_entry = float(m.min())
+    row_dev, col_dev, min_entry = map(float, _deviations(as_square(m)))
     dist = None
     if include_birkhoff_distance:
         # local import: the projection module depends on this one
@@ -57,6 +59,16 @@ def check_stochasticity(m, include_birkhoff_distance: bool = False) -> Stochasti
 
         dist = birkhoff_distance(m)
     return StochasticityReport(row_dev, col_dev, min_entry, dist)
+
+
+def _deviations(m: np.ndarray):
+    """Worst row-sum and column-sum deviation from 1, and the minimum entry, per matrix.
+
+    Reduces the last two axes, so a (B, n, n) stack gives three (B,) arrays.
+    """
+    row_dev = np.abs(m.sum(axis=-1) - 1.0).max(axis=-1)
+    col_dev = np.abs(m.sum(axis=-2) - 1.0).max(axis=-1)
+    return row_dev, col_dev, m.min(axis=(-2, -1))
 
 
 @dataclass(frozen=True)
@@ -105,31 +117,48 @@ def _odometer(lo: int, hi: int, base: int, width: int) -> np.ndarray:
     return digits
 
 
-def _matrix_of(p) -> np.ndarray:
-    return p.matrix if isinstance(p, Dsm) else as_square(p)
+def _per_matrix(values: np.ndarray):
+    """A float for a single matrix's 0-d result, else the (B,) array of a stack."""
+    return float(values) if values.ndim == 0 else values
 
 
-def shannon_entropy(p) -> float:
+def shannon_entropy(p):
     """Mean over rows of the natural-log Shannon entropy -sum p*ln(p).
 
     Zero entries contribute zero; tiny negative entries (within validation
     slack) are clamped to zero first.  Accepts a Dsm or a plain row-wise
-    distribution matrix.  The row mean is at most ln(n), attained by the
-    uniform matrix.
+    distribution matrix, or a (B, n, n) stack, for which it returns the (B,)
+    array of each matrix's value.  The row mean is at most ln(n), attained by
+    the uniform matrix.
     """
-    m = np.clip(_matrix_of(p), 0.0, None)
+    m = np.clip(p.matrix if isinstance(p, Dsm) else as_square(p, stack=True), 0.0, None)
     with np.errstate(divide="ignore", invalid="ignore"):
         terms = np.where(m > 0.0, -m * np.log(np.where(m > 0.0, m, 1.0)), 0.0)
-    return float(terms.sum(axis=1).mean())
+    return _per_matrix(terms.sum(axis=-1).mean(axis=-1))
 
 
-def frobenius_distance(a, b) -> float:
-    """Frobenius norm of a - b; the two matrices must share a shape."""
-    a = as_square(a, "a")
-    b = as_square(b, "b")
+def _frobenius_norms(d: np.ndarray) -> np.ndarray:
+    """Frobenius norm of each matrix over the last two axes of ``d``.
+
+    Each norm is numpy's vector dot of the raveled matrix with itself (a
+    stack of (1, n*n) @ (n*n, 1) products), the same dot np.linalg.norm
+    takes, so a stack gives each matrix's np.linalg.norm to the bit; einsum
+    and norm(axis=...) sum in other orders.
+    """
+    flat = d.reshape(-1, 1, d.shape[-1] * d.shape[-2])
+    return np.sqrt(flat @ flat.transpose(0, 2, 1)).reshape(d.shape[:-2])
+
+
+def frobenius_distance(a, b):
+    """Frobenius norm of a - b; the two must share a shape.
+
+    For two (B, n, n) stacks it returns the (B,) array of per-matrix distances.
+    """
+    a = as_square(a, "a", stack=True)
+    b = as_square(b, "b", stack=True)
     if a.shape != b.shape:
         raise ValueError(f"shape mismatch: {a.shape} vs {b.shape}")
-    return float(np.linalg.norm(a - b))
+    return _per_matrix(_frobenius_norms(a - b))
 
 
 def spearman_rho(a, b) -> float:

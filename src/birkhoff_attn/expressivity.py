@@ -19,11 +19,13 @@ from __future__ import annotations
 import hashlib
 import pickle
 from dataclasses import dataclass
-from itertools import product
+from functools import lru_cache
+from itertools import islice, product
 
 import numpy as np
 
 from .core import _odometer, frobenius_distance, shannon_entropy
+from .operators import Normalizer
 from .sinkhorn import exp_scale
 
 _SWEEP_CHUNK = 512  # fixed regardless of worker count
@@ -50,11 +52,13 @@ class GridSpec:
             raise ValueError("rounding_decimals must be >= 0")
 
 
+@lru_cache(maxsize=32)
 def sphere_columns(n: int, d: int) -> np.ndarray:
     """Grid columns with exactly unit 2-norm, lexicographic by digit tuple.
 
     A column (i_1/(d-1), ..., i_n/(d-1)) has unit norm iff sum of i^2 equals
-    (d-1)^2, an exact integer test.
+    (d-1)^2, an exact integer test.  The table is built once per (n, d) and
+    shared by every later call, so it is read-only.
     """
     scale = d - 1
     cols = [
@@ -64,7 +68,9 @@ def sphere_columns(n: int, d: int) -> np.ndarray:
     ]
     if not cols:
         raise ValueError(f"no unit-norm columns on the (n={n}, d={d}) grid")
-    return np.array(cols, dtype=np.float64) / scale
+    out = np.array(cols, dtype=np.float64) / scale
+    out.setflags(write=False)
+    return out
 
 
 def grid_total(spec: GridSpec) -> int:
@@ -116,25 +122,26 @@ class SweepReport:
     residual_stats: dict
 
 
-def _apply(op, m: np.ndarray, tau: float) -> np.ndarray:
-    return op(exp_scale(m, tau) if getattr(op, "needs_positive", False) else m)
+def _chunk_metrics(op, ms: np.ndarray, tau: float):
+    """Outputs, entropies and residuals of a (B, n, n) input stack, one operator call.
+
+    Positive-domain operators get one exp_scale call on the stack first.  A
+    spec's ``batch`` applies it; a bare callable goes through the base
+    :meth:`Normalizer.batch`, one call per matrix.
+    """
+    x = exp_scale(ms, tau) if getattr(op, "needs_positive", False) else ms
+    outs = op.batch(x) if isinstance(op, Normalizer) else Normalizer.batch(op, x)
+    return outs, shannon_entropy(outs), frobenius_distance(ms, outs)
 
 
 def _sweep_chunk(spec: GridSpec, op, tau: float, lo: int, hi: int):
     # 128-bit digests as two uint64 columns: 16 bytes/output keeps the full
     # 43M-input grids inside a few hundred MB, where a dict of raw matrix
     # bytes would not fit in memory.
-    digests = np.empty((hi - lo, 2), dtype=np.uint64)
-    entropies = np.empty(hi - lo)
-    residuals = np.empty(hi - lo)
-    for j, m in enumerate(grid_matrices(spec, lo, hi)):
-        out = _apply(op, m, tau)
-        rounded = np.round(out, spec.rounding_decimals) + 0.0  # +0.0 folds -0.0 into 0.0
-        digest = hashlib.blake2b(rounded.tobytes(), digest_size=16).digest()
-        digests[j] = np.frombuffer(digest, dtype=np.uint64)
-        entropies[j] = shannon_entropy(out)
-        residuals[j] = frobenius_distance(m, out)
-    return digests, entropies, residuals
+    outs, entropies, residuals = _chunk_metrics(op, grid_matrices(spec, lo, hi), tau)
+    rounded = np.round(outs, spec.rounding_decimals) + 0.0  # +0.0 folds -0.0 into 0.0
+    digests = b"".join(hashlib.blake2b(out.tobytes(), digest_size=16).digest() for out in rounded)
+    return np.frombuffer(digests, dtype=np.uint64).reshape(-1, 2), entropies, residuals
 
 
 def _stats(values: np.ndarray) -> dict:
@@ -185,13 +192,18 @@ def uniqueness_sweep(spec: GridSpec, operator, *, exp_scale_tau: float = 1.0,
 
 
 def tradeoff_sweep(inputs, operator, *, exp_scale_tau: float = 1.0) -> list[dict]:
-    """Per-input entropy of the output and Frobenius residual to the input."""
+    """Per-input entropy of the output and Frobenius residual to the input.
+
+    The inputs are square matrices of one size; they are stacked and run in
+    the sweeps' fixed-size chunks, one operator call per chunk.
+    """
+    inputs = iter(inputs)
     rows = []
-    for m in inputs:
-        out = _apply(operator, np.asarray(m, dtype=np.float64), exp_scale_tau)
-        rows.append(
-            {"entropy": shannon_entropy(out), "residual": frobenius_distance(m, out)}
-        )
+    while chunk := list(islice(inputs, _SWEEP_CHUNK)):
+        _, entropies, residuals = _chunk_metrics(operator, np.array(chunk, dtype=np.float64),
+                                                 exp_scale_tau)
+        rows += [{"entropy": float(h), "residual": float(r)}
+                 for h, r in zip(entropies, residuals)]
     return rows
 
 

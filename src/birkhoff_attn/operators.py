@@ -3,8 +3,9 @@
 Each operator is a frozen, picklable dataclass derived from the exported
 base :class:`Normalizer`.  Its fields are the operator's settings, with
 their defaults; calling a spec applies the operator to one square matrix,
-and ``attend(scores, tau)`` applies it to attention scores at temperature
-tau.  ``needs_positive`` marks operators whose domain is strictly positive
+``batch(ms)`` applies it to each matrix of a (B, n, n) stack, and
+``attend(scores, tau)`` applies it to attention scores at temperature tau.
+``needs_positive`` marks operators whose domain is strictly positive
 matrices (the Sinkhorn family); sweep drivers feed those through
 :func:`~birkhoff_attn.sinkhorn.exp_scale` first, and in attention they
 receive exp_scale(scores, tau).  Because specs pickle, sweeps ship them to
@@ -25,7 +26,7 @@ from typing import ClassVar
 
 import numpy as np
 
-from .birkhoff import ProjectionSettings, project
+from .birkhoff import DYKSTRA, ProjectionSettings, project
 from .core import as_square
 from .qontot import CircuitConfig, param_count, simulate_dsm
 from .qr import qr_dsm
@@ -35,13 +36,17 @@ _DENOM_FLOOR = 1e-6
 
 
 def softmax_rows(m, tau: float = 1.0) -> np.ndarray:
-    """Row-wise softmax of m/tau with per-row max subtraction."""
-    m = as_square(m)
+    """Row-wise softmax of m/tau with per-row max subtraction; m may be a (B, n, n) stack."""
+    m = as_square(m, stack=True)
     if not tau > 0.0:
         raise ValueError(f"tau must be positive, got {tau}")
-    z = (m - m.max(axis=1, keepdims=True)) / tau
+    return _softmax(m, tau)
+
+
+def _softmax(m: np.ndarray, tau) -> np.ndarray:
+    z = (m - m.max(axis=-1, keepdims=True)) / tau
     e = np.exp(z)
-    return e / e.sum(axis=1, keepdims=True)
+    return e / e.sum(axis=-1, keepdims=True)
 
 
 def norm_softmax(m, tau: float = 1.0, power: int = 1) -> np.ndarray:
@@ -49,13 +54,17 @@ def norm_softmax(m, tau: float = 1.0, power: int = 1) -> np.ndarray:
 
     The temperature is the population std (power 1) or variance (power 2) of
     all entries of m, capped above by tau and floored at 1e-6 so a constant
-    input cannot divide by zero.
+    input cannot divide by zero.  Each matrix of a (B, n, n) stack gets its
+    own temperature.
     """
-    m = as_square(m)
+    m = as_square(m, stack=True)
     if power not in (1, 2):
         raise ValueError(f"power must be 1 (std) or 2 (variance), got {power}")
-    stat = float(m.std()) ** power
-    return softmax_rows(m, max(min(stat, tau), _DENOM_FLOOR))
+    # Python's float power is libm pow, which can round x**2 one ulp away
+    # from numpy's square, so each temperature is taken in Python floats
+    temps = [max(min(float(std) ** power, tau), _DENOM_FLOOR)
+             for std in m.reshape(-1, m.shape[-1] ** 2).std(axis=-1)]
+    return _softmax(m, np.reshape(temps, m.shape[:-2] + (1, 1)))
 
 
 class Normalizer:
@@ -73,13 +82,30 @@ class Normalizer:
     def __call__(self, m) -> np.ndarray:
         raise NotImplementedError
 
+    def batch(self, ms) -> np.ndarray:
+        """The operator on each matrix of a (B, n, n) stack, as a float64 (B, n, n) array.
+
+        This base version calls the spec once per matrix, and serves any
+        callable: ``Normalizer.batch(fn, ms)`` maps ``fn`` the same way.
+        Specs whose kernel takes a whole stack override it with one call.
+        """
+        ms = np.asarray(ms)
+        return np.array([self(m) for m in ms], dtype=np.float64).reshape(ms.shape)
+
     def attend(self, scores: np.ndarray, tau: float) -> np.ndarray:
         """Attention weights from the score matrix at temperature tau."""
         return self(scores / tau)
 
 
+class _Stacked(Normalizer):
+    """Specs whose kernel takes a (B, n, n) stack, so a batch is one kernel call."""
+
+    def batch(self, ms) -> np.ndarray:
+        return self(ms)
+
+
 @dataclass(frozen=True)
-class Softmax(Normalizer):
+class Softmax(_Stacked):
     """Row softmax; in attention, tau is its temperature."""
 
     name = "softmax"
@@ -93,7 +119,7 @@ class Softmax(Normalizer):
 
 
 @dataclass(frozen=True)
-class NormSoftmax(Normalizer):
+class NormSoftmax(_Stacked):
     """Row softmax at the std (power 1) or variance (power 2) of the input, capped at tau."""
 
     name = "norm-softmax"
@@ -107,7 +133,7 @@ class NormSoftmax(Normalizer):
         return norm_softmax(scores, tau, self.power)
 
 
-class _Sinkhorn(Normalizer):
+class _Sinkhorn(_Stacked):
     """The Sinkhorn family: positive inputs only, so attention exponentiates the scores."""
 
     needs_positive = True
@@ -142,6 +168,9 @@ class BirkhoffNormalizer(ProjectionSettings, Normalizer):
 
     def __call__(self, m) -> np.ndarray:
         return project(m, self).matrix
+
+    def batch(self, ms) -> np.ndarray:
+        return project(ms, self) if self.method == DYKSTRA else super().batch(ms)
 
 
 @dataclass(frozen=True)

@@ -31,6 +31,7 @@ from .core import Dsm, as_dsm, as_square
 
 _MAX_QUBITS = 24
 _COLUMN_CHUNK = 64  # fixed, so the summation order and the output bits never change
+_MIN_SAMPLE_SECONDS = 0.02  # bench_circuit repeats a call until one sample lasts this long
 
 SIMPLE = "simple"
 TROTTER = "trotter"
@@ -261,6 +262,9 @@ def bench_circuit(configs, reps: int = 5, theta_seed: int = 0) -> list[dict]:
     and the injected matrix are drawn from ``theta_seed`` so reruns time the
     same workload.  Each config is warmed up once, then the reps run
     round-robin across configs, so a drift in machine speed hits them alike.
+    Each rep repeats the call until it has run for at least
+    ``_MIN_SAMPLE_SECONDS`` and records the seconds per call, so no sample
+    is a single call short enough for timer and scheduler noise to dominate.
     """
     if reps < 1:
         raise ValueError("reps must be >= 1")
@@ -273,9 +277,12 @@ def bench_circuit(configs, reps: int = 5, theta_seed: int = 0) -> list[dict]:
         runs.append((config, theta, m, []))
     for _ in range(reps):
         for config, theta, m, times in runs:
-            start = time.perf_counter()
-            simulate_dsm(config, theta, m)
-            times.append(time.perf_counter() - start)
+            calls, elapsed, start = 0, 0.0, time.perf_counter()
+            while elapsed < _MIN_SAMPLE_SECONDS:
+                simulate_dsm(config, theta, m)
+                calls += 1
+                elapsed = time.perf_counter() - start
+            times.append(elapsed / calls)
     return [
         {
             "layers": config.layers,

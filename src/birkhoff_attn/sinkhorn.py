@@ -8,12 +8,15 @@ to one at machine precision while row sums only converge as k grows.  Two
 implementations of the same iteration are provided: the direct one, and a
 log-domain one phrased in terms of dual scaling potentials that stays finite
 for kernels spanning hundreds of orders of magnitude.
+
+Every kernel here takes one square matrix or a (B, n, n) stack of them and
+returns an array of the same shape; each matrix of a stack comes out bit for
+bit as it would alone.
 """
 
 from __future__ import annotations
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .core import as_square
 
@@ -23,21 +26,21 @@ _TINY = np.finfo(np.float64).tiny
 
 
 def exp_scale(m, tau: float = 1.0) -> np.ndarray:
-    """Entrywise exp(m/tau), shifted by the global max so nothing overflows.
+    """Entrywise exp(m/tau), shifted by the matrix's max so nothing overflows.
 
     The shift only multiplies the result by a constant, which the diagonal
     rescalings of the Sinkhorn iteration absorb.  Output entries are strictly
-    positive and at most 1.
+    positive and at most 1.  Each matrix of a stack is shifted by its own max.
     """
-    m = as_square(m)
+    m = as_square(m, stack=True)
     if not tau > 0.0:
         raise ValueError(f"tau must be positive, got {tau}")
-    out = np.exp((m - m.max()) / tau)
+    out = np.exp((m - m.max(axis=(-2, -1), keepdims=True)) / tau)
     return np.maximum(out, _TINY)
 
 
 def _check_sinkhorn_args(m, k: int) -> np.ndarray:
-    m = as_square(m)
+    m = as_square(m, stack=True)
     if not np.all(m > 0.0):
         raise ValueError("sinkhorn input must be strictly positive")
     if k < 1 or k % 2 == 0:
@@ -55,11 +58,23 @@ def sinkhorn_naive(m, k: int) -> np.ndarray:
     m = _check_sinkhorn_args(m, k)
     out = m.copy()
     for t in range(k):
-        if t % 2 == 0:
-            out /= out.sum(axis=0, keepdims=True)
-        else:
-            out /= out.sum(axis=1, keepdims=True)
+        out /= out.sum(axis=-2 if t % 2 == 0 else -1, keepdims=True)
     return out
+
+
+def _logsumexp(a: np.ndarray, axis: int) -> np.ndarray:
+    """log(sum(exp(a))) along ``axis``, with scipy 1.17's arithmetic for real input.
+
+    Every entry equal to the max is left out of the shifted sum s and counted
+    instead (m ties), and the result is log1p(s / m) + log(m) + max: the same
+    bits as ``scipy.special.logsumexp``, which a plain max shift misses by an
+    ulp when a slice holds ties.
+    """
+    a_max = a.max(axis=axis, keepdims=True)
+    ties = a == a_max
+    m = ties.sum(axis=axis, keepdims=True, dtype=np.float64)
+    s = np.where(ties, 0.0, np.exp(a - a_max)).sum(axis=axis, keepdims=True)
+    return (np.log1p(s / m) + np.log(m) + a_max).squeeze(axis)
 
 
 def sinkhorn_ot(m, k: int) -> np.ndarray:
@@ -73,13 +88,12 @@ def sinkhorn_ot(m, k: int) -> np.ndarray:
     """
     m = _check_sinkhorn_args(m, k)
     log_m = np.log(m)
-    n = m.shape[0]
-    u = np.zeros(n)
-    v = np.zeros(n)
+    u = np.zeros(m.shape[:-1])  # row potentials, one per row of each matrix
+    v = np.zeros(m.shape[:-1])  # column potentials
     for t in range(k):
         if t % 2 == 0:
             # column pass: make every column of exp(u + log_m + v) sum to 1
-            v = -logsumexp(log_m + u[:, None], axis=0)
+            v = -_logsumexp(log_m + u[..., :, None], axis=-2)
         else:
-            u = -logsumexp(log_m + v[None, :], axis=1)
-    return np.exp(u[:, None] + log_m + v[None, :])
+            u = -_logsumexp(log_m + v[..., None, :], axis=-1)
+    return np.exp(u[..., :, None] + log_m + v[..., None, :])

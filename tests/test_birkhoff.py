@@ -133,6 +133,84 @@ class TestProject:
             ProjectionSettings(max_iterations=0)
 
 
+def iterations_needed(m: np.ndarray) -> int:
+    """The smallest Dykstra budget under which ``m`` alone converges."""
+    for budget in range(1, 10_000):
+        try:
+            project(m, ProjectionSettings(max_iterations=budget))
+            return budget
+        except ProjectionError:
+            continue
+    raise AssertionError("no convergence")
+
+
+def each_alone(stack: np.ndarray, settings=None) -> list:
+    return [project(m, settings).matrix for m in stack]
+
+
+@pytest.mark.parametrize("kind", ["cube", "random"])
+@pytest.mark.parametrize("n", [1, 2, 4, 16])
+@pytest.mark.parametrize("batch", [1, 2, 7, 512])
+def test_stacked_projection_matches_each_matrix_alone(kind, batch, n):
+    rng = np.random.default_rng([batch, n])
+    if kind == "cube":
+        stack = rng.integers(0, 2, (batch, n, n)).astype(np.float64)
+    else:
+        stack = rng.standard_normal((batch, n, n))
+    out = project(stack)
+    assert out.shape == stack.shape
+    affine = affine_project(stack)
+    # a stack of 512 is checked at 32 spread-out indices, the first and last included
+    for i in sorted({*range(0, batch, max(1, batch // 32)), batch - 1}):
+        assert out[i].tobytes() == project(stack[i]).matrix.tobytes(), i
+        assert affine[i].tobytes() == affine_project(stack[i]).tobytes(), i
+
+
+class TestStackedProjection:
+    def test_samples_converging_at_different_iterations(self):
+        rng = np.random.default_rng(12)
+        stack = np.array([3.0 * rng.standard_normal((4, 4)), np.full((4, 4), 0.25),
+                          rng.standard_normal((4, 4)), np.eye(4), rng.uniform(0.0, 1.0, (4, 4))])
+        needed = [iterations_needed(m) for m in stack]
+        assert needed == [90, 2, 80, 2, 34]  # the first sample runs longest
+        out = project(stack)
+        for got, want in zip(out, each_alone(stack)):
+            assert got.tobytes() == want.tobytes()
+            as_dsm(got, tolerance=1e-8)
+
+    def test_first_non_converging_sample_raises_with_its_last_iterate(self):
+        rng = np.random.default_rng(12)
+        slow, fast = 3.0 * rng.standard_normal((2, 4, 4))
+        tight = ProjectionSettings(max_iterations=40)
+        stack = np.array([np.eye(4), slow, fast, 2.0 * slow])
+        with pytest.raises(ProjectionError, match="no convergence within 40") as alone:
+            project(slow, tight)
+        with pytest.raises(ProjectionError, match="no convergence within 40") as stacked:
+            project(stack, tight)
+        assert stacked.value.last_iterate.tobytes() == alone.value.last_iterate.tobytes()
+        assert stacked.value.report == alone.value.report
+        assert str(stacked.value) == str(alone.value)
+
+    def test_first_sample_off_the_polytope_raises_with_its_last_iterate(self):
+        # at 1e9 the gap test passes while the marginals are off by ~4e-7
+        rng = np.random.default_rng(0)
+        far = 1e9 * rng.standard_normal((4, 4))
+        stack = np.array([np.eye(4), rng.standard_normal((4, 4)), far, 1e9 * np.eye(4)])
+        with pytest.raises(ProjectionError, match="off the Birkhoff polytope") as alone:
+            project(far)
+        with pytest.raises(ProjectionError, match="off the Birkhoff polytope") as stacked:
+            project(stack)
+        assert stacked.value.last_iterate.tobytes() == alone.value.last_iterate.tobytes()
+        assert str(stacked.value) == str(alone.value)
+
+    def test_splitting_qp_takes_one_matrix(self):
+        with pytest.raises(ValueError, match="one matrix at a time"):
+            project(np.ones((2, 3, 3)), QP)
+
+    def test_empty_stack(self):
+        assert project(np.ones((0, 3, 3))).shape == (0, 3, 3)
+
+
 class TestBirkhoffDistance:
     def test_zero_on_the_polytope(self):
         assert birkhoff_distance(np.eye(4)) == pytest.approx(0.0, abs=1e-8)

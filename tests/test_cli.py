@@ -113,6 +113,19 @@ class TestApply:
         assert "strictly positive" in payload["error"]
         assert payload["input"] == {"n": 2, "data": [1.0, 1.0, 0.0, 0.0]}
 
+    def test_non_finite_result_leaves_stdout_empty(self, capsys, monkeypatch):
+        # the column sums overflow, so sinkhorn returns NaN rows; the check
+        # must fail before anything reaches stdout
+        code, out, err = invoke(
+            ["apply", "--op", "sinkhorn-naive"],
+            capsys, monkeypatch, stdin_text="1e308,1e308\n1e308,1e308\n",
+        )
+        assert code == 2
+        assert out == ""
+        payload = json.loads(err)
+        assert "non-finite" in payload["error"]
+        assert payload["input"] == {"n": 2, "data": [1e308] * 4}
+
     def test_qr_without_seed_is_usage_error(self, capsys, monkeypatch):
         code, _, err = invoke(
             ["apply", "--op", "qr"], capsys, monkeypatch, stdin_text=CSV_2X2,

@@ -1,5 +1,7 @@
+import ast
 import io
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -106,6 +108,19 @@ class TestShannonEntropy:
     def test_accepts_dsm_wrapper(self):
         assert shannon_entropy(as_dsm(np.eye(3))) == 0.0
 
+    @pytest.mark.parametrize("n", [1, 2, 4, 16])
+    @pytest.mark.parametrize("batch", [1, 2, 7, 512])
+    def test_stack_gives_each_matrix_value(self, batch, n):
+        rng = np.random.default_rng([batch, n])
+        p = rng.uniform(0.0, 1.0, (batch, n, n))
+        p[:, :, 0] = 0.0  # zero entries contribute zero
+        p /= p.sum(axis=-1, keepdims=True).clip(1e-300)
+        got = shannon_entropy(p)
+        assert got.shape == (batch,)
+        for i, m in enumerate(p):
+            assert got[i] == shannon_entropy(m)
+            assert type(shannon_entropy(m)) is float
+
 
 class TestSpearman:
     def test_monotone_is_one(self):
@@ -135,6 +150,34 @@ class TestSpearman:
 
 def test_frobenius_distance_known_value():
     assert frobenius_distance(np.eye(2), np.zeros((2, 2))) == pytest.approx(np.sqrt(2))
+
+
+@pytest.mark.parametrize("n", [1, 2, 4, 16, 256])
+@pytest.mark.parametrize("batch", [1, 2, 7, 512])
+def test_frobenius_distance_of_stacks_is_each_norm(batch, n):
+    # each distance is np.linalg.norm of the difference, to the bit
+    rng = np.random.default_rng([batch, n])
+    batch = min(batch, 7) if n == 256 else batch
+    a = rng.standard_normal((batch, n, n)) * 10.0 ** rng.integers(-3, 4, (batch, 1, 1))
+    b = rng.standard_normal((batch, n, n))
+    got = frobenius_distance(a, b)
+    assert got.shape == (batch,)
+    for i in range(batch):
+        assert got[i] == np.linalg.norm(a[i] - b[i])
+        assert frobenius_distance(a[i], b[i]) == np.linalg.norm(a[i] - b[i])
+    with pytest.raises(ValueError, match="mismatch"):
+        frobenius_distance(a[0], b)
+
+
+def test_oracles_import_nothing_from_the_package():
+    tree = ast.parse((Path(__file__).parent / "oracles.py").read_text())
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported |= {alias.name.split(".")[0] for alias in node.names}
+        elif isinstance(node, ast.ImportFrom):
+            imported.add("." if node.level else node.module.split(".")[0])
+    assert imported <= {"__future__", "itertools", "numpy", "mpmath"}, imported
 
 
 class TestSerialization:

@@ -1,21 +1,57 @@
+import hashlib
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
 from birkhoff_attn import (
+    OPERATOR_NAMES,
     GridSpec,
     enumerate_grid,
+    exp_scale,
     grid_matrix,
     grid_total,
     make_operator,
     probe_invariances,
+    shannon_entropy,
     sphere_columns,
     tradeoff_sweep,
     uniqueness_sweep,
 )
-from birkhoff_attn.expressivity import _SWEEP_CHUNK, grid_matrices
+from birkhoff_attn.expressivity import _SWEEP_CHUNK, SweepReport, grid_matrices
 
 import oracles
+
+
+def sweep_operator(name: str, n: int):
+    """Operator ``name`` for n x n inputs, with the settings it needs beyond its defaults."""
+    settings = {"qr": {"noise_seed": 0}, "qontot": {"dsm_dim": n, "layers": 2, "theta_seed": 0},
+                "norm-softmax": {"power": 2}}
+    return make_operator(name, **settings.get(name, {}))
+
+
+def one_input(op, m: np.ndarray, tau: float = 1.0) -> np.ndarray:
+    return op(exp_scale(m, tau) if op.needs_positive else m)
+
+
+def per_input_sweep(spec: GridSpec, op) -> SweepReport:
+    """The sweep computed one input at a time: decode, apply, round, digest, measure."""
+    digests, entropies, residuals = [], [], []
+    for index in range(grid_total(spec)):
+        m = grid_matrix(spec, index)
+        out = one_input(op, m)
+        rounded = np.round(out, spec.rounding_decimals) + 0.0
+        digests.append(hashlib.blake2b(rounded.tobytes(), digest_size=16).digest())
+        entropies.append(shannon_entropy(out))
+        residuals.append(float(np.linalg.norm(m - out)))
+    counts = sorted(np.unique(digests, return_counts=True)[1].tolist(), reverse=True)
+
+    def stats(values):
+        values = np.array(values)
+        return {"min": float(values.min()), "median": float(np.median(values)),
+                "mean": float(values.mean()), "max": float(values.max())}
+
+    return SweepReport(len(digests), len(counts), counts, stats(entropies), stats(residuals))
 
 
 class TestGridSpec:
@@ -53,6 +89,16 @@ class TestSphereColumns:
 
     def test_binary_grid_gives_axis_vectors(self):
         assert_allclose(sphere_columns(3, 2), np.eye(3)[::-1], atol=0)
+
+    def test_built_once_and_read_only(self):
+        cols = sphere_columns(4, 5)
+        assert sphere_columns(4, 5) is cols
+        with pytest.raises(ValueError, match="read-only"):
+            cols[0, 0] = 2.0
+        # decoded stacks are fresh arrays, free to modify
+        stack = grid_matrices(GridSpec(n=4, d=5, domain="sphere"), 0, 3)
+        stack[0, 0, 0] = 2.0
+        assert sphere_columns(4, 5)[0, 0] == 0.0
 
 
 class TestGridMatrix:
@@ -168,6 +214,15 @@ class TestUniquenessSweep:
         with pytest.raises(ValueError, match="picklable"):
             uniqueness_sweep(GridSpec(n=2, d=2), lambda m: m, workers=2)
 
+    @pytest.mark.parametrize("name", OPERATOR_NAMES)
+    @pytest.mark.parametrize("spec", [GridSpec(n=2, d=5), GridSpec(n=4, d=3, domain="sphere")])
+    def test_chunked_sweep_matches_the_per_input_sweep(self, spec, name):
+        # 625 inputs each: one full 512-input chunk and a partial one
+        op = sweep_operator(name, spec.n)
+        want = per_input_sweep(spec, op)
+        assert uniqueness_sweep(spec, op) == want
+        assert uniqueness_sweep(spec, op, workers=2) == want
+
     def test_entropy_stats_of_known_operator(self):
         spec = GridSpec(n=2, d=2)
         report = uniqueness_sweep(spec, lambda m: np.full((2, 2), 0.5))
@@ -182,6 +237,19 @@ class TestTradeoffSweep:
         rows = tradeoff_sweep(inputs, make_operator("softmax", tau=1.0))
         assert len(rows) == 4
         assert all(set(r) == {"entropy", "residual"} for r in rows)
+
+    @pytest.mark.parametrize("name", OPERATOR_NAMES)
+    def test_rows_match_each_input_alone(self, name):
+        # 600 inputs span a full chunk and a partial one
+        rng = np.random.default_rng(7)
+        inputs = [rng.standard_normal((4, 4)) for _ in range(600)]
+        op = sweep_operator(name, 4)
+        want = []
+        for m in inputs:
+            out = one_input(op, m, 0.7)
+            want.append({"entropy": shannon_entropy(out),
+                         "residual": float(np.linalg.norm(m - out))})
+        assert tradeoff_sweep(inputs, op, exp_scale_tau=0.7) == want
 
     def test_identity_operator_has_zero_residual(self):
         inputs = [np.full((2, 2), 0.5)]

@@ -8,12 +8,15 @@ from birkhoff_attn import (
     AttentionConfig,
     CircuitConfig,
     OPERATOR_NAMES,
+    Normalizer,
     attention_forward,
     exp_scale,
     make_operator,
+    norm_softmax,
     param_count,
     qontot_theta,
     sinkhorn_naive,
+    softmax_rows,
 )
 
 # the settings each operator needs beyond its defaults, for 4x4 inputs
@@ -92,6 +95,53 @@ class TestSpec:
             want = op(scores / 1.5)
         assert np.array_equal(result["attn"], want)
         assert np.array_equal(result["output"], want @ vm)
+
+
+    @pytest.mark.parametrize("batch", [1, 2, 7])
+    def test_batch_matches_each_call(self, name, batch):
+        op = make_operator(name, **SETTINGS.get(name, {}))
+        stack = np.random.default_rng(batch).uniform(0.1, 2.0, (batch, 4, 4))
+        out = op.batch(stack)
+        assert out.shape == stack.shape and out.dtype == np.float64
+        for i, m in enumerate(stack):
+            assert out[i].tobytes() == op(m).tobytes()
+
+
+class TestBatch:
+    def test_base_batch_maps_a_bare_callable(self):
+        stack = np.arange(12.0).reshape(3, 2, 2)
+        assert np.array_equal(Normalizer.batch(lambda m: m.T, stack), stack.transpose(0, 2, 1))
+        assert Normalizer.batch(lambda m: m, np.ones((0, 2, 2))).shape == (0, 2, 2)
+
+    def test_splitting_qp_batch_goes_through_the_base_map(self):
+        op = make_operator("birkhoff-project", method="splitting-qp")
+        stack = np.random.default_rng(5).standard_normal((3, 3, 3))
+        out = op.batch(stack)
+        for i, m in enumerate(stack):
+            assert out[i].tobytes() == op(m).tobytes()
+
+    @pytest.mark.parametrize("n", [1, 2, 4, 16])
+    @pytest.mark.parametrize("batch", [1, 2, 7, 512])
+    def test_softmax_kernels_stack(self, batch, n):
+        rng = np.random.default_rng([batch, n])
+        for stack in (rng.integers(0, 2, (batch, n, n)).astype(np.float64),
+                      3.0 * rng.standard_normal((batch, n, n))):
+            kernels = (lambda m: softmax_rows(m, 0.7), lambda m: norm_softmax(m, 0.7, 1),
+                       lambda m: norm_softmax(m, 5.0, 2))
+            for kernel in kernels:
+                out = kernel(stack)
+                for i, m in enumerate(stack):
+                    assert out[i].tobytes() == kernel(m).tobytes()
+
+    def test_norm_softmax_temperature_is_the_python_float_rule(self):
+        # the temperature is max(min(std ** power, tau), 1e-6) in Python floats;
+        # libm's pow rounds some squares one ulp away from numpy's
+        stack = np.random.default_rng(6).standard_normal((5000, 8, 8))
+        for power, tau in ((1, 0.8), (2, 5.0)):
+            out = norm_softmax(stack, tau, power)
+            for i, m in enumerate(stack):
+                want = softmax_rows(m, max(min(float(m.std()) ** power, tau), 1e-6))
+                assert out[i].tobytes() == want.tobytes()
 
 
 class TestQontotTheta:

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from birkhoff_attn import qontot
 from birkhoff_attn import (
     CircuitConfig,
     as_dsm,
@@ -223,3 +224,14 @@ class TestBench:
     def test_rejects_zero_reps(self):
         with pytest.raises(ValueError, match="reps"):
             bench_circuit([CircuitConfig(dsm_dim=4)], reps=0)
+
+    def test_each_sample_repeats_calls_for_at_least_20_ms(self, monkeypatch):
+        # a clock that moves 1/256 s (exact in binary) per reading: a sample
+        # reaches 20 ms after six calls and records 6/256 s over six calls
+        clock = iter(np.arange(10_000) / 256.0)
+        calls = []
+        monkeypatch.setattr(qontot.time, "perf_counter", lambda: float(next(clock)))
+        monkeypatch.setattr(qontot, "simulate_dsm", lambda *args: calls.append(args))
+        rows = bench_circuit([CircuitConfig(dsm_dim=4, layers=1)], reps=3, theta_seed=0)
+        assert len(calls) == 1 + 3 * 6  # one warm-up, then six calls per sample
+        assert rows[0]["median_seconds"] == 1 / 256

@@ -3,12 +3,33 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
+from scipy.special import logsumexp
 
 from birkhoff_attn import exp_scale, sinkhorn_naive, sinkhorn_ot
+from birkhoff_attn.sinkhorn import _logsumexp
 
 import oracles
 
 TINY = np.finfo(np.float64).tiny
+
+BATCH_SIZES = (1, 2, 7, 512)
+SIZES = (1, 2, 4, 16)
+
+
+def input_stack(kind: str, batch: int, n: int, seed: int = 0) -> np.ndarray:
+    """A (batch, n, n) stack: binary cube matrices (full of ties) or standard normal draws."""
+    rng = np.random.default_rng([seed, batch, n])
+    if kind == "cube":
+        return rng.integers(0, 2, (batch, n, n)).astype(np.float64)
+    return rng.standard_normal((batch, n, n))
+
+
+def assert_each_matches_alone(kernel, stack: np.ndarray) -> None:
+    """kernel(stack)[i] is kernel(stack[i]) to the bit, for every i."""
+    out = kernel(stack)
+    assert out.shape[0] == len(stack)
+    for i, m in enumerate(stack):
+        assert np.asarray(out[i]).tobytes() == np.asarray(kernel(m)).tobytes(), i
 
 
 class TestExpScale:
@@ -165,3 +186,63 @@ def test_exp_scale_shift_cancels_in_sinkhorn(seed):
     a = sinkhorn_naive(exp_scale(scores), 5)
     b = sinkhorn_naive(exp_scale(scores - 3.7), 5)
     assert_allclose(a, b, atol=1e-13)
+
+
+@pytest.mark.parametrize("kind", ["cube", "random"])
+@pytest.mark.parametrize("n", SIZES)
+@pytest.mark.parametrize("batch", BATCH_SIZES)
+class TestStacks:
+    """Each matrix of a (B, n, n) stack comes out as it does alone."""
+
+    def test_exp_scale(self, kind, batch, n):
+        assert_each_matches_alone(lambda m: exp_scale(m, 0.3), input_stack(kind, batch, n))
+
+    def test_sinkhorn_naive(self, kind, batch, n):
+        stack = exp_scale(input_stack(kind, batch, n), 0.5)
+        assert_each_matches_alone(lambda m: sinkhorn_naive(m, 21), stack)
+
+    def test_sinkhorn_ot(self, kind, batch, n):
+        stack = exp_scale(input_stack(kind, batch, n), 0.05)
+        assert_each_matches_alone(lambda m: sinkhorn_ot(m, 21), stack)
+
+
+class TestStackValidation:
+    def test_one_bad_matrix_rejects_the_stack(self):
+        stack = np.ones((3, 2, 2))
+        stack[1, 0, 1] = 0.0
+        with pytest.raises(ValueError, match="strictly positive"):
+            sinkhorn_naive(stack, 3)
+        stack[1, 0, 1] = np.inf
+        with pytest.raises(ValueError, match="non-finite"):
+            sinkhorn_ot(stack, 3)
+
+    def test_rejects_other_ranks(self):
+        with pytest.raises(ValueError, match=r"\(B, n, n\) stack"):
+            sinkhorn_naive(np.ones((2, 2, 2, 2)), 3)
+        with pytest.raises(ValueError, match="square"):
+            exp_scale(np.ones((2, 2, 3)))
+
+    def test_empty_stack(self):
+        assert sinkhorn_ot(np.ones((0, 3, 3)), 5).shape == (0, 3, 3)
+        assert sinkhorn_naive(exp_scale(np.ones((0, 3, 3))), 5).shape == (0, 3, 3)
+
+
+class TestLogsumexp:
+    """The numpy logsumexp is scipy's to the bit, ties included."""
+
+    @pytest.mark.parametrize("axis", [-1, -2])
+    def test_matches_scipy_on_ties(self, axis):
+        rng = np.random.default_rng(3)
+        # few distinct values, so most slices hold several copies of their max
+        a = rng.integers(-2, 3, (200, 5, 5)) * 0.37
+        a[:20] = 1.25  # every entry ties
+        a[20:40, :, :2] = a[20:40].max(axis=(1, 2), keepdims=True)  # ties at the max
+        for scale in (1.0, 1e-300, 700.0):
+            want = logsumexp(a * scale, axis=axis)
+            assert _logsumexp(a * scale, axis=axis).tobytes() == want.tobytes()
+
+    def test_matches_scipy_on_random_logs(self):
+        rng = np.random.default_rng(4)
+        a = np.log(rng.uniform(1e-300, 1.0, (300, 16, 16)))
+        for axis in (-1, -2):
+            assert _logsumexp(a, axis=axis).tobytes() == logsumexp(a, axis=axis).tobytes()
