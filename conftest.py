@@ -1,10 +1,3 @@
-import sys
-from pathlib import Path
-
-# make tests/oracles.py importable as a plain module from anywhere
-sys.path.insert(0, str(Path(__file__).parent / "tests"))
-
-
 def pytest_addoption(parser):
     parser.addoption(
         "--full",

@@ -10,7 +10,14 @@ distinct outputs each route can produce, invariance probes, and hand-derived
 VJPs for the differentiable routes.
 """
 
-from .attention import AttentionConfig, attention_forward, sinkhorn_naive_vjp, softmax_vjp
+from .attention import (
+    VJP_NORMALIZERS,
+    AttentionConfig,
+    attention_forward,
+    sinkhorn_naive_vjp,
+    softmax_vjp,
+    vjp_check,
+)
 from .birkhoff import (
     DYKSTRA,
     SPLITTING_QP,
@@ -105,6 +112,7 @@ __all__ = [
     "StochasticityReport",
     "SweepReport",
     "TROTTER",
+    "VJP_NORMALIZERS",
     "affine_project",
     "as_dsm",
     "attention_forward",
@@ -148,5 +156,6 @@ __all__ = [
     "sphere_columns",
     "tradeoff_sweep",
     "uniqueness_sweep",
+    "vjp_check",
     "__version__",
 ]

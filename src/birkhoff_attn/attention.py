@@ -10,7 +10,8 @@ tau), and the doubly stochastic normalizers see scores / tau.
 
 Backward passes are provided for the differentiable normalizers as explicit
 vector-Jacobian products (no autograd): row softmax, and the unrolled
-alternating-normalization iteration.
+alternating-normalization iteration.  :func:`vjp_check` compares them with
+central finite differences.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ import numpy as np
 
 from .core import as_square
 from .operators import Normalizer, Softmax, softmax_rows
-from .sinkhorn import _check_sinkhorn_args
+from .sinkhorn import _check_sinkhorn_args, sinkhorn_naive
 
 
 @dataclass(frozen=True)
@@ -88,3 +89,44 @@ def softmax_vjp(m, tau: float, upstream) -> np.ndarray:
         raise ValueError("upstream must match m in shape")
     inner = (upstream * y).sum(axis=1, keepdims=True)
     return y * (upstream - inner) / tau
+
+
+VJP_NORMALIZERS = ("sinkhorn-naive", "softmax")
+
+
+def vjp_check(normalizer: str, *, k: int, tau: float, n: int, trials: int, seed) -> float:
+    """Worst relative error of a VJP against central finite differences.
+
+    ``normalizer`` is one of :data:`VJP_NORMALIZERS`: ``sinkhorn-naive``
+    with ``k`` passes or ``softmax`` at temperature ``tau``.  Each trial
+    draws an n x n input from uniform(0.1, 10) and an upstream gradient
+    from the standard normal, from ``np.random.default_rng(seed)`` (an int
+    or a Generator), and compares the analytic VJP with the finite
+    difference of sum(upstream * f(m)) at step 1e-5; the error of a trial is
+    the largest absolute deviation over the largest finite difference.
+    """
+    if normalizer not in VJP_NORMALIZERS:
+        raise ValueError(f"no VJP for {normalizer!r} (choose from {', '.join(VJP_NORMALIZERS)})")
+    rng = np.random.default_rng(seed)
+    h = 1e-5
+    worst = 0.0
+    for _ in range(trials):
+        m = rng.uniform(0.1, 10.0, (n, n))
+        upstream = rng.standard_normal((n, n))
+        if normalizer == "sinkhorn-naive":
+            fwd = lambda x: sinkhorn_naive(x, k)
+            analytic = sinkhorn_naive_vjp(m, k, upstream)
+        else:
+            fwd = lambda x: softmax_rows(x, tau)
+            analytic = softmax_vjp(m, tau, upstream)
+        fd = np.empty_like(m)
+        for i in range(n):
+            for j in range(n):
+                bump = np.zeros_like(m)
+                bump[i, j] = h
+                fd[i, j] = (
+                    (upstream * fwd(m + bump)).sum() - (upstream * fwd(m - bump)).sum()
+                ) / (2 * h)
+        scale = max(float(np.abs(fd).max()), 1e-12)
+        worst = max(worst, float(np.abs(analytic - fd).max()) / scale)
+    return worst

@@ -1,8 +1,9 @@
 """Command line front end.
 
 Subcommands: apply, apply-attn, sweep-unique, sweep-tradeoff, props, count,
-shots, bench, gradcheck.  Matrix results go to stdout (CSV by default, JSON
-with --format json); structured reports are JSON.  Exit codes: 0 on
+shots, bench, gradcheck.  Each declares only the flags its handler reads.
+Matrix results go to stdout (CSV by default, JSON with --format json);
+structured reports are JSON lines written by ``_emit``.  Exit codes: 0 on
 success; 1 on a usage error (a bad flag, config value, input or setting),
 reported as ``error: ...``; 2 on a failure during computation, which echoes
 the failing input matrix as JSON on stderr.  Handlers build their inputs
@@ -10,7 +11,7 @@ and operator specs inside ``_inputs``; :func:`main` picks every exit code.
 
 The parser holds each flag's type, choices and default.  A flat key=value
 file given by --config supplies the subcommand's defaults, checked as the
-flags are; explicit flags win.  --workers falls back to the
+flags are; explicit flags win.  sweep-unique's --workers falls back to the
 BIRKHOFF_ATTN_WORKERS environment variable and then the CPU count.  Every
 randomized code path requires an explicit seed, so identical invocations
 produce byte-identical output regardless of worker count (bench wall-times
@@ -24,11 +25,11 @@ import json
 import os
 import sys
 from contextlib import contextmanager
-from dataclasses import fields
+from dataclasses import asdict, fields
 
 import numpy as np
 
-from .attention import AttentionConfig, attention_forward, sinkhorn_naive_vjp, softmax_vjp
+from .attention import VJP_NORMALIZERS, AttentionConfig, attention_forward, vjp_check
 from .birkhoff import ProjectionError, project
 from .core import (
     as_square,
@@ -43,9 +44,9 @@ from .core import (
 )
 from .counting import count_brute, decomposition_check, f3_analytic
 from .expressivity import GridSpec, grid_total, probe_invariances, tradeoff_sweep, uniqueness_sweep
-from .operators import OPERATOR_NAMES, SPECS, Normalizer, make_operator, softmax_rows
-from .qontot import CircuitConfig, bench_circuit, param_count, sample_shots
-from .sinkhorn import exp_scale, sinkhorn_naive
+from .operators import OPERATOR_NAMES, SPECS, Normalizer, make_operator
+from .qontot import CircuitConfig, bench_circuit, sample_shots
+from .sinkhorn import exp_scale
 
 _FULL_GATE = 1 << 20  # sweep sizes above this need --full
 
@@ -63,6 +64,13 @@ def _print_matrix(m: np.ndarray, fmt: str) -> None:
                      "result needs --format csv")
     save_matrix_json(sys.stdout, m)
     sys.stdout.write("\n")
+
+
+def _emit(record: dict, stream=None) -> None:
+    """Write ``record`` as one JSON line to ``stream`` (stdout when None)."""
+    stream = stream or sys.stdout
+    json.dump(record, stream)
+    stream.write("\n")
 
 
 @contextmanager
@@ -174,9 +182,10 @@ _SETTING_FLAGS = {"iterations": "k", "noise_seed": "seed"}
 def _operator(args, name: str, dsm_dim: int) -> Normalizer:
     """The spec of operator ``name`` from the flags; settings not given keep its defaults.
 
-    qontot takes its size from ``dsm_dim`` and its parameters from exactly
-    one of --theta-seed / --theta-file.  Call it inside ``_inputs``, so
-    settings the spec rejects are usage errors.
+    A spec field the subcommand has no flag for (apply-attn has no --tau)
+    keeps its default too.  qontot takes its size from ``dsm_dim`` and its
+    parameters from exactly one of --theta-seed / --theta-file.  Call it
+    inside ``_inputs``, so settings the spec rejects are usage errors.
     """
     if name not in SPECS:
         raise _Usage(f"unknown operator {name!r} (choose from {', '.join(OPERATOR_NAMES)})")
@@ -185,7 +194,7 @@ def _operator(args, name: str, dsm_dim: int) -> Normalizer:
     else:
         keys = [f.name for f in fields(SPECS[name])]
     settings = {key: value for key in keys
-                if (value := getattr(args, _SETTING_FLAGS.get(key, key))) is not None}
+                if (value := getattr(args, _SETTING_FLAGS.get(key, key), None)) is not None}
     theta = None
     if name == "qr":
         settings["noise_seed"] = _req(args, "seed")
@@ -195,10 +204,7 @@ def _operator(args, name: str, dsm_dim: int) -> Normalizer:
         if args.theta_file is not None:
             theta = _load_table(args.theta_file).ravel()
         settings.update(dsm_dim=dsm_dim, theta=theta, theta_seed=args.theta_seed)
-    op = make_operator(name, **settings)
-    if theta is not None and theta.size != param_count(op.config):
-        raise _Usage(f"theta file has {theta.size} values, config needs {param_count(op.config)}")
-    return op
+    return make_operator(name, **settings)
 
 
 # --- subcommand implementations --------------------------------------------
@@ -214,16 +220,7 @@ def _cmd_apply(args) -> int:
     out = op(x)
     report = check_stochasticity(out)  # before printing, so a failed run leaves stdout empty
     _print_matrix(out, args.format)
-    json.dump(
-        {
-            "op": name,
-            "max_row_deviation": report.max_row_deviation,
-            "max_col_deviation": report.max_col_deviation,
-            "min_entry": report.min_entry,
-        },
-        sys.stderr,
-    )
-    sys.stderr.write("\n")
+    _emit({"op": name} | asdict(report), sys.stderr)
     return 0
 
 
@@ -259,21 +256,7 @@ def _cmd_sweep_unique(args) -> int:
         stop=args.stop,
         max_total=1 << 48,
     )
-    json.dump(
-        {
-            "op": name,
-            "domain": spec.domain,
-            "n": spec.n,
-            "d": spec.d,
-            "total_inputs": report.total_inputs,
-            "unique_outputs": report.unique_outputs,
-            "entropy_stats": report.entropy_stats,
-            "residual_stats": report.residual_stats,
-            "count_multiset": report.count_multiset,
-        },
-        sys.stdout,
-    )
-    sys.stdout.write("\n")
+    _emit({"op": name, "domain": spec.domain, "n": spec.n, "d": spec.d} | asdict(report))
     return 0
 
 
@@ -294,9 +277,7 @@ def _cmd_props(args) -> int:
     name = _req(args, "op")
     with _inputs():
         op = _operator(args, name, args.n)
-    result = probe_invariances(op, trials=args.trials, seed=_req(args, "seed"), n=args.n)
-    json.dump(result, sys.stdout)
-    sys.stdout.write("\n")
+    _emit(probe_invariances(op, trials=args.trials, seed=_req(args, "seed"), n=args.n))
     return 0
 
 
@@ -309,9 +290,7 @@ def _cmd_count(args) -> int:
         counts = decomposition_check(n, p)
     else:
         counts = {"f": count_brute(n, p) if args.mode == "brute" else f3_analytic(p)}
-    payload = {"n": n, "p": p} | {key: counts.get(key) for key in ("f", "c1", "c2", "c12")}
-    json.dump(payload, sys.stdout)
-    sys.stdout.write("\n")
+    _emit({"n": n, "p": p} | {key: counts.get(key) for key in ("f", "c1", "c2", "c12")})
     return 0
 
 
@@ -331,8 +310,7 @@ def _cmd_shots(args) -> int:
         "spearman_to_exact": spearman_rho(out, exact),
     }
     _print_matrix(out, args.format)
-    json.dump(metrics, sys.stderr)
-    sys.stderr.write("\n")
+    _emit(metrics, sys.stderr)
     return 0
 
 
@@ -352,61 +330,39 @@ def _cmd_bench(args) -> int:
 
 def _cmd_gradcheck(args) -> int:
     name = _req(args, "normalizer")
-    if name not in ("sinkhorn-naive", "softmax"):
-        raise _Usage("gradcheck supports --normalizer sinkhorn-naive or softmax")
-    n = args.n
     with _inputs():
         rng = np.random.default_rng(_req(args, "seed"))
-    h = 1e-5
-    worst = 0.0
-    for _ in range(args.trials):
-        m = rng.uniform(0.1, 10.0, (n, n))
-        upstream = rng.standard_normal((n, n))
-        if name == "sinkhorn-naive":
-            fwd = lambda x: sinkhorn_naive(x, args.k)
-            analytic = sinkhorn_naive_vjp(m, args.k, upstream)
-        else:
-            fwd = lambda x: softmax_rows(x, args.tau)
-            analytic = softmax_vjp(m, args.tau, upstream)
-        fd = np.empty_like(m)
-        for i in range(n):
-            for j in range(n):
-                bump = np.zeros_like(m)
-                bump[i, j] = h
-                fd[i, j] = (
-                    (upstream * fwd(m + bump)).sum() - (upstream * fwd(m - bump)).sum()
-                ) / (2 * h)
-        scale = max(float(np.abs(fd).max()), 1e-12)
-        worst = max(worst, float(np.abs(analytic - fd).max()) / scale)
-    json.dump({"normalizer": name, "trials": args.trials, "max_relative_error": worst},
-              sys.stdout)
-    sys.stdout.write("\n")
+    error = vjp_check(name, k=args.k, tau=args.tau, n=args.n, trials=args.trials, seed=rng)
+    _emit({"normalizer": name, "trials": args.trials, "max_relative_error": error})
     return 0
 
 
-# --- parser -----------------------------------------------------------------
+# --- parser ---------------------------------------------------------------
 # Operator settings default to None: the spec's own default applies.
 
-def _add_common(sub) -> None:
-    sub.add_argument("--config", help="flat key=value defaults file")
-    sub.add_argument("--format", choices=("csv", "json"), default="csv")
-    sub.add_argument("--workers", type=int)
+def _add_circuit_flags(sub) -> None:
+    sub.add_argument("--seed", type=int)
+    sub.add_argument("--layers", type=int)
+    sub.add_argument("--aux-qubits", type=int)
+    sub.add_argument("--ansatz", choices=("simple", "trotter"))
+    sub.add_argument("--theta-seed", type=int)
+    sub.add_argument("--theta-file")
+
+
+def _add_setting_flags(sub) -> None:
+    sub.add_argument("--k", type=int, help="sinkhorn iteration count (odd)")
+    sub.add_argument("--power", type=int)
+    sub.add_argument("--method", choices=("dykstra", "splitting-qp"))
+    sub.add_argument("--tolerance", type=float)
+    sub.add_argument("--max-iterations", type=int)
+    _add_circuit_flags(sub)
 
 
 def _add_operator_flags(sub) -> None:
     sub.add_argument("--op")
-    sub.add_argument("--k", type=int, help="sinkhorn iteration count (odd)")
-    sub.add_argument("--tau", type=float, default=1.0, help="exp-scale temperature")
-    sub.add_argument("--power", type=int)
-    sub.add_argument("--method", choices=("dykstra", "splitting-qp"))
-    sub.add_argument("--tolerance", type=float)
-    sub.add_argument("--max-iterations", type=int, dest="max_iterations")
-    sub.add_argument("--seed", type=int)
-    sub.add_argument("--layers", type=int)
-    sub.add_argument("--aux-qubits", type=int, dest="aux_qubits")
-    sub.add_argument("--ansatz", choices=("simple", "trotter"))
-    sub.add_argument("--theta-seed", type=int, dest="theta_seed")
-    sub.add_argument("--theta-file", dest="theta_file")
+    sub.add_argument("--tau", type=float, default=1.0,
+                     help="softmax temperature, and exp-scale temperature for sinkhorn")
+    _add_setting_flags(sub)
 
 
 def _build_parser() -> tuple[argparse.ArgumentParser, argparse.Action]:
@@ -417,89 +373,83 @@ def _build_parser() -> tuple[argparse.ArgumentParser, argparse.Action]:
     )
     commands = parser.add_subparsers(dest="command", required=True)
 
-    sub = commands.add_parser("apply", help="apply a normalizer to one matrix")
-    _add_common(sub)
+    def command(name: str, func, help_text: str) -> argparse.ArgumentParser:
+        sub = commands.add_parser(name, help=help_text)
+        sub.add_argument("--config", help="flat key=value defaults file")
+        sub.set_defaults(func=func)
+        return sub
+
+    sub = command("apply", _cmd_apply, "apply a normalizer to one matrix")
     _add_operator_flags(sub)
     sub.add_argument("--input", default="-", help="matrix file (CSV or JSON); default stdin")
-    sub.add_argument("--exp-scale", action="store_true", dest="exp_scale",
+    sub.add_argument("--exp-scale", action="store_true",
                      help="pre-apply exp_scale (for the sinkhorn family on raw scores)")
-    sub.set_defaults(func=_cmd_apply)
+    sub.add_argument("--format", choices=("csv", "json"), default="csv")
 
-    sub = commands.add_parser("apply-attn", help="attention forward pass from Q/K/V files")
-    _add_common(sub)
-    _add_operator_flags(sub)
+    sub = command("apply-attn", _cmd_apply_attn, "attention forward pass from Q/K/V files")
     sub.add_argument("--normalizer")
-    sub.add_argument("--q-file", dest="q_file")
-    sub.add_argument("--key-file", dest="key_file")
-    sub.add_argument("--value-file", dest="value_file")
+    _add_setting_flags(sub)
+    sub.add_argument("--q-file")
+    sub.add_argument("--key-file")
+    sub.add_argument("--value-file")
     sub.add_argument("--temperature", type=float)
     sub.add_argument("--emit", choices=("output", "attn"), default="output")
-    sub.set_defaults(func=_cmd_apply_attn)
+    sub.add_argument("--format", choices=("csv", "json"), default="csv")
 
-    sub = commands.add_parser("sweep-unique", help="count distinct outputs over a grid")
-    _add_common(sub)
+    sub = command("sweep-unique", _cmd_sweep_unique, "count distinct outputs over a grid")
     _add_operator_flags(sub)
-    sub.add_argument("--n", type=int, dest="n")
-    sub.add_argument("--d", type=int, dest="d")
+    sub.add_argument("--n", type=int)
+    sub.add_argument("--d", type=int)
     sub.add_argument("--domain", choices=("cube", "sphere"), default="cube")
-    sub.add_argument("--rounding-decimals", type=int, dest="rounding_decimals", default=3)
+    sub.add_argument("--rounding-decimals", type=int, default=3)
     sub.add_argument("--start", type=int, default=0)
     sub.add_argument("--stop", type=int)
     sub.add_argument("--full", action="store_true",
                      help="confirm sweeps above 2^20 inputs")
-    sub.set_defaults(func=_cmd_sweep_unique)
+    sub.add_argument("--workers", type=int)
 
-    sub = commands.add_parser("sweep-tradeoff", help="entropy/residual rows on random inputs")
-    _add_common(sub)
+    sub = command("sweep-tradeoff", _cmd_sweep_tradeoff,
+                  "entropy/residual rows on random inputs")
     _add_operator_flags(sub)
     sub.add_argument("--n", type=int, default=8)
     sub.add_argument("--trials", type=int, default=100)
-    sub.set_defaults(func=_cmd_sweep_tradeoff)
 
-    sub = commands.add_parser("props", help="probe scale/permutation invariances")
-    _add_common(sub)
+    sub = command("props", _cmd_props, "probe scale/permutation invariances")
     _add_operator_flags(sub)
     sub.add_argument("--n", type=int, default=4)
     sub.add_argument("--trials", type=int, default=10)
-    sub.set_defaults(func=_cmd_props)
 
-    sub = commands.add_parser("count", help="count grid-valued doubly stochastic matrices")
-    _add_common(sub)
+    sub = command("count", _cmd_count, "count grid-valued doubly stochastic matrices")
     sub.add_argument("--n", type=int)
     sub.add_argument("--p", type=int)
     sub.add_argument("--mode", choices=("brute", "analytic", "decompose"), default="brute")
-    sub.set_defaults(func=_cmd_count)
 
-    sub = commands.add_parser("shots", help="finite-shot sampled circuit DSM")
-    _add_common(sub)
-    _add_operator_flags(sub)
+    sub = command("shots", _cmd_shots, "finite-shot sampled circuit DSM")
+    _add_circuit_flags(sub)
     sub.add_argument("--input", default="-", help="matrix file (CSV or JSON); default stdin")
     sub.add_argument("--shots", type=int)
     sub.add_argument("--project", action="store_true",
                      help="project the sampled matrix back to doubly stochastic")
-    sub.set_defaults(func=_cmd_shots)
+    sub.add_argument("--format", choices=("csv", "json"), default="csv")
 
-    sub = commands.add_parser("bench", help="wall-time scaling of the circuit simulator")
-    _add_common(sub)
-    sub.add_argument("--dsm-dim", type=int, dest="dsm_dim", default=4)
+    sub = command("bench", _cmd_bench, "wall-time scaling of the circuit simulator")
+    sub.add_argument("--dsm-dim", type=int, default=4)
     sub.add_argument("--layers", type=_int_list, default=[1, 2],
                      help="comma-separated layer counts")
-    sub.add_argument("--aux-qubits", type=_int_list, dest="aux_qubits", default=[0],
+    sub.add_argument("--aux-qubits", type=_int_list, default=[0],
                      help="comma-separated aux qubit counts")
     sub.add_argument("--ansatz", choices=("simple", "trotter"), default="simple")
     sub.add_argument("--reps", type=int, default=5)
-    sub.add_argument("--theta-seed", type=int, dest="theta_seed", default=0)
-    sub.set_defaults(func=_cmd_bench)
+    sub.add_argument("--theta-seed", type=int, default=0)
 
-    sub = commands.add_parser("gradcheck", help="compare analytic VJPs with finite differences")
-    _add_common(sub)
-    sub.add_argument("--normalizer")
+    sub = command("gradcheck", _cmd_gradcheck,
+                  "compare analytic VJPs with finite differences")
+    sub.add_argument("--normalizer", choices=VJP_NORMALIZERS)
     sub.add_argument("--k", type=int, default=3)
     sub.add_argument("--tau", type=float, default=1.0)
     sub.add_argument("--n", type=int, default=8)
     sub.add_argument("--trials", type=int, default=10)
     sub.add_argument("--seed", type=int)
-    sub.set_defaults(func=_cmd_gradcheck)
 
     return parser, commands
 
@@ -520,9 +470,8 @@ def main(argv=None) -> int:
         return 1
     except (ValueError, ProjectionError, AssertionError) as exc:
         echo = getattr(args, "echo", None)
-        json.dump({"error": str(exc), "input": None if echo is None else matrix_record(echo)},
-                  sys.stderr)
-        sys.stderr.write("\n")
+        _emit({"error": str(exc), "input": None if echo is None else matrix_record(echo)},
+              sys.stderr)
         return 2
 
 

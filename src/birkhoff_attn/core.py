@@ -37,28 +37,16 @@ def as_square(m, name: str = "matrix", stack: bool = False) -> np.ndarray:
 
 @dataclass(frozen=True)
 class StochasticityReport:
-    """How far a matrix is from being doubly stochastic.
-
-    ``frobenius_to_birkhoff`` stays None unless the (more expensive)
-    projection distance was requested.
-    """
+    """How far a matrix is from being doubly stochastic."""
 
     max_row_deviation: float
     max_col_deviation: float
     min_entry: float
-    frobenius_to_birkhoff: float | None = None
 
 
-def check_stochasticity(m, include_birkhoff_distance: bool = False) -> StochasticityReport:
+def check_stochasticity(m) -> StochasticityReport:
     """Measure worst row/column sum deviation from 1 and the minimum entry."""
-    row_dev, col_dev, min_entry = map(float, _deviations(as_square(m)))
-    dist = None
-    if include_birkhoff_distance:
-        # local import: the projection module depends on this one
-        from .birkhoff import birkhoff_distance
-
-        dist = birkhoff_distance(m)
-    return StochasticityReport(row_dev, col_dev, min_entry, dist)
+    return StochasticityReport(*map(float, _deviations(as_square(m))))
 
 
 def _deviations(m: np.ndarray):
@@ -243,23 +231,19 @@ def save_matrix_json(path, m) -> None:
             json.dump(obj, fh)
 
 
-def load_matrix(path, fmt: str | None = None) -> np.ndarray:
+def load_matrix(path) -> np.ndarray:
     """Load a square matrix from a path or a readable text stream.
 
-    When fmt is None the format is inferred: JSON for a path ending in
-    ".json" or a stream whose first non-blank character is "{", else CSV.
-    A stream holding only whitespace is rejected.
+    The format is inferred: JSON for a path ending in ".json" or a stream
+    whose first non-blank character is "{", else CSV.  A stream holding only
+    whitespace is rejected.
     """
-    if fmt is None and hasattr(path, "read"):
+    if hasattr(path, "read"):
         text = path.read()
         if not text.strip():
             raise ValueError("empty matrix input")
-        fmt = "json" if text.lstrip().startswith("{") else "csv"
+        json_input = text.lstrip().startswith("{")
         path = io.StringIO(text)
-    elif fmt is None:
-        fmt = "json" if str(path).endswith(".json") else "csv"
-    if fmt == "json":
-        return load_matrix_json(path)
-    if fmt == "csv":
-        return load_matrix_csv(path)
-    raise ValueError(f"unknown matrix format {fmt!r}")
+    else:
+        json_input = str(path).endswith(".json")
+    return load_matrix_json(path) if json_input else load_matrix_csv(path)

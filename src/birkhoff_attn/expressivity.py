@@ -117,9 +117,9 @@ def enumerate_grid(spec: GridSpec, start: int = 0, stop: int | None = None,
 class SweepReport:
     total_inputs: int
     unique_outputs: int
-    count_multiset: list[int]       # per-output multiplicities, descending
     entropy_stats: dict
     residual_stats: dict
+    count_multiset: list[int]       # per-output multiplicities, descending
 
 
 def _chunk_metrics(op, ms: np.ndarray, tau: float):

@@ -13,10 +13,8 @@ worker processes as they are.
 
 :func:`make_operator` returns the callable, picklable spec for a name and
 its settings; sweeps, invariance probes, attention and the command line
-all use it.  Specs replace the ``Operator`` wrapper: call the spec where
-``op.fn`` was called.  :class:`BirkhoffNormalizer` takes the
-:class:`~birkhoff_attn.birkhoff.ProjectionSettings` fields as its own, in
-place of ``BirkhoffNormalizer(settings=...)``.
+all use it.  :class:`BirkhoffNormalizer` takes the
+:class:`~birkhoff_attn.birkhoff.ProjectionSettings` fields as its own.
 """
 
 from __future__ import annotations
@@ -184,11 +182,18 @@ class QrNormalizer(Normalizer):
 
 @dataclass(frozen=True)
 class QontotNormalizer(Normalizer):
-    """Simulated circuit with parameter vector theta."""
+    """Simulated circuit with parameter vector theta, one angle per circuit parameter."""
 
     name = "qontot"
     config: CircuitConfig
     theta: np.ndarray
+
+    def __post_init__(self):
+        need = param_count(self.config)
+        if np.shape(self.theta) != (need,):
+            raise ValueError(f"theta has {np.size(self.theta)} values, config needs {need}"
+                             if np.ndim(self.theta) == 1 else
+                             f"theta must be a flat vector, got shape {np.shape(self.theta)}")
 
     def __call__(self, m) -> np.ndarray:
         return simulate_dsm(self.config, self.theta, m).matrix

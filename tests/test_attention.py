@@ -3,6 +3,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from birkhoff_attn import (
+    VJP_NORMALIZERS,
     AttentionConfig,
     BirkhoffNormalizer,
     CircuitConfig,
@@ -22,6 +23,7 @@ from birkhoff_attn import (
     sinkhorn_naive_vjp,
     softmax_rows,
     softmax_vjp,
+    vjp_check,
 )
 
 import oracles
@@ -218,6 +220,20 @@ class TestSoftmaxVjp:
         got = softmax_vjp(m, 2.0, upstream)
         assert_allclose(got[0], want_row0, atol=1e-15)
         assert_allclose(got[1], np.zeros(2), atol=1e-15)
+
+
+class TestVjpCheck:
+    @pytest.mark.parametrize("name", VJP_NORMALIZERS)
+    def test_each_vjp_agrees_with_finite_differences(self, name):
+        settings = dict(k=3, tau=0.7, n=4, trials=2)
+        error = vjp_check(name, seed=0, **settings)
+        assert 0.0 < error < 1e-4
+        # a Generator seeds the same draws as its integer seed
+        assert vjp_check(name, seed=np.random.default_rng(0), **settings) == error
+
+    def test_normalizer_without_a_vjp_is_rejected(self):
+        with pytest.raises(ValueError, match="no VJP for 'qr'"):
+            vjp_check("qr", k=3, tau=1.0, n=2, trials=1, seed=0)
 
 
 def test_normalizer_defaults():

@@ -1,3 +1,4 @@
+import argparse
 import io
 import json
 import os
@@ -19,7 +20,7 @@ from birkhoff_attn import (
     sinkhorn_naive,
     softmax_rows,
 )
-from birkhoff_attn.cli import main
+from birkhoff_attn.cli import _build_parser, main
 from birkhoff_attn.expressivity import _SWEEP_CHUNK
 
 CSV_2X2 = "2,1\n1,2\n"
@@ -142,6 +143,15 @@ class TestApply:
         )
         assert code == 0
         assert_allclose(parse_csv(out), np.eye(4), atol=0)
+
+    def test_qontot_theta_file_of_wrong_length(self, capsys, monkeypatch, tmp_path):
+        theta = tmp_path / "theta.csv"
+        theta.write_text("0,0,0\n")
+        code, out, err = invoke(
+            ["apply", "--op", "qontot", "--theta-file", str(theta)],
+            capsys, monkeypatch, stdin_text=CSV_ID4,
+        )
+        assert (code, out, err) == (1, "", "error: theta has 3 values, config needs 4\n")
 
     def test_qontot_needs_exactly_one_theta_source(self, capsys, monkeypatch):
         code, _, err = invoke(["apply", "--op", "qontot"],
@@ -588,6 +598,106 @@ class TestConfigFile:
         )
         assert code == 1
         assert "key=value" in err
+
+
+# one successful run per subcommand, with the stdin it reads
+BASE_RUNS = {
+    "apply": (["apply", "--op", "softmax"], CSV_2X2),
+    "apply-attn": (["apply-attn", "--normalizer", "softmax", *QKV_FLAGS], None),
+    "sweep-unique": (["sweep-unique", "--op", "softmax", "--n", "2", "--d", "2"], None),
+    "sweep-tradeoff": (["sweep-tradeoff", "--op", "softmax", "--n", "4", "--trials", "2",
+                        "--seed", "0"], None),
+    "props": (["props", "--op", "softmax", "--trials", "2", "--seed", "0"], None),
+    "count": (["count", "--n", "3", "--p", "2"], None),
+    "shots": (["shots", "--shots", "10", "--seed", "0", "--theta-seed", "0"], CSV_ID4),
+    "bench": (["bench", "--layers", "1", "--reps", "1"], None),
+    "gradcheck": (["gradcheck", "--normalizer", "softmax", "--n", "2", "--trials", "1",
+                   "--seed", "0"], None),
+}
+
+
+def operator_runs(command):
+    """argv and stdin of one successful run per operator (or per mode) of ``command``."""
+    ops = [["--op", name, *OPERATOR_FLAGS.get(name, [])] for name in OPERATOR_NAMES]
+    per_command = {
+        "apply": [([*op, "--exp-scale"], CSV_POS4) for op in ops],
+        "apply-attn": [(["--normalizer", *op[1:], *QKV_FLAGS], None) for op in ops],
+        # a grid above 2^20 inputs, so --full is read
+        "sweep-unique": [([*op, "--n", "4", "--d", "3", "--stop", "2", "--full",
+                           "--workers", "1"], None) for op in ops],
+        "sweep-tradeoff": [([*op, "--n", "4", "--trials", "2", "--seed", "0"], None)
+                           for op in ops],
+        "props": [([*op, "--n", "4", "--trials", "2", "--seed", "0"], None) for op in ops],
+        "count": [(["--n", "3", "--p", "3", "--mode", mode], None)
+                  for mode in ("brute", "analytic", "decompose")],
+        "shots": [(BASE_RUNS["shots"][0][1:], CSV_ID4)],
+        "bench": [(BASE_RUNS["bench"][0][1:], None)],
+        "gradcheck": [(["--normalizer", name, "--n", "2", "--trials", "1", "--seed", "0"], None)
+                      for name in birkhoff_attn.VJP_NORMALIZERS],
+    }
+    return [([command, *argv], stdin) for argv, stdin in per_command[command]]
+
+
+class ReadRecorder(argparse.Namespace):
+    """A namespace that records the name of every attribute read from it."""
+
+    def __init__(self):
+        super().__init__()
+        object.__setattr__(self, "_reads", set())
+
+    def __getattribute__(self, name):
+        if not name.startswith("_"):
+            object.__getattribute__(self, "_reads").add(name)
+        return object.__getattribute__(self, name)
+
+
+class TestDeclaredFlags:
+    @pytest.mark.parametrize("command", list(BASE_RUNS))
+    def test_every_declared_flag_is_read(self, command, capsys, monkeypatch, tmp_path):
+        monkeypatch.chdir(tmp_path)
+        write_qkv(tmp_path, t=4)
+        parser, commands = _build_parser()
+        declared = {action.dest for action in commands.choices[command]._actions
+                    if action.dest not in ("help", "config")}
+        read = set()
+        for argv, stdin_text in operator_runs(command):
+            monkeypatch.setattr("sys.stdin", io.StringIO(stdin_text or ""))
+            args = parser.parse_args(argv, namespace=ReadRecorder())
+            args._reads.clear()
+            assert args.func(args) == 0, argv
+            read |= args._reads
+        capsys.readouterr()
+        assert declared - read == set()
+
+    @pytest.mark.parametrize("command, flag, value", [
+        *((command, "--workers", "2") for command in BASE_RUNS if command != "sweep-unique"),
+        *((command, "--format", "json") for command in
+          ("sweep-unique", "sweep-tradeoff", "props", "count", "bench", "gradcheck")),
+        ("apply-attn", "--op", "qr"),
+        ("apply-attn", "--tau", "3"),
+        *(("shots", flag, value) for flag, value in (
+            ("--op", "qr"), ("--k", "4"), ("--tau", "3"), ("--power", "2"),
+            ("--method", "splitting-qp"), ("--tolerance", "1e-3"), ("--max-iterations", "1"))),
+    ])
+    def test_flag_no_handler_reads_is_rejected(self, command, flag, value, capsys,
+                                              monkeypatch, tmp_path):
+        monkeypatch.chdir(tmp_path)
+        write_qkv(tmp_path)
+        argv, stdin_text = BASE_RUNS[command]
+        assert invoke(argv, capsys, monkeypatch, stdin_text=stdin_text or "")[0] == 0
+        code, out, err = invoke([*argv, flag, value], capsys, monkeypatch,
+                                stdin_text=stdin_text or "")
+        assert code == 1 and out == ""
+        assert f"unrecognized arguments: {flag} {value}" in err
+
+    def test_config_keys_naming_no_flag_stay_ignored(self, capsys, monkeypatch, tmp_path):
+        config = tmp_path / "shared.cfg"
+        config.write_text("workers=2\nformat=json\nseed=0\n")
+        for argv, seed_flags in ((BASE_RUNS["count"][0], []),
+                                 (["props", "--op", "qr", "--trials", "2"], ["--seed", "0"])):
+            plain = invoke([*argv, *seed_flags], capsys)
+            assert plain[0] == 0
+            assert invoke([*argv, "--config", str(config)], capsys) == plain
 
 
 def run_cli(argv, **env_overrides):

@@ -12,6 +12,7 @@ from scipy.stats import spearmanr
 
 from birkhoff_attn import (
     as_dsm,
+    birkhoff_distance,
     check_stochasticity,
     frobenius_distance,
     load_matrix,
@@ -77,12 +78,13 @@ def test_check_stochasticity_measures_known_deviation():
     assert_allclose(r.max_row_deviation, 0.1)
     assert r.max_col_deviation == 0.0
     assert r.min_entry == 0.4
-    assert r.frobenius_to_birkhoff is None
 
 
 def test_check_stochasticity_projection_distance_of_dsm_is_zero():
-    r = check_stochasticity(np.eye(3), include_birkhoff_distance=True)
-    assert r.frobenius_to_birkhoff == pytest.approx(0.0, abs=1e-8)
+    m = np.eye(3)
+    r = check_stochasticity(m)
+    assert (r.max_row_deviation, r.max_col_deviation, r.min_entry) == (0.0, 0.0, 0.0)
+    assert birkhoff_distance(m) == pytest.approx(0.0, abs=1e-8)
 
 
 class TestShannonEntropy:

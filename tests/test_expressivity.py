@@ -51,7 +51,9 @@ def per_input_sweep(spec: GridSpec, op) -> SweepReport:
         return {"min": float(values.min()), "median": float(np.median(values)),
                 "mean": float(values.mean()), "max": float(values.max())}
 
-    return SweepReport(len(digests), len(counts), counts, stats(entropies), stats(residuals))
+    return SweepReport(total_inputs=len(digests), unique_outputs=len(counts),
+                       entropy_stats=stats(entropies), residual_stats=stats(residuals),
+                       count_multiset=counts)
 
 
 class TestGridSpec:

@@ -64,6 +64,12 @@ class TestMakeOperator:
         assert np.array_equal(op(np.random.default_rng(1).standard_normal((4, 4))),
                               np.eye(4))
 
+    def test_qontot_theta_length_is_checked_at_construction(self):
+        with pytest.raises(ValueError, match="theta has 3 values, config needs 4"):
+            make_operator("qontot", dsm_dim=4, theta=np.zeros(3))
+        with pytest.raises(ValueError, match="flat vector"):
+            make_operator("qontot", dsm_dim=4, theta=np.zeros((2, 2)))
+
     def test_projection_method_setting_flows_through(self):
         m = np.random.default_rng(2).standard_normal((3, 3))
         dykstra = make_operator("birkhoff-project")
