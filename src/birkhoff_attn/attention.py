@@ -22,7 +22,7 @@ import numpy as np
 
 from .core import as_square
 from .operators import Normalizer, Softmax, softmax_rows
-from .sinkhorn import _check_sinkhorn_args, sinkhorn_naive
+from .sinkhorn import _check_iterations, _check_sinkhorn_args, sinkhorn_naive
 
 
 @dataclass(frozen=True)
@@ -94,6 +94,18 @@ def softmax_vjp(m, tau: float, upstream) -> np.ndarray:
 VJP_NORMALIZERS = ("sinkhorn-naive", "softmax")
 
 
+def _vjp_pair(normalizer: str, *, k: int, tau: float):
+    """The forward map and VJP :func:`vjp_check` compares; ValueError for a bad name or setting."""
+    if normalizer == "sinkhorn-naive":
+        _check_iterations(k)
+        return lambda x: sinkhorn_naive(x, k), lambda m, g: sinkhorn_naive_vjp(m, k, g)
+    if normalizer == "softmax":
+        if not tau > 0.0:
+            raise ValueError(f"tau must be positive, got {tau}")
+        return lambda x: softmax_rows(x, tau), lambda m, g: softmax_vjp(m, tau, g)
+    raise ValueError(f"no VJP for {normalizer!r} (choose from {', '.join(VJP_NORMALIZERS)})")
+
+
 def vjp_check(normalizer: str, *, k: int, tau: float, n: int, trials: int, seed) -> float:
     """Worst relative error of a VJP against central finite differences.
 
@@ -105,20 +117,14 @@ def vjp_check(normalizer: str, *, k: int, tau: float, n: int, trials: int, seed)
     difference of sum(upstream * f(m)) at step 1e-5; the error of a trial is
     the largest absolute deviation over the largest finite difference.
     """
-    if normalizer not in VJP_NORMALIZERS:
-        raise ValueError(f"no VJP for {normalizer!r} (choose from {', '.join(VJP_NORMALIZERS)})")
+    fwd, vjp = _vjp_pair(normalizer, k=k, tau=tau)
     rng = np.random.default_rng(seed)
     h = 1e-5
     worst = 0.0
     for _ in range(trials):
         m = rng.uniform(0.1, 10.0, (n, n))
         upstream = rng.standard_normal((n, n))
-        if normalizer == "sinkhorn-naive":
-            fwd = lambda x: sinkhorn_naive(x, k)
-            analytic = sinkhorn_naive_vjp(m, k, upstream)
-        else:
-            fwd = lambda x: softmax_rows(x, tau)
-            analytic = softmax_vjp(m, tau, upstream)
+        analytic = vjp(m, upstream)
         fd = np.empty_like(m)
         for i in range(n):
             for j in range(n):

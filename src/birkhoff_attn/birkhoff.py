@@ -22,8 +22,8 @@ from scipy.linalg import cho_factor, cho_solve
 from .core import (
     Dsm,
     StochasticityReport,
-    _deviations,
     _frobenius_norms,
+    _off_polytope,
     as_dsm,
     as_square,
     check_stochasticity,
@@ -171,11 +171,9 @@ def project(m, settings: ProjectionSettings | None = None):
                               settings.max_iterations)
     if m.ndim == 2:
         return _validated(out[0], converged[0], settings)
-    row_dev, col_dev, min_entry = _deviations(out)
-    passed = (converged & (np.maximum(row_dev, col_dev) <= _VALIDATION)
-              & (min_entry >= -_VALIDATION))
-    if not passed.all():
-        first = int(np.argmin(passed))
+    failed = ~converged | _off_polytope(out, _VALIDATION)
+    if failed.any():
+        first = np.argmax(failed)
         _validated(out[first], converged[first], settings)  # raises for this matrix
     return out
 

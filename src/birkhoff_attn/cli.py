@@ -29,7 +29,7 @@ from dataclasses import asdict, fields
 
 import numpy as np
 
-from .attention import VJP_NORMALIZERS, AttentionConfig, attention_forward, vjp_check
+from .attention import VJP_NORMALIZERS, AttentionConfig, _vjp_pair, attention_forward, vjp_check
 from .birkhoff import ProjectionError, project
 from .core import (
     as_square,
@@ -157,6 +157,12 @@ def _req(args, name: str):
     return value
 
 
+def _at_least_one(args, *names) -> None:
+    for name in names:
+        if (value := getattr(args, name)) < 1:
+            raise _Usage(f"{name} must be >= 1, got {value}")
+
+
 def _workers(args) -> int:
     value = args.workers
     if value is None:
@@ -177,22 +183,36 @@ def _workers(args) -> int:
 
 # make_operator settings whose flag destination has another name
 _SETTING_FLAGS = {"iterations": "k", "noise_seed": "seed"}
+# destinations of the flags that set an operator; --tau is not among them,
+# as it has a default and also sets exp_scale's temperature
+_OPERATOR_FLAGS = ("k", "power", "method", "tolerance", "max_iterations", "seed",
+                   "layers", "aux_qubits", "ansatz", "theta_seed", "theta_file")
 
 
-def _operator(args, name: str, dsm_dim: int) -> Normalizer:
+def _operator(args, name: str, dsm_dim: int, reads_seed: bool = False) -> Normalizer:
     """The spec of operator ``name`` from the flags; settings not given keep its defaults.
 
     A spec field the subcommand has no flag for (apply-attn has no --tau)
-    keeps its default too.  qontot takes its size from ``dsm_dim`` and its
-    parameters from exactly one of --theta-seed / --theta-file.  Call it
-    inside ``_inputs``, so settings the spec rejects are usage errors.
+    keeps its default too.  A flag set for another operator is a usage
+    error; ``reads_seed`` marks a handler that takes --seed for its own
+    draws.  qontot takes its size from ``dsm_dim`` and its parameters from
+    exactly one of --theta-seed / --theta-file.  Call it inside ``_inputs``,
+    so settings the spec rejects are usage errors.
     """
     if name not in SPECS:
         raise _Usage(f"unknown operator {name!r} (choose from {', '.join(OPERATOR_NAMES)})")
     if name == "qontot":
         keys = ("aux_qubits", "layers", "ansatz")
+        taken = {*keys, "theta_seed", "theta_file"}
     else:
         keys = [f.name for f in fields(SPECS[name])]
+        taken = {_SETTING_FLAGS.get(key, key) for key in keys}
+    if reads_seed:
+        taken.add("seed")
+    stray = [f"--{flag.replace('_', '-')}" for flag in _OPERATOR_FLAGS
+             if flag not in taken and getattr(args, flag, None) is not None]
+    if stray:
+        raise _Usage(f"operator {name!r} takes no {', '.join(stray)}")
     settings = {key: value for key in keys
                 if (value := getattr(args, _SETTING_FLAGS.get(key, key), None)) is not None}
     theta = None
@@ -262,9 +282,10 @@ def _cmd_sweep_unique(args) -> int:
 
 def _cmd_sweep_tradeoff(args) -> int:
     name = _req(args, "op")
+    _at_least_one(args, "n", "trials")
     with _inputs():
         rng = np.random.default_rng(_req(args, "seed"))
-        op = _operator(args, name, args.n)
+        op = _operator(args, name, args.n, reads_seed=True)
         inputs = [rng.standard_normal((args.n, args.n)) for _ in range(args.trials)]
     rows = tradeoff_sweep(inputs, op, exp_scale_tau=args.tau)
     sys.stdout.write("index,entropy,residual\n")
@@ -275,8 +296,9 @@ def _cmd_sweep_tradeoff(args) -> int:
 
 def _cmd_props(args) -> int:
     name = _req(args, "op")
+    _at_least_one(args, "n", "trials")
     with _inputs():
-        op = _operator(args, name, args.n)
+        op = _operator(args, name, args.n, reads_seed=True)
     _emit(probe_invariances(op, trials=args.trials, seed=_req(args, "seed"), n=args.n))
     return 0
 
@@ -297,7 +319,7 @@ def _cmd_count(args) -> int:
 def _cmd_shots(args) -> int:
     m = _read_matrix(args.input)
     with _inputs():
-        circuit = _operator(args, "qontot", m.shape[0])
+        circuit = _operator(args, "qontot", m.shape[0], reads_seed=True)
     shots = _req(args, "shots")
     seed = _req(args, "seed")
     args.echo = m
@@ -315,6 +337,7 @@ def _cmd_shots(args) -> int:
 
 
 def _cmd_bench(args) -> int:
+    _at_least_one(args, "reps")
     with _inputs():
         configs = [
             CircuitConfig(dsm_dim=args.dsm_dim, aux_qubits=a, layers=l, ansatz=args.ansatz)
@@ -330,8 +353,10 @@ def _cmd_bench(args) -> int:
 
 def _cmd_gradcheck(args) -> int:
     name = _req(args, "normalizer")
+    _at_least_one(args, "n", "trials")
     with _inputs():
         rng = np.random.default_rng(_req(args, "seed"))
+        _vjp_pair(name, k=args.k, tau=args.tau)
     error = vjp_check(name, k=args.k, tau=args.tau, n=args.n, trials=args.trials, seed=rng)
     _emit({"normalizer": name, "trials": args.trials, "max_relative_error": error})
     return 0

@@ -59,6 +59,12 @@ def _deviations(m: np.ndarray):
     return row_dev, col_dev, m.min(axis=(-2, -1))
 
 
+def _off_polytope(m: np.ndarray, tolerance: float) -> np.ndarray:
+    """(B,) flags of the matrices of a stack that :func:`as_dsm` rejects at ``tolerance``."""
+    row_dev, col_dev, min_entry = _deviations(m)
+    return ~((np.maximum(row_dev, col_dev) <= tolerance) & (min_entry >= -tolerance))
+
+
 @dataclass(frozen=True)
 class Dsm:
     """A validated doubly stochastic matrix with its feasibility report."""

@@ -25,7 +25,7 @@ from itertools import islice, product
 import numpy as np
 
 from .core import _odometer, frobenius_distance, shannon_entropy
-from .operators import Normalizer
+from .operators import Normalizer, _each
 from .sinkhorn import exp_scale
 
 _SWEEP_CHUNK = 512  # fixed regardless of worker count
@@ -123,14 +123,14 @@ class SweepReport:
 
 
 def _chunk_metrics(op, ms: np.ndarray, tau: float):
-    """Outputs, entropies and residuals of a (B, n, n) input stack, one operator call.
+    """Outputs, entropies and residuals of a (B, n, n) input stack.
 
     Positive-domain operators get one exp_scale call on the stack first.  A
-    spec's ``batch`` applies it; a bare callable goes through the base
-    :meth:`Normalizer.batch`, one call per matrix.
+    spec takes the whole stack in one call; a bare callable takes one matrix
+    at a time, so it is mapped over the stack.
     """
     x = exp_scale(ms, tau) if getattr(op, "needs_positive", False) else ms
-    outs = op.batch(x) if isinstance(op, Normalizer) else Normalizer.batch(op, x)
+    outs = op(x) if isinstance(op, Normalizer) else _each(op, x)
     return outs, shannon_entropy(outs), frobenius_distance(ms, outs)
 
 

@@ -2,9 +2,13 @@
 
 Each operator is a frozen, picklable dataclass derived from the exported
 base :class:`Normalizer`.  Its fields are the operator's settings, with
-their defaults; calling a spec applies the operator to one square matrix,
-``batch(ms)`` applies it to each matrix of a (B, n, n) stack, and
+their defaults; calling a spec applies the operator to one square matrix or
+to each matrix of a (B, n, n) stack, returning the input's shape, and
 ``attend(scores, tau)`` applies it to attention scores at temperature tau.
+A stack is one kernel call for softmax, the Sinkhorn family, Dykstra
+projection and qr, each matrix to the same bits as alone; the circuit and
+the splitting-qp projection take one matrix at a time, so their specs map
+the kernel over the stack.
 ``needs_positive`` marks operators whose domain is strictly positive
 matrices (the Sinkhorn family); sweep drivers feed those through
 :func:`~birkhoff_attn.sinkhorn.exp_scale` first, and in attention they
@@ -25,7 +29,7 @@ from typing import ClassVar
 import numpy as np
 
 from .birkhoff import DYKSTRA, ProjectionSettings, project
-from .core import as_square
+from .core import Dsm, as_square
 from .qontot import CircuitConfig, param_count, simulate_dsm
 from .qr import qr_dsm
 from .sinkhorn import exp_scale, sinkhorn_naive, sinkhorn_ot
@@ -65,13 +69,25 @@ def norm_softmax(m, tau: float = 1.0, power: int = 1) -> np.ndarray:
     return _softmax(m, np.reshape(temps, m.shape[:-2] + (1, 1)))
 
 
+def _each(fn, m) -> np.ndarray:
+    """``fn`` on one matrix, or on each matrix of a (B, n, n) stack in turn, as float64."""
+    if np.ndim(m) != 3:
+        return fn(m)
+    return np.array([fn(x) for x in m], dtype=np.float64).reshape(np.shape(m))
+
+
+def _array(result) -> np.ndarray:
+    """The matrix of a single input's Dsm, or a stack's array as it is."""
+    return result.matrix if isinstance(result, Dsm) else result
+
+
 class Normalizer:
     """Base of the operator specs.
 
     A subclass is a frozen dataclass whose fields are the operator's
     settings; it sets the class attributes ``name`` and ``needs_positive``
-    and defines ``__call__``.  By default ``attend`` normalizes the
-    temperature-scaled scores ``scores / tau``.
+    and defines ``__call__`` on a matrix or a (B, n, n) stack.  By default
+    ``attend`` normalizes the temperature-scaled scores ``scores / tau``.
     """
 
     name: ClassVar[str]
@@ -80,30 +96,13 @@ class Normalizer:
     def __call__(self, m) -> np.ndarray:
         raise NotImplementedError
 
-    def batch(self, ms) -> np.ndarray:
-        """The operator on each matrix of a (B, n, n) stack, as a float64 (B, n, n) array.
-
-        This base version calls the spec once per matrix, and serves any
-        callable: ``Normalizer.batch(fn, ms)`` maps ``fn`` the same way.
-        Specs whose kernel takes a whole stack override it with one call.
-        """
-        ms = np.asarray(ms)
-        return np.array([self(m) for m in ms], dtype=np.float64).reshape(ms.shape)
-
     def attend(self, scores: np.ndarray, tau: float) -> np.ndarray:
         """Attention weights from the score matrix at temperature tau."""
         return self(scores / tau)
 
 
-class _Stacked(Normalizer):
-    """Specs whose kernel takes a (B, n, n) stack, so a batch is one kernel call."""
-
-    def batch(self, ms) -> np.ndarray:
-        return self(ms)
-
-
 @dataclass(frozen=True)
-class Softmax(_Stacked):
+class Softmax(Normalizer):
     """Row softmax; in attention, tau is its temperature."""
 
     name = "softmax"
@@ -117,7 +116,7 @@ class Softmax(_Stacked):
 
 
 @dataclass(frozen=True)
-class NormSoftmax(_Stacked):
+class NormSoftmax(Normalizer):
     """Row softmax at the std (power 1) or variance (power 2) of the input, capped at tau."""
 
     name = "norm-softmax"
@@ -131,7 +130,7 @@ class NormSoftmax(_Stacked):
         return norm_softmax(scores, tau, self.power)
 
 
-class _Sinkhorn(_Stacked):
+class _Sinkhorn(Normalizer):
     """The Sinkhorn family: positive inputs only, so attention exponentiates the scores."""
 
     needs_positive = True
@@ -165,10 +164,9 @@ class BirkhoffNormalizer(ProjectionSettings, Normalizer):
     name = "birkhoff-project"
 
     def __call__(self, m) -> np.ndarray:
-        return project(m, self).matrix
-
-    def batch(self, ms) -> np.ndarray:
-        return project(ms, self) if self.method == DYKSTRA else super().batch(ms)
+        if self.method == DYKSTRA:
+            return _array(project(m, self))
+        return _each(lambda x: project(x, self).matrix, m)
 
 
 @dataclass(frozen=True)
@@ -177,7 +175,7 @@ class QrNormalizer(Normalizer):
     noise_seed: int | None = None
 
     def __call__(self, m) -> np.ndarray:
-        return qr_dsm(m, self.noise_seed).matrix
+        return _array(qr_dsm(m, self.noise_seed))
 
 
 @dataclass(frozen=True)
@@ -196,7 +194,7 @@ class QontotNormalizer(Normalizer):
                              f"theta must be a flat vector, got shape {np.shape(self.theta)}")
 
     def __call__(self, m) -> np.ndarray:
-        return simulate_dsm(self.config, self.theta, m).matrix
+        return _each(lambda x: simulate_dsm(self.config, self.theta, x).matrix, m)
 
 
 SPECS = {

@@ -6,38 +6,47 @@ factorization yields a doubly stochastic matrix for free.  Q is computed by
 modified Gram-Schmidt; the diagonal of R is a column norm and therefore
 already non-negative, which fixes the sign convention.  Rank-deficient input
 is handled by perturbing the original matrix with small seeded Gaussian noise
-and restarting.
+and restarting.  Both functions take one matrix or a (B, n, n) stack, and
+each matrix of a stack comes out bit for bit as it would alone.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .core import Dsm, as_dsm, as_square
+from .core import Dsm, _off_polytope, as_dsm, as_square
 
 _PIVOT_FLOOR = 1e-10   # residual column norm below this counts as rank deficiency
 _NOISE_STD = 1e-7      # std of the entrywise restart perturbation
 _MAX_RESTARTS = 5
+_VALIDATION = 1e-9     # as_dsm tolerance of qr_dsm's output
 
 
-def _mgs(m: np.ndarray) -> np.ndarray | None:
-    """One modified Gram-Schmidt sweep; None when a pivot collapses.
+def _mgs(ms: np.ndarray):
+    """Modified Gram-Schmidt on a (B, n, n) stack: Q and a (B,) flag of collapsed pivots.
 
-    Each column is orthogonalized twice against the finished columns: the
-    second pass costs little and keeps Q'Q near machine precision even when a
-    residual barely clears the pivot floor.
+    A flagged matrix's Q is garbage; the sweep stops once all are flagged.
+    Each column is orthogonalized twice, which keeps Q'Q near machine
+    precision when a residual barely clears the floor.  Columns stay (n, 1)
+    slices and the pivot is sqrt(v'v), so each matrix gets its bits alone.
     """
-    n = m.shape[0]
-    q = np.zeros_like(m)
-    for j in range(n):
-        v = m[:, j].copy()
-        for _ in range(2):
-            v -= q[:, :j] @ (q[:, :j].T @ v)
-        pivot = np.linalg.norm(v)
-        if pivot < _PIVOT_FLOOR:
-            return None
-        q[:, j] = v / pivot
-    return q
+    q = np.zeros_like(ms)
+    deficient = np.zeros(len(ms), dtype=bool)
+    columns = np.ascontiguousarray(ms.transpose(2, 0, 1))[..., None]  # column j: (B, n, 1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for j, v in enumerate(columns):
+            done = q[:, :, :j]
+            done_t = done.transpose(0, 2, 1)
+            for _ in range(2):
+                v -= done @ (done_t @ v)
+            pivot = np.sqrt(v.transpose(0, 2, 1) @ v)
+            collapsed = (pivot < _PIVOT_FLOOR).ravel()  # NaN pivots of flagged matrices: False
+            if collapsed.any():
+                deficient |= collapsed
+                if deficient.all():
+                    break
+            np.divide(v, pivot, out=q[:, :, j:j + 1])
+    return q, deficient
 
 
 def qr_orthonormalize(m, noise_seed: int | None = None) -> np.ndarray:
@@ -47,23 +56,37 @@ def qr_orthonormalize(m, noise_seed: int | None = None) -> np.ndarray:
     noise (std 1e-7) drawn from ``noise_seed`` is added to the original
     matrix and the sweep restarts, at most five times.  A seed is required as
     soon as that path is taken, so deficiency-free inputs stay exactly
-    reproducible without one.
+    reproducible without one.  In a stack, every deficient matrix restarts
+    from its own ``default_rng(noise_seed)``, as it would alone.
     """
-    m = as_square(m)
-    q = _mgs(m)
-    if q is not None:
-        return q
-    if noise_seed is None:
-        raise ValueError("input is rank deficient; a noise_seed is required")
-    rng = np.random.default_rng(noise_seed)
-    for _ in range(_MAX_RESTARTS):
-        q = _mgs(m + rng.normal(0.0, _NOISE_STD, size=m.shape))
-        if q is not None:
-            return q
-    raise ValueError(f"rank deficiency persisted through {_MAX_RESTARTS} noise restarts")
+    m = as_square(m, stack=True)
+    ms = m.reshape(-1, *m.shape[-2:])
+    q, deficient = _mgs(ms)
+    if deficient.any():
+        if noise_seed is None:
+            raise ValueError("input is rank deficient; a noise_seed is required")
+        rng = np.random.default_rng(noise_seed)
+        todo = np.flatnonzero(deficient)
+        for _ in range(_MAX_RESTARTS):
+            retry, deficient = _mgs(ms[todo] + rng.normal(0.0, _NOISE_STD, size=m.shape[-2:]))
+            q[todo[~deficient]] = retry[~deficient]
+            todo = todo[deficient]
+            if not todo.size:
+                break
+        else:
+            raise ValueError(f"rank deficiency persisted through {_MAX_RESTARTS} noise restarts")
+    return q.reshape(m.shape)
 
 
-def qr_dsm(m, noise_seed: int | None = None) -> Dsm:
-    """Entrywise square of the Gram-Schmidt Q: a doubly stochastic matrix."""
-    q = qr_orthonormalize(m, noise_seed)
-    return as_dsm(q * q)
+def qr_dsm(m, noise_seed: int | None = None) -> Dsm | np.ndarray:
+    """Entrywise square of the Gram-Schmidt Q: a doubly stochastic matrix.
+
+    A :class:`Dsm` for one matrix; for a stack, the validated array, or the
+    first failing matrix's error.
+    """
+    p = qr_orthonormalize(m, noise_seed) ** 2
+    if p.ndim == 2:
+        return as_dsm(p, _VALIDATION)
+    if (off := _off_polytope(p, _VALIDATION)).any():
+        as_dsm(p[np.argmax(off)], _VALIDATION)  # raises for this matrix
+    return p

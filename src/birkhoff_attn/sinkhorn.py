@@ -43,9 +43,13 @@ def _check_sinkhorn_args(m, k: int) -> np.ndarray:
     m = as_square(m, stack=True)
     if not np.all(m > 0.0):
         raise ValueError("sinkhorn input must be strictly positive")
+    _check_iterations(k)
+    return m
+
+
+def _check_iterations(k: int) -> None:
     if k < 1 or k % 2 == 0:
         raise ValueError(f"iteration count must be odd and >= 1, got {k}")
-    return m
 
 
 def sinkhorn_naive(m, k: int) -> np.ndarray:

@@ -279,6 +279,65 @@ class TestOperatorFlags:
         assert err.startswith("error: ") and message in err
 
 
+    @pytest.mark.parametrize("argv, message", [
+        (["gradcheck", "--normalizer", "sinkhorn-naive", "--k", "2"], "iteration count must be odd"),
+        (["gradcheck", "--normalizer", "softmax", "--tau", "-1"], "tau must be positive"),
+        (["gradcheck", "--normalizer", "softmax", "--n", "0"], "n must be >= 1, got 0"),
+        (["gradcheck", "--normalizer", "softmax", "--trials", "0"], "trials must be >= 1, got 0"),
+        (["props", "--op", "softmax", "--n", "0"], "n must be >= 1, got 0"),
+        (["props", "--op", "softmax", "--trials", "-2"], "trials must be >= 1, got -2"),
+        (["sweep-tradeoff", "--op", "softmax", "--n", "0"], "n must be >= 1, got 0"),
+        (["sweep-tradeoff", "--op", "softmax", "--trials", "0"], "trials must be >= 1, got 0"),
+        (["bench", "--reps", "0"], "reps must be >= 1, got 0"),
+    ])
+    def test_invalid_count_or_setting_fails_before_any_work(self, argv, message, capsys,
+                                                             monkeypatch):
+        def work(*args, **kw):
+            raise AssertionError("work started before the settings were checked")
+
+        for name in ("vjp_check", "probe_invariances", "tradeoff_sweep", "bench_circuit"):
+            monkeypatch.setattr(f"birkhoff_attn.cli.{name}", work)
+        seed = [] if argv[0] == "bench" else ["--seed", "0"]
+        code, out, err = invoke([*argv, *seed], capsys)
+        assert (code, out) == (1, "")
+        assert err.startswith("error: ") and message in err and err.count("\n") == 1
+
+
+# flags that set an operator other than softmax
+OTHER_OPERATOR_FLAGS = [("--k", "5"), ("--power", "2"), ("--method", "splitting-qp"),
+                        ("--tolerance", "1e-3"), ("--max-iterations", "9"), ("--layers", "4"),
+                        ("--aux-qubits", "1"), ("--ansatz", "trotter"), ("--theta-seed", "1"),
+                        ("--theta-file", "theta.csv"), ("--seed", "3")]
+
+
+class TestOtherOperatorSettings:
+    @pytest.mark.parametrize("command, flag, value", [
+        (command, flag, value)
+        for command in ("apply", "apply-attn", "sweep-unique", "sweep-tradeoff", "props")
+        for flag, value in OTHER_OPERATOR_FLAGS
+        # sweep-tradeoff and props read --seed for their own draws
+        if not (flag == "--seed" and command in ("sweep-tradeoff", "props"))
+    ])
+    def test_flag_of_another_operator_is_usage_error(self, command, flag, value, capsys,
+                                                    monkeypatch, tmp_path):
+        monkeypatch.chdir(tmp_path)
+        write_qkv(tmp_path)
+        argv, stdin_text = BASE_RUNS[command]  # a softmax run
+        code, out, err = invoke([*argv, flag, value], capsys, monkeypatch,
+                                stdin_text=stdin_text or "")
+        assert (code, out) == (1, "")
+        assert err == f"error: operator 'softmax' takes no {flag}\n"
+
+    def test_config_value_of_another_operator_is_usage_error(self, capsys, monkeypatch,
+                                                            tmp_path):
+        config = tmp_path / "sinkhorn.cfg"
+        config.write_text("k=5\n")
+        argv, stdin_text = BASE_RUNS["apply"]
+        code, out, err = invoke([*argv, "--config", str(config)], capsys, monkeypatch,
+                                stdin_text=stdin_text)
+        assert (code, out, err) == (1, "", "error: operator 'softmax' takes no --k\n")
+
+
 class TestUsageErrors:
     def test_unknown_subcommand(self, capsys):
         assert main(["frobnicate"]) == 1

@@ -8,7 +8,6 @@ from birkhoff_attn import (
     AttentionConfig,
     CircuitConfig,
     OPERATOR_NAMES,
-    Normalizer,
     attention_forward,
     exp_scale,
     make_operator,
@@ -18,6 +17,7 @@ from birkhoff_attn import (
     sinkhorn_naive,
     softmax_rows,
 )
+from birkhoff_attn.operators import _each
 
 # the settings each operator needs beyond its defaults, for 4x4 inputs
 SETTINGS = {
@@ -103,28 +103,25 @@ class TestSpec:
         assert np.array_equal(result["output"], want @ vm)
 
 
-    @pytest.mark.parametrize("batch", [1, 2, 7])
+    @pytest.mark.parametrize("batch", [1, 2, 7, 512])
     def test_batch_matches_each_call(self, name, batch):
-        op = make_operator(name, **SETTINGS.get(name, {}))
+        ops = [make_operator(name, **SETTINGS.get(name, {}))]
+        if name == "birkhoff-project":
+            ops.append(make_operator(name, method="splitting-qp"))
         stack = np.random.default_rng(batch).uniform(0.1, 2.0, (batch, 4, 4))
-        out = op.batch(stack)
-        assert out.shape == stack.shape and out.dtype == np.float64
-        for i, m in enumerate(stack):
-            assert out[i].tobytes() == op(m).tobytes()
+        for op in ops:
+            out = op(stack)
+            assert out.shape == stack.shape and out.dtype == np.float64
+            for i, m in enumerate(stack):
+                assert out[i].tobytes() == op(m).tobytes()
 
 
 class TestBatch:
-    def test_base_batch_maps_a_bare_callable(self):
+    def test_each_maps_a_bare_callable(self):
         stack = np.arange(12.0).reshape(3, 2, 2)
-        assert np.array_equal(Normalizer.batch(lambda m: m.T, stack), stack.transpose(0, 2, 1))
-        assert Normalizer.batch(lambda m: m, np.ones((0, 2, 2))).shape == (0, 2, 2)
-
-    def test_splitting_qp_batch_goes_through_the_base_map(self):
-        op = make_operator("birkhoff-project", method="splitting-qp")
-        stack = np.random.default_rng(5).standard_normal((3, 3, 3))
-        out = op.batch(stack)
-        for i, m in enumerate(stack):
-            assert out[i].tobytes() == op(m).tobytes()
+        assert np.array_equal(_each(lambda m: m.T, stack), stack.transpose(0, 2, 1))
+        assert _each(lambda m: m, np.ones((0, 2, 2))).shape == (0, 2, 2)
+        assert np.array_equal(_each(lambda m: m.T, stack[0]), stack[0].T)
 
     @pytest.mark.parametrize("n", [1, 2, 4, 16])
     @pytest.mark.parametrize("batch", [1, 2, 7, 512])

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,7 +7,8 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 import birkhoff_attn.qr as qr_module
-from birkhoff_attn import qr_dsm, qr_orthonormalize
+from birkhoff_attn import GridSpec, qr_dsm, qr_orthonormalize
+from birkhoff_attn.expressivity import grid_matrices
 
 import oracles
 
@@ -91,6 +94,61 @@ class TestQrDsm:
     def test_scale_invariance_is_exact_for_powers_of_two(self):
         m = np.random.default_rng(5).standard_normal((4, 4))
         assert np.array_equal(qr_dsm(m).matrix, qr_dsm(2.0 * m).matrix)
+
+
+def with_zero_column(m, j):
+    out = m.copy()
+    out[:, j] = 0.0
+    return out
+
+
+class TestStack:
+    def test_mixed_stack_matches_each_matrix_alone(self):
+        rng = np.random.default_rng(6)
+        full = list(rng.standard_normal((3, 5, 5)))
+        deficient = [np.ones((5, 5)), with_zero_column(full[0], 3),
+                     rng.standard_normal((5, 2)) @ rng.standard_normal((2, 5))]
+        stack = np.array([full[0], deficient[0], full[1], deficient[1], deficient[2], full[2]])
+        q = qr_orthonormalize(stack, noise_seed=11)
+        p = qr_dsm(stack, noise_seed=11)
+        assert q.shape == p.shape == stack.shape
+        for i, m in enumerate(stack):
+            assert q[i].tobytes() == qr_orthonormalize(m, noise_seed=11).tobytes()
+            assert p[i].tobytes() == qr_dsm(m, noise_seed=11).matrix.tobytes()
+
+    def test_collapses_at_different_columns_are_all_restarted(self):
+        # the first matrix collapses at column 1 and its later pivots are NaN,
+        # which must not hide the second matrix's collapse at column 2
+        rng = np.random.default_rng(7)
+        stack = np.array([with_zero_column(rng.standard_normal((4, 4)), 1),
+                          with_zero_column(rng.standard_normal((4, 4)), 2)])
+        q = qr_orthonormalize(stack, noise_seed=0)
+        assert np.isfinite(q).all()
+        for i, m in enumerate(stack):
+            assert q[i].tobytes() == qr_orthonormalize(m, noise_seed=0).tobytes()
+
+    def test_one_deficient_matrix_without_seed_raises(self):
+        stack = np.array([np.eye(3), np.ones((3, 3)), np.eye(3)])
+        with pytest.raises(ValueError, match="a noise_seed is required"):
+            qr_orthonormalize(stack)
+
+    def test_all_restarts_exhausted_raises_on_a_stack(self, monkeypatch):
+        monkeypatch.setattr(qr_module, "_NOISE_STD", 1e-300)
+        with pytest.raises(ValueError, match="persisted"):
+            qr_dsm(np.array([np.eye(3), np.ones((3, 3))]), noise_seed=0)
+
+
+@pytest.mark.parametrize("stack, noise_seed, digest", [
+    # the first 512 inputs of the n=4, d=3 cube: many restarts
+    (grid_matrices(GridSpec(n=4, d=3), 0, 512), 0,
+     "696a1eda7d303948ca18305d6f1e1de42d0f0a07250600f7f1476639e420060b"),
+    (np.random.default_rng(0).standard_normal((2, 64, 64)), None,
+     "cf13287770dc7dfdbdaab7c7eda278f0f41234fe1f3b19fe3a0bb39522d4d538"),
+], ids=["cube-4-3", "normal-64"])
+def test_output_bits_are_pinned(stack, noise_seed, digest):
+    # digests of each matrix's qr_dsm output, computed one matrix at a time
+    # by the scalar Gram-Schmidt this kernel replaced
+    assert hashlib.sha256(qr_dsm(stack, noise_seed).tobytes()).hexdigest() == digest
 
 
 @given(st.integers(0, 2**32 - 1), st.integers(2, 7))
