@@ -236,8 +236,8 @@ def _cmd_apply(args) -> int:
     with _inputs():
         op = _operator(args, name, m.shape[0])
     args.echo = m
-    x = exp_scale(m, args.tau) if op.needs_positive and args.exp_scale else m
-    out = op(x)
+    with np.errstate(all="ignore"):  # a non-finite result fails the check below
+        out = op(exp_scale(m, args.tau) if op.needs_positive and args.exp_scale else m)
     report = check_stochasticity(out)  # before printing, so a failed run leaves stdout empty
     _print_matrix(out, args.format)
     _emit({"op": name} | asdict(report), sys.stderr)
@@ -354,10 +354,15 @@ def _cmd_bench(args) -> int:
 def _cmd_gradcheck(args) -> int:
     name = _req(args, "normalizer")
     _at_least_one(args, "n", "trials")
+    unread = "k" if name == "softmax" else "tau"  # sinkhorn-naive reads --k, softmax --tau
+    if getattr(args, unread) is not None:
+        raise _Usage(f"operator {name!r} takes no --{unread}")
+    k = 3 if args.k is None else args.k
+    tau = 1.0 if args.tau is None else args.tau
     with _inputs():
         rng = np.random.default_rng(_req(args, "seed"))
-        _vjp_pair(name, k=args.k, tau=args.tau)
-    error = vjp_check(name, k=args.k, tau=args.tau, n=args.n, trials=args.trials, seed=rng)
+        _vjp_pair(name, k=k, tau=tau)
+    error = vjp_check(name, k=k, tau=tau, n=args.n, trials=args.trials, seed=rng)
     _emit({"normalizer": name, "trials": args.trials, "max_relative_error": error})
     return 0
 
@@ -470,8 +475,8 @@ def _build_parser() -> tuple[argparse.ArgumentParser, argparse.Action]:
     sub = command("gradcheck", _cmd_gradcheck,
                   "compare analytic VJPs with finite differences")
     sub.add_argument("--normalizer", choices=VJP_NORMALIZERS)
-    sub.add_argument("--k", type=int, default=3)
-    sub.add_argument("--tau", type=float, default=1.0)
+    sub.add_argument("--k", type=int, help="sinkhorn-naive iteration count (odd; default 3)")
+    sub.add_argument("--tau", type=float, help="softmax temperature (default 1.0)")
     sub.add_argument("--n", type=int, default=8)
     sub.add_argument("--trials", type=int, default=10)
     sub.add_argument("--seed", type=int)

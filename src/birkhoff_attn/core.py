@@ -95,6 +95,18 @@ def as_dsm(m, tolerance: float = 1e-9) -> Dsm:
     return Dsm(m, float(tolerance), report)
 
 
+def _dsm_or_stack(p: np.ndarray, tolerance: float) -> Dsm | np.ndarray:
+    """:func:`as_dsm` of one matrix; a (B, n, n) stack passes the same check per matrix.
+
+    A stack comes back as it is, or raises the first failing matrix's error.
+    """
+    if p.ndim == 2:
+        return as_dsm(p, tolerance)
+    if (off := _off_polytope(p, tolerance)).any():
+        as_dsm(p[np.argmax(off)], tolerance)  # raises for this matrix
+    return p
+
+
 def _odometer(lo: int, hi: int, base: int, width: int) -> np.ndarray:
     """Base-``base`` digits of lo..hi-1 as a (hi - lo, width) array, most significant first.
 

@@ -6,9 +6,9 @@ their defaults; calling a spec applies the operator to one square matrix or
 to each matrix of a (B, n, n) stack, returning the input's shape, and
 ``attend(scores, tau)`` applies it to attention scores at temperature tau.
 A stack is one kernel call for softmax, the Sinkhorn family, Dykstra
-projection and qr, each matrix to the same bits as alone; the circuit and
-the splitting-qp projection take one matrix at a time, so their specs map
-the kernel over the stack.
+projection, qr and the circuit, each matrix to the same bits as alone; the
+splitting-qp projection takes one matrix at a time, so its spec maps the
+kernel over the stack.
 ``needs_positive`` marks operators whose domain is strictly positive
 matrices (the Sinkhorn family); sweep drivers feed those through
 :func:`~birkhoff_attn.sinkhorn.exp_scale` first, and in attention they
@@ -194,7 +194,7 @@ class QontotNormalizer(Normalizer):
                              f"theta must be a flat vector, got shape {np.shape(self.theta)}")
 
     def __call__(self, m) -> np.ndarray:
-        return _each(lambda x: simulate_dsm(self.config, self.theta, x).matrix, m)
+        return _array(simulate_dsm(self.config, self.theta, m))
 
 
 SPECS = {

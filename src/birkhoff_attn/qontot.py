@@ -6,8 +6,19 @@ angles are the input-matrix entries cyclically multiplied into a trainable
 parameter vector, the data register occupies the least-significant index
 bits, and any auxiliary qubits are traced out by summing |W|^2 over aux
 blocks and dividing by the aux dimension -- which preserves double
-stochasticity.  The simulation streams one basis-state column of W at a
-time, so memory stays at one statevector (O(2^q)); W is never materialized.
+stochasticity.
+
+The simulation runs a batch of inputs at once: a (B, 2^q, c) state holds a
+block of c basis-state columns of each input's W, and every gate is an
+elementwise update of that state with the input's own coefficients, so each
+matrix of a stack comes out to the same bits as alone.  The block width c
+and the inputs per pass follow from the config alone and keep a pass within
+2^15 amplitudes (512 KiB), or one column of one input above 15 qubits, so
+memory stays O(2^q) and W is only held whole when it fits that budget.  The
+budget is small enough that a pass and the temporaries of its gates (about
+1.25 MiB) stay in a core's L2 cache: every gate streams over the whole
+state, so a state larger than the cache makes every gate a pass over main
+memory.
 
 Two ansatz families:
 
@@ -23,20 +34,18 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from functools import lru_cache, reduce
 
 import numpy as np
 
-from .core import Dsm, as_dsm, as_square
+from .core import Dsm, _dsm_or_stack, as_square
 
 _MAX_QUBITS = 24
-_COLUMN_CHUNK = 64  # fixed, so the summation order and the output bits never change
+_AMPLITUDE_BUDGET = 1 << 15  # amplitudes one pass holds: 512 KiB of complex128
+_VALIDATION = 1e-9  # as_dsm tolerance of the output
 _MIN_SAMPLE_SECONDS = 0.02  # bench_circuit repeats a call until one sample lasts this long
 
 SIMPLE = "simple"
 TROTTER = "trotter"
-
-_I2 = np.eye(2, dtype=np.complex128)
 
 
 @dataclass(frozen=True)
@@ -106,29 +115,45 @@ def inject(theta, m) -> np.ndarray:
     """Angles theta_k * vec(m)[k mod n^2], with vec the row-major flattening.
 
     The matrix entries cycle when there are more parameters than entries;
-    surplus entries are ignored when there are fewer.
+    surplus entries are ignored when there are fewer.  A (B, n, n) stack
+    gives a (B, len(theta)) array, one row of angles per matrix.
     """
     theta = np.asarray(theta, dtype=np.float64)
     if theta.ndim != 1:
         raise ValueError("theta must be a flat vector")
-    vec = as_square(m).ravel()
-    return theta * vec[np.arange(theta.size) % vec.size]
+    m = as_square(m, stack=True)
+    vec = m.reshape(m.shape[:-2] + (m.shape[-1] ** 2,))
+    return theta * vec[..., np.arange(theta.size) % vec.shape[-1]]
 
 
-def _ry(t: float) -> np.ndarray:
+# ---------------------------------------------------------------------------
+# gates: (..., k, k) stacks, one gate per input of the batch
+
+def _matrix(rows) -> np.ndarray:
+    """(..., k, k) complex stack from k rows of k entries that broadcast together."""
+    rows = [np.broadcast_arrays(*row) for row in rows]
+    return np.stack([np.stack(row, axis=-1) for row in rows], axis=-2).astype(np.complex128)
+
+
+def _ry(t) -> np.ndarray:
     c, s = np.cos(t / 2.0), np.sin(t / 2.0)
-    return np.array([[c, -s], [s, c]], dtype=np.complex128)
+    return _matrix([[c, -s], [s, c]])
 
 
-def _crz(t: float) -> np.ndarray:
-    return np.diag([1.0, 1.0, np.exp(-0.5j * t), np.exp(0.5j * t)])
+def _crz(t) -> np.ndarray:
+    one = np.ones_like(t)
+    diagonal = np.stack([one, one, np.exp(-0.5j * t), np.exp(0.5j * t)], axis=-1)
+    return np.eye(4) * diagonal[..., None, :]
 
 
-def _xrot(c: float) -> np.ndarray:
+def _xrot(c) -> np.ndarray:
     # exp(-i c X)
-    return np.array(
-        [[np.cos(c), -1j * np.sin(c)], [-1j * np.sin(c), np.cos(c)]], dtype=np.complex128
-    )
+    return _matrix([[np.cos(c), -1j * np.sin(c)], [-1j * np.sin(c), np.cos(c)]])
+
+
+def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """np.kron of each pair of (..., 2, 2) gates, a (..., 4, 4) stack."""
+    return (a[..., :, None, :, None] * b[..., None, :, None, :]).reshape(a.shape[:-2] + (4, 4))
 
 
 def build_block(alpha) -> np.ndarray:
@@ -136,103 +161,130 @@ def build_block(alpha) -> np.ndarray:
 
     The first tensor factor is the block's first qubit (high bit of the 4x4
     index); the entangler is controlled on it.  The block is the identity at
-    alpha = 0.
+    alpha = 0.  A (..., 4) array of angles gives a (..., 4, 4) stack.
     """
-    a1, a2, a3, a4 = np.asarray(alpha, dtype=np.float64)
-    return np.kron(_ry(a1), _ry(a2)) @ _crz(a3) @ np.kron(_ry(a4), _I2)
+    a1, a2, a3, a4 = np.moveaxis(np.asarray(alpha, dtype=np.float64), -1, 0)
+    return _kron(_ry(a1), _ry(a2)) @ _crz(a3) @ _kron(_ry(a4), np.eye(2))
 
 
 # ---------------------------------------------------------------------------
-# statevector application with qubit k <-> bit k of the basis index
+# the kernel: a (B, 2^q, c) block of statevectors, qubit k <-> bit k of the
+# basis index, input b with its own angles; every gate is an elementwise
+# update of reshaped views, so no input's arithmetic depends on the others
 
-@lru_cache(maxsize=None)
-def _pair_indices(q: int, qa: int, qb: int) -> np.ndarray:
-    """(4, 2^(q-2)) index table; row 2*bit(qa) + bit(qb) of a 4x4 block."""
-    idx = np.arange(1 << q)
-    base = idx[((idx >> qa) & 1 == 0) & ((idx >> qb) & 1 == 0)]
-    return np.stack([base, base + (1 << qb), base + (1 << qa), base + (1 << qa) + (1 << qb)])
+_REGISTER_ORDER = [0, 2, 1, 3]  # a block's 4x4 index with its second (higher) qubit as high bit
 
 
-@lru_cache(maxsize=None)
-def _single_indices(q: int, k: int) -> np.ndarray:
-    idx = np.arange(1 << q)
-    base = idx[(idx >> k) & 1 == 0]
-    return np.stack([base, base + (1 << k)])
+def _apply(state: np.ndarray, low: int, gate: np.ndarray) -> None:
+    """Each input's (k, k) gate on the qubits from ``low`` up, in place.
+
+    The gate's index runs over those qubits' bits with the highest one most
+    significant, as in the register.
+    """
+    b, dim, width = state.shape
+    k = gate.shape[-1]
+    amps = state.reshape(b, dim // (k << low), k, 1 << low, width)
+    coef = gate[:, :, :, None, None, None]
+    rows = []
+    for r in range(k):
+        row = coef[:, r, 0] * amps[:, :, 0]
+        for c in range(1, k):
+            row += coef[:, r, c] * amps[:, :, c]
+        rows.append(row)
+    for r, row in enumerate(rows):
+        amps[:, :, r] = row
 
 
-@lru_cache(maxsize=None)
-def _zz_signs(q: int, k: int) -> np.ndarray:
-    """+1 where bits k and k+1 agree, -1 where they differ."""
-    idx = np.arange(1 << q)
-    return 1.0 - 2.0 * (((idx >> k) ^ (idx >> (k + 1))) & 1).astype(np.float64)
+def _zz(state: np.ndarray, k: int, agree: np.ndarray) -> None:
+    """exp(-i a Z_k Z_{k+1}) per input, in place, from agree = exp(-i a) of shape (B,)."""
+    b, dim, width = state.shape
+    differ = agree.conj()
+    phase = _matrix([[agree, differ], [differ, agree]])
+    amps = state.reshape(b, dim >> (k + 2), 2, 2, 1 << k, width)  # bits k+1 and k
+    amps *= phase[:, None, :, :, None, None]
 
 
-def _apply_circuit(state: np.ndarray, config: CircuitConfig, phi: np.ndarray) -> np.ndarray:
+def _run(state: np.ndarray, config: CircuitConfig, phi: np.ndarray) -> None:
+    """The circuit on each input's block of states, in place; phi is the (B, P) stack of angles."""
     q = config.total_qubits
+    if config.ansatz == TROTTER:
+        steps = phi.reshape(len(phi), config.layers, 2 * q - 1)
+        agree = np.exp(-1j * steps[..., :q - 1])
+        half_x = _xrot(steps[..., q - 1:] / 2.0)
+        for layer in range(config.layers):
+            for half in range(2):
+                for k in range(q):
+                    _apply(state, k, half_x[:, layer, k])
+                if half == 0:
+                    for k in range(q - 1):
+                        _zz(state, k, agree[:, layer, k])
+        return
     cursor = 0
     for layer in range(config.layers):
-        if config.ansatz == SIMPLE:
-            if q == 1:
-                if layer % 2 == 0:
-                    a = phi[cursor:cursor + 4]
-                    cursor += 4
-                    gate = _ry(a[0]) @ _ry(a[3])
-                    idx = _single_indices(1, 0)
-                    state[idx] = gate @ state[idx]
-                continue
-            for qa, qb in _simple_pairs(q, layer):
-                block = build_block(phi[cursor:cursor + 4])
+        if q == 1:
+            if layer % 2 == 0:
+                a = phi[:, cursor:cursor + 4]
                 cursor += 4
-                idx = _pair_indices(q, qa, qb)
-                state[idx] = block @ state[idx]
-        else:
-            a = phi[cursor:cursor + q - 1]
-            b = phi[cursor + q - 1:cursor + 2 * q - 1]
-            cursor += 2 * q - 1
-            for _half in range(2):
-                for k in range(q):
-                    idx = _single_indices(q, k)
-                    state[idx] = _xrot(b[k] / 2.0) @ state[idx]
-                if _half == 0:
-                    for k in range(q - 1):
-                        state *= np.exp(-1j * a[k] * _zz_signs(q, k))
-    return state
+                _apply(state, 0, _ry(a[:, 0]) @ _ry(a[:, 3]))
+            continue
+        for qa, _ in _simple_pairs(q, layer):
+            block = build_block(phi[:, cursor:cursor + 4])
+            cursor += 4
+            _apply(state, qa, block[:, _REGISTER_ORDER][:, :, _REGISTER_ORDER])
 
 
-def _fold_chunk(config: CircuitConfig, phi: np.ndarray, lo: int, hi: int) -> np.ndarray:
-    """Partial doubly stochastic accumulator for basis columns lo..hi-1."""
-    t = config.dsm_dim
+def _block_shape(config: CircuitConfig) -> tuple[int, int]:
+    """(basis columns per block, inputs per pass) of the simulation.
+
+    Both follow from the config alone, so each input's columns are summed in
+    the same blocks whatever the batch.  A pass holds inputs x columns x 2^q
+    amplitudes, at most _AMPLITUDE_BUDGET; above 15 qubits it is one column
+    of one input, 2^q amplitudes.
+    """
     dim = 1 << config.total_qubits
-    partial = np.zeros((t, t))
-    for col in range(lo, hi):
-        state = np.zeros(dim, dtype=np.complex128)
-        state[col] = 1.0
-        _apply_circuit(state, config, phi)
-        probs = np.abs(state) ** 2
-        partial[:, col % t] += probs.reshape(config.aux_dim, t).sum(axis=0)
-    return partial
+    width = max(1, min(dim, _AMPLITUDE_BUDGET // dim))
+    return width, max(1, _AMPLITUDE_BUDGET // (width * dim))
 
 
-def simulate_dsm(config: CircuitConfig, theta, m) -> Dsm:
+def _simulate(config: CircuitConfig, phi: np.ndarray) -> np.ndarray:
+    """(B, T, T) doubly stochastic matrices for the (B, P) stack of angles phi."""
+    t, dim = config.dsm_dim, 1 << config.total_qubits
+    width, per_pass = _block_shape(config)
+    fold = min(width, t)  # output columns one block's columns fold into
+    out = np.empty((len(phi), t, t))
+    for lo in range(0, len(phi), per_pass):
+        angles = phi[lo:lo + per_pass]
+        b = len(angles)
+        acc = np.zeros((b, t, t))
+        for col in range(0, dim, width):
+            state = np.zeros((b, dim, width), dtype=np.complex128)
+            state[:, col + np.arange(width), np.arange(width)] = 1.0
+            _run(state, config, angles)
+            probs = state.real ** 2 + state.imag ** 2
+            # rows: aux block, data row; columns: aux block, data column
+            probs = probs.reshape(b, config.aux_dim, t, width // fold, fold)
+            acc[:, :, col % t:col % t + fold] += probs.sum(axis=(1, 3))
+        out[lo:lo + b] = acc / config.aux_dim
+    return out
+
+
+def simulate_dsm(config: CircuitConfig, theta, m) -> Dsm | np.ndarray:
     """Exact doubly stochastic matrix of the data-injected circuit.
 
-    Streams basis-state columns in fixed-size chunks and adds the partial
-    sums in chunk order, so the summation order never changes.  With
-    theta = 0 every gate is the identity and the output is exactly the
-    identity matrix.
+    A :class:`Dsm` for one matrix; a (B, n, n) stack gives the validated
+    (B, T, T) array, each matrix to the same bits as alone.  With theta = 0
+    every gate is the identity and the output is exactly the identity
+    matrix.
     """
-    m = as_square(m)
-    if m.shape[0] != config.dsm_dim:
-        raise ValueError(f"matrix size {m.shape[0]} does not match dsm_dim {config.dsm_dim}")
+    m = as_square(m, stack=True)
+    if m.shape[-1] != config.dsm_dim:
+        raise ValueError(f"matrix size {m.shape[-1]} does not match dsm_dim {config.dsm_dim}")
     theta = np.asarray(theta, dtype=np.float64)
     expected = param_count(config)
     if theta.shape != (expected,):
         raise ValueError(f"theta must have length {expected}, got {theta.shape}")
-    phi = inject(theta, m)
-    dim = 1 << config.total_qubits
-    partials = (_fold_chunk(config, phi, lo, min(lo + _COLUMN_CHUNK, dim))
-                for lo in range(0, dim, _COLUMN_CHUNK))
-    return as_dsm(reduce(np.add, partials) / config.aux_dim)
+    out = _simulate(config, inject(theta, m.reshape((-1,) + m.shape[-2:])))
+    return _dsm_or_stack(out.reshape(m.shape), _VALIDATION)
 
 
 def sample_shots(config: CircuitConfig, theta, m, shots: int, seed: int) -> np.ndarray:
@@ -245,7 +297,7 @@ def sample_shots(config: CircuitConfig, theta, m, shots: int, seed: int) -> np.n
     t = config.dsm_dim
     if shots < t:
         raise ValueError(f"need at least one shot per column: shots={shots} < T={t}")
-    exact = simulate_dsm(config, theta, m).matrix
+    exact = simulate_dsm(config, theta, as_square(m)).matrix
     per_col = shots // t
     rng = np.random.default_rng(seed)
     out = np.empty_like(exact)

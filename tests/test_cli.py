@@ -61,6 +61,14 @@ class TestApply:
         assert report["op"] == "sinkhorn-naive"
         assert report["max_col_deviation"] == 0.0
 
+    def test_numerical_failure_leaves_only_json_lines_on_stderr(self):
+        # the input overflows inside Sinkhorn; numpy's warnings must not reach stderr
+        result = run_cli(["apply", "--op", "sinkhorn-naive"],
+                         stdin_text="1e308,1e308\n1e308,1e308\n", returncode=2)
+        assert result.stdout == b""
+        records = [json.loads(line) for line in result.stderr.decode().splitlines()]
+        assert [set(r) for r in records] == [{"error", "input"}]
+
     def test_identity_projects_to_itself(self, capsys, monkeypatch):
         code, out, err = invoke(
             ["apply", "--op", "birkhoff-project"],
@@ -336,6 +344,16 @@ class TestOtherOperatorSettings:
         code, out, err = invoke([*argv, "--config", str(config)], capsys, monkeypatch,
                                 stdin_text=stdin_text)
         assert (code, out, err) == (1, "", "error: operator 'softmax' takes no --k\n")
+
+    @pytest.mark.parametrize("normalizer, flag, value", [
+        ("softmax", "--k", "5"), ("sinkhorn-naive", "--tau", "3"),
+    ])
+    def test_gradcheck_setting_of_the_other_normalizer_is_usage_error(
+            self, normalizer, flag, value, capsys):
+        code, out, err = invoke(["gradcheck", "--normalizer", normalizer, flag, value,
+                                 "--n", "3", "--trials", "1", "--seed", "0"], capsys)
+        assert (code, out) == (1, "")
+        assert err == f"error: operator '{normalizer}' takes no {flag}\n"
 
 
 class TestUsageErrors:
@@ -759,22 +777,23 @@ class TestDeclaredFlags:
             assert invoke([*argv, "--config", str(config)], capsys) == plain
 
 
-def run_cli(argv, **env_overrides):
+def run_cli(argv, stdin_text="", returncode=0, **env_overrides):
     """Run the CLI in a child interpreter on the package this test imported.
 
     The console script exists only after ``pip install``, so the child runs
     ``python -m birkhoff_attn.cli``; the absolute source directory goes first
     on its PYTHONPATH so neither the working directory nor an installed copy
-    decides which code runs.
+    decides which code runs.  The child reads ``stdin_text`` and must exit
+    with ``returncode``.
     """
     src = str(Path(birkhoff_attn.__file__).resolve().parents[1])
     pythonpath = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     env = dict(os.environ, PYTHONPATH=pythonpath, **env_overrides)
     result = subprocess.run(
         [sys.executable, "-m", "birkhoff_attn.cli", *argv],
-        stdin=subprocess.DEVNULL, capture_output=True, env=env,
+        input=stdin_text.encode(), capture_output=True, env=env,
     )
-    assert result.returncode == 0, (
+    assert result.returncode == returncode, (
         f"{argv} exited {result.returncode}:\n{result.stderr.decode(errors='replace')}"
     )
     return result

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -5,15 +7,19 @@ from numpy.testing import assert_allclose
 from birkhoff_attn import qontot
 from birkhoff_attn import (
     CircuitConfig,
+    GridSpec,
     as_dsm,
     bench_circuit,
     build_block,
     frobenius_distance,
     inject,
+    make_operator,
     param_count,
     sample_shots,
     simulate_dsm,
+    uniqueness_sweep,
 )
+from birkhoff_attn.expressivity import grid_matrices
 
 import oracles
 
@@ -85,6 +91,14 @@ class TestInject:
         with pytest.raises(ValueError, match="flat"):
             inject(np.ones((2, 2)), np.eye(2))
 
+    def test_stack_gives_one_row_per_matrix(self):
+        stack = np.random.default_rng(0).standard_normal((3, 2, 2))
+        theta = np.linspace(-1.0, 1.0, 7)
+        got = inject(theta, stack)
+        assert got.shape == (3, 7)
+        for row, m in zip(got, stack):
+            assert row.tobytes() == inject(theta, m).tobytes()
+
 
 class TestBuildBlock:
     def test_identity_at_zero(self):
@@ -105,6 +119,13 @@ class TestBuildBlock:
             b = build_block(rng.uniform(-np.pi, np.pi, 4))
             assert_allclose(b @ b.conj().T, np.eye(4), atol=1e-14)
 
+    def test_stack_of_angles_gives_each_block(self):
+        alphas = np.random.default_rng(1).uniform(-np.pi, np.pi, (5, 4))
+        blocks = build_block(alphas)
+        assert blocks.shape == (5, 4, 4)
+        for block, alpha in zip(blocks, alphas):
+            assert_allclose(block, oracles.two_qubit_block(*alpha), atol=1e-15)
+
 
 class TestSimulateDsm:
     def test_zero_theta_gives_exact_identity(self):
@@ -118,13 +139,18 @@ class TestSimulateDsm:
 
     def test_matches_dense_oracle(self):
         rng = np.random.default_rng(2)
-        for _ in range(12):
-            c = random_config(rng)
+        configs = [random_config(rng) for _ in range(12)] + [
+            CircuitConfig(dsm_dim=2, layers=3),  # the one-qubit simple carve-out
+            CircuitConfig(dsm_dim=2, aux_qubits=2, layers=3),
+            CircuitConfig(dsm_dim=4, aux_qubits=3, layers=2, ansatz="trotter"),
+        ]
+        for c in configs:
             theta = rng.uniform(-2.0, 2.0, param_count(c))
-            m = rng.standard_normal((c.dsm_dim, c.dsm_dim))
-            got = simulate_dsm(c, theta, m).matrix
-            want = oracles.dense_dsm(c.dsm_dim, c.aux_qubits, c.layers, c.ansatz, theta, m)
-            assert np.abs(got - want).max() < 1e-10
+            stack = rng.standard_normal((3, c.dsm_dim, c.dsm_dim))
+            got = simulate_dsm(c, theta, stack)
+            for out, m in zip(got, stack):
+                want = oracles.dense_dsm(c.dsm_dim, c.aux_qubits, c.layers, c.ansatz, theta, m)
+                assert np.abs(out - want).max() < 1e-12
 
     def test_single_qubit_uniform_example(self):
         # angles (pi/2, 0, 0, 0) reduce to one RY(pi/2), whose squared
@@ -167,6 +193,76 @@ class TestSimulateDsm:
         c = CircuitConfig(dsm_dim=4)
         with pytest.raises(ValueError, match="dsm_dim"):
             simulate_dsm(c, np.zeros(param_count(c)), np.eye(8))
+
+
+class TestStack:
+    @pytest.mark.parametrize("aux", [0, 2])
+    @pytest.mark.parametrize("ansatz", ["simple", "trotter"])
+    @pytest.mark.parametrize("batch", [1, 2, 7, 512])
+    def test_stack_matches_each_matrix_alone(self, batch, ansatz, aux):
+        op = make_operator("qontot", dsm_dim=4, aux_qubits=aux, layers=3, ansatz=ansatz,
+                           theta_seed=0)
+        stack = np.random.default_rng(batch).uniform(-2.0, 2.0, (batch, 4, 4))
+        out = op(stack)
+        assert out.shape == stack.shape and out.dtype == np.float64
+        for i, m in enumerate(stack):
+            assert out[i].tobytes() == op(m).tobytes()
+
+    def test_stack_returns_an_array_and_one_matrix_a_dsm(self):
+        c = CircuitConfig(dsm_dim=4, layers=2)
+        theta = np.random.default_rng(3).uniform(-1.0, 1.0, param_count(c))
+        stack = np.random.default_rng(4).standard_normal((2, 4, 4))
+        assert isinstance(simulate_dsm(c, theta, stack), np.ndarray)
+        assert simulate_dsm(c, theta, stack[0]).matrix.tobytes() == \
+            simulate_dsm(c, theta, stack)[0].tobytes()
+        assert simulate_dsm(c, theta, stack[:0]).shape == (0, 4, 4)
+
+    def test_sweep_is_the_same_for_one_and_two_workers(self):
+        # 1,100 inputs: two full 512-input chunks and a partial one
+        op = make_operator("qontot", dsm_dim=4, aux_qubits=2, layers=2, ansatz="trotter",
+                           theta_seed=0)
+        spec = GridSpec(n=4, d=2)
+        base = uniqueness_sweep(spec, op, stop=1100, workers=1)
+        assert base == uniqueness_sweep(spec, op, stop=1100, workers=2)
+
+    def test_small_budget_splits_columns_and_inputs_alike(self, monkeypatch):
+        # 32 amplitudes: blocks of 2 columns, narrower than the 4 output
+        # columns, and one input per pass
+        monkeypatch.setattr(qontot, "_AMPLITUDE_BUDGET", 32)
+        c = CircuitConfig(dsm_dim=4, aux_qubits=2, layers=2, ansatz="trotter")
+        assert qontot._block_shape(c) == (2, 1)
+        rng = np.random.default_rng(8)
+        theta = rng.uniform(-2.0, 2.0, param_count(c))
+        stack = rng.standard_normal((7, 4, 4))
+        for out, m in zip(simulate_dsm(c, theta, stack), stack):
+            assert out.tobytes() == simulate_dsm(c, theta, m).matrix.tobytes()
+            assert np.abs(out - oracles.dense_dsm(4, 2, 2, "trotter", theta, m)).max() < 1e-12
+
+    def test_a_pass_stays_within_the_amplitude_budget(self):
+        # the block shape follows from the config alone; nothing is simulated
+        for qubits in range(1, qontot._MAX_QUBITS + 1):
+            width, per_pass = qontot._block_shape(CircuitConfig(dsm_dim=2,
+                                                                aux_qubits=qubits - 1))
+            dim = 1 << qubits
+            assert 1 <= width <= dim and dim % width == 0 and per_pass >= 1
+            if dim <= qontot._AMPLITUDE_BUDGET:
+                assert per_pass * width * dim <= qontot._AMPLITUDE_BUDGET
+            else:  # one column of one input: 2^q amplitudes
+                assert (width, per_pass) == (1, 1)
+
+
+@pytest.mark.parametrize("kw, digest", [
+    ({"aux_qubits": 0, "layers": 8, "ansatz": "trotter"},
+     "aa87332ee9d5084653d2329c8f4a19d3639b899b284115f8b69bf46c23d89e20"),
+    ({"aux_qubits": 2, "layers": 3, "ansatz": "simple"},
+     "a64b5ca83127262be448b6d5969354c9a7cd0e37033950f7f6784456ad7e778a"),
+], ids=["trotter-aux0", "simple-aux2"])
+def test_output_bits_are_pinned(kw, digest):
+    # digests of the outputs on the first 512 inputs of the n=4, d=3 cube,
+    # taken when the batched kernel was written
+    op = make_operator("qontot", dsm_dim=4, theta_seed=0, **kw)
+    out = op(grid_matrices(GridSpec(n=4, d=3), 0, 512))
+    assert hashlib.sha256(out.tobytes()).hexdigest() == digest
 
 
 class TestSampleShots:
