@@ -8,13 +8,47 @@ small report / wrapper types defined here.
 
 from __future__ import annotations
 
+import ctypes
 import io
 import json
+import os
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.stats import rankdata
+
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3  # mallopt parameters, glibc's malloc.h
+_MMAP_THRESHOLD_MAX = 32 << 20  # glibc's ceiling for its adaptive threshold on 64-bit
+
+
+def _reuse_freed_blocks() -> None:
+    """Fix glibc's malloc thresholds at the ceiling its adaptive rule climbs to.
+
+    glibc maps every block at or above its mmap threshold straight from the
+    kernel and unmaps it on free.  The threshold starts at 128 KiB and rises
+    only when a larger mapped block is freed, to at most 32 MiB, with the
+    heap trim threshold at twice it.  A 256 x 256 float64 matrix is 512 KiB,
+    so until the process happens to free a larger block, each temporary of
+    an operator call at that size is mapped, faulted in page by page and
+    unmapped again: a softmax attention call at n = 256 takes about twice as
+    long as from reused heap memory.  Fixing both thresholds at the ceiling
+    starts every process where the adaptive rule would end.  Elsewhere than
+    glibc this does nothing.
+    """
+    try:
+        if not os.confstr("CS_GNU_LIBC_VERSION"):
+            return
+    except (AttributeError, ValueError, OSError):  # no confstr, or not a glibc name
+        return
+    mallopt = ctypes.CDLL(None).mallopt
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    mallopt(_M_MMAP_THRESHOLD, _MMAP_THRESHOLD_MAX)
+    mallopt(_M_TRIM_THRESHOLD, 2 * _MMAP_THRESHOLD_MAX)
+
+
+_reuse_freed_blocks()
 
 
 def as_square(m, name: str = "matrix", stack: bool = False) -> np.ndarray:

@@ -11,6 +11,14 @@ non-negative).  Everything here counts with exact Python integers.
 The census decomposes by inclusion-exclusion: with c1 the candidates
 violating the marginal cap, c2 those violating the total lower bound and
 c12 those violating both, f = p^((n-1)^2) - c1 - c2 + c12.
+
+Both enumerations split a candidate into its head, the first n-2 interior
+rows, and its last interior row.  The possible last rows are decoded once
+into a table, and each head is classified against every last row at once by
+broadcasting the head's remaining column room and its total over the table's
+columns.  count_brute walks only the heads its pruning keeps;
+decomposition_check walks all of them in chunks.  Neither decodes a whole
+candidate.
 """
 
 from __future__ import annotations
@@ -22,7 +30,7 @@ import numpy as np
 from .core import _odometer
 
 _FEASIBILITY_BITS = 48
-_CHUNK = 1 << 20
+_PASS_CANDIDATES = 1 << 20  # heads per decomposition pass = this // p^(n-1), at least one
 
 
 def _check_args(n: int, p: int) -> int:
@@ -39,59 +47,58 @@ def _check_args(n: int, p: int) -> int:
     return k
 
 
-def _valid_rows(n: int, p: int) -> list[tuple[int, tuple[int, ...]]]:
-    """All interior rows with sum <= p-1, in odometer order, as (total, row)."""
-    side = n - 1
-    rows: list[tuple[int, tuple[int, ...]]] = []
-    row = [0] * side
+def _sum_dtype(side: int, cap: int) -> np.dtype:
+    """Smallest signed dtype holding every sum of up to ``side`` cells, +-side*cap."""
+    return np.min_scalar_type(-side * cap - 1)
 
-    def grow(pos: int, total: int) -> None:
-        if pos == side:
-            rows.append((total, tuple(row)))
-            return
-        for v in range(p - total):  # row-sum cap p-1 prunes the digit range
-            row[pos] = v
-            grow(pos + 1, total + v)
-        row[pos] = 0
 
-    grow(0, 0)
-    return rows
+def _rows(side: int, p: int, dtype: np.dtype) -> tuple[np.ndarray, np.ndarray]:
+    """Every row of ``side`` cells in {0..p-1} in odometer order, and each row's sum."""
+    rows = _odometer(0, p**side, p, side).astype(dtype)
+    return rows, rows.sum(axis=1, dtype=dtype)
 
 
 def count_brute(n: int, p: int) -> int:
     """f(n, p) by depth-first odometer enumeration of the interior rows.
 
     Rows violating the marginal cap are never generated; partial column sums
-    and the best still-achievable total prune the rest of the tree.
+    and the best still-achievable total prune the tree above the last row.
+    At the last row, one broadcast over the table of valid rows counts every
+    row that keeps each column within the cap and lifts the total to the
+    bound.
     """
     _check_args(n, p)
     side = n - 1
     cap = p - 1
     bound = (n - 2) * cap
-    rows = _valid_rows(n, p)
+    rows, sums = _rows(side, p, _sum_dtype(side, cap))
+    valid = sums <= cap
+    rows, sums = rows[valid], sums[valid]
+    columns = np.ascontiguousarray(rows.T)
+    listed = list(zip(sums.tolist(), rows.tolist()))
 
-    def descend(depth: int, cols: tuple[int, ...], total: int) -> int:
-        if depth == side:
-            return 1 if total >= bound else 0
+    count = 0
+    # (depth, column sums, total) of each head prefix still to extend; an
+    # explicit stack, since a recursive closure is a reference cycle that
+    # keeps every call's row tables alive until the cycle collector runs
+    stack = [(0, (0,) * side, 0)]
+    while stack:
+        depth, cols, total = stack.pop()
+        if depth == side - 1:
+            fits = sums >= bound - total
+            for column, used in zip(columns, cols):
+                fits &= column <= cap - used
+            count += int(np.count_nonzero(fits))
+            continue
         slack = (side - depth - 1) * cap
-        count = 0
-        for row_total, row in rows:
+        for row_total, row in listed:
             if total + row_total + slack < bound:
                 continue
             new_cols = tuple(c + r for c, r in zip(cols, row))
             if max(new_cols) > cap:
                 continue
-            count += descend(depth + 1, new_cols, total + row_total)
-        return count
-
-    return descend(0, (0,) * side, 0)
-
-
-def _digit_chunks(k: int, p: int):
-    """Yield the full odometer {0..p-1}^k in chunks, first cell most significant."""
-    total = p**k
-    for lo in range(0, total, _CHUNK):
-        yield _odometer(lo, min(lo + _CHUNK, total), p, k)
+            stack.append((depth + 1, new_cols, total + row_total))
+    return count
 
 
 def c2_closed(n: int, p: int) -> int:
@@ -116,17 +123,21 @@ def c2_closed(n: int, p: int) -> int:
 
 
 def f3_analytic(p: int) -> int:
-    """f(3, p) as an explicit quadruple sum over a pyramidal index domain."""
+    """f(3, p) as an explicit sum over a pyramidal index domain.
+
+    It is the quadruple sum over i, j, k, l >= 1 with i <= p, j, k <= p-i+1,
+    l <= p + 1 - max(j, k) of [i + j + k + l - 3 >= p]; the innermost sum
+    over l is taken in closed form, the count of l from max(1, p+3-i-j-k)
+    up to its top.
+    """
     if p < 2:
         raise ValueError(f"p must be >= 2, got {p}")
     count = 0
     for i in range(1, p + 1):
         for j in range(1, p - i + 2):
             for k in range(1, p - i + 2):
-                top = min(p - j + 1, p - k + 1)
-                for l in range(1, top + 1):
-                    if i + j + k + l - 3 >= p:
-                        count += 1
+                top = p + 1 - max(j, k)
+                count += max(0, top - max(1, p + 3 - i - j - k) + 1)
     return count
 
 
@@ -136,22 +147,41 @@ def decomposition_check(n: int, p: int) -> dict:
     Returns {total, c1, c2, c12, f} counted in a single full enumeration
     pass, after asserting f = total - c1 - c2 + c12 equals the independently
     pruned count_brute.
+
+    The p^((n-1)(n-2)) heads (the first n-2 interior rows) are decoded in
+    chunks of ``_PASS_CANDIDATES // p^(n-1)`` heads, at least one.  Each head
+    is classified against all p^(n-1) last rows at once: the candidate breaks
+    the marginal cap when the head or the last row has a row over the cap or
+    the last row overfills a column's room ``cap - head column sum``, and it
+    breaks the total bound when ``head total + last row sum < bound``.  All
+    sums use the smallest signed dtype holding (n-1)(p-1).
     """
     k = _check_args(n, p)
     side = n - 1
     cap = p - 1
     bound = (n - 2) * cap
+    dtype = _sum_dtype(side, cap)
+    last, last_sums = _rows(side, p, dtype)
+    last_columns = np.ascontiguousarray(last.T)
+    last_over = last_sums > cap
+    head_cells = k - side
+    heads = p**head_cells
+    step = max(1, _PASS_CANDIDATES // p**side)
     c1 = c2 = c12 = 0
-    for digits in _digit_chunks(k, p):
-        grid = digits.reshape(-1, side, side)
-        row_sums = grid.sum(axis=2, dtype=np.int64)
-        col_sums = grid.sum(axis=1, dtype=np.int64)
-        totals = row_sums.sum(axis=1)
-        viol_marginal = (row_sums > cap).any(axis=1) | (col_sums > cap).any(axis=1)
-        viol_total = totals < bound
-        c1 += int(viol_marginal.sum())
-        c2 += int(viol_total.sum())
-        c12 += int((viol_marginal & viol_total).sum())
+    for lo in range(0, heads, step):
+        hi = min(lo + step, heads)
+        head = _odometer(lo, hi, p, head_cells).astype(dtype).reshape(hi - lo, side - 1, side)
+        head_rows = head.sum(axis=2, dtype=dtype)
+        room = cap - head.sum(axis=1, dtype=dtype)
+        # a last row sum at most this breaks the bound; clipped into the dtype
+        short = np.clip(bound - 1 - head_rows.sum(axis=1, dtype=np.int64), -1, side * cap)
+        viol_marginal = last_over | (head_rows > cap).any(axis=1)[:, None]
+        for column, free in zip(last_columns, room.T):
+            viol_marginal |= column > free[:, None]
+        viol_total = last_sums <= short.astype(dtype)[:, None]
+        c1 += int(np.count_nonzero(viol_marginal))
+        c2 += int(np.count_nonzero(viol_total))
+        c12 += int(np.count_nonzero(viol_marginal & viol_total))
     total = p**k
     f = total - c1 - c2 + c12
     reference = count_brute(n, p)

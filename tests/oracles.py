@@ -4,8 +4,9 @@ Nothing here shares code with src/: the circuit oracle builds full dense
 unitaries from Kronecker products, Sinkhorn is redone in mpmath arbitrary
 precision, the polytope projections solve KKT systems with lstsq, QR comes
 from LAPACK's Householder factorization, grid matrices are decoded one
-Python-int ``divmod`` at a time, and counting candidates are walked with
-``itertools.product``.  Agreement between these and the streaming /
+Python-int ``divmod`` at a time, counting candidates are walked with
+``itertools.product`` and classified one by one, and f(3, p) is the literal
+quadruple sum.  Agreement between these and the streaming /
 iterative / hand-rolled / vectorized implementations is the point of the tests
 that import this module.
 """
@@ -178,6 +179,43 @@ def c2_brute(n: int, p: int) -> int:
     count = 0
     for head in product(range(p), repeat=k // 2):
         count += int((tail < bound - sum(head)).sum())
+    return count
+
+
+def decomposition_brute(n: int, p: int) -> dict:
+    """{total, c1, c2, c12, f}, each candidate walked and classified on its own.
+
+    A candidate is the (n-1) x (n-1) interior read row by row from one
+    ``itertools.product`` tuple; its row, column and total sums are formed
+    with plain Python ``sum`` and tested against the cap p-1 and the bound
+    (n-2)(p-1) directly.
+    """
+    side = n - 1
+    cap = p - 1
+    bound = (n - 2) * cap
+    total = c1 = c2 = c12 = 0
+    for cells in product(range(p), repeat=side * side):
+        rows = [cells[r * side:(r + 1) * side] for r in range(side)]
+        over = any(sum(row) > cap for row in rows) or any(
+            sum(row[c] for row in rows) > cap for c in range(side))
+        short = sum(cells) < bound
+        total += 1
+        c1 += over
+        c2 += short
+        c12 += over and short
+    return {"total": total, "c1": c1, "c2": c2, "c12": c12, "f": total - c1 - c2 + c12}
+
+
+def f3_quadruple_sum(p: int) -> int:
+    """f(3, p) as the literal quadruple sum over the pyramidal index domain."""
+    count = 0
+    for i in range(1, p + 1):
+        for j in range(1, p - i + 2):
+            for k in range(1, p - i + 2):
+                top = min(p - j + 1, p - k + 1)
+                for l in range(1, top + 1):
+                    if i + j + k + l - 3 >= p:
+                        count += 1
     return count
 
 

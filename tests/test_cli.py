@@ -1,4 +1,5 @@
 import argparse
+import hashlib
 import io
 import json
 import os
@@ -438,6 +439,22 @@ class TestCount:
         code, _, err = invoke(["count", "--n", "9", "--p", "11"], capsys, monkeypatch)
         assert code == 2
         assert "budget" in json.loads(err)["error"]
+
+    # SHA-256 of stdout, taken before counting split candidates into head and
+    # last rows; the empty-stdout digest is analytic's usage error for n = 4
+    @pytest.mark.parametrize("mode,n,p,code,digest", [
+        ("brute", 3, 12, 0, "90ce916ea941f246b9c0c155c88d334a34244b460bb00bd5712dca6dc6ae5cc6"),
+        ("brute", 4, 5, 0, "f6e4d707b5cd670fe7aa74d554dab936fca3a84780a5f4b74e4612dd988ffea0"),
+        ("decompose", 3, 12, 0, "ab36d57dc047a16d779617dc2ad120e84b1a35ac085cdd4ffc1ee14b809f309d"),
+        ("decompose", 4, 5, 0, "be87cdd5ef48927f271c011ce0931f46c47f5d5a8b5971956225e5981df6f768"),
+        ("analytic", 3, 12, 0, "90ce916ea941f246b9c0c155c88d334a34244b460bb00bd5712dca6dc6ae5cc6"),
+        ("analytic", 4, 5, 1, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    ])
+    def test_stdout_bytes_are_pinned(self, mode, n, p, code, digest, capsys, monkeypatch):
+        got, out, _ = invoke(["count", "--n", str(n), "--p", str(p), "--mode", mode],
+                             capsys, monkeypatch)
+        assert got == code
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 class TestShots:

@@ -1,6 +1,10 @@
 import ast
 import io
 import json
+import os
+import platform
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -10,6 +14,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 from scipy.stats import spearmanr
 
+import birkhoff_attn
 from birkhoff_attn import (
     as_dsm,
     birkhoff_distance,
@@ -180,6 +185,31 @@ def test_oracles_import_nothing_from_the_package():
         elif isinstance(node, ast.ImportFrom):
             imported.add("." if node.level else node.module.split(".")[0])
     assert imported <= {"__future__", "itertools", "numpy", "mpmath"}, imported
+
+
+_FAULTS_PER_CALL = """
+import resource
+import numpy as np
+import birkhoff_attn as ba
+q, k, v = (np.random.default_rng(0).standard_normal((256, 64)) for _ in range(3))
+config = ba.AttentionConfig(normalizer=ba.Softmax())
+ba.attention_forward(q, k, v, config)
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+for _ in range(20):
+    ba.attention_forward(q, k, v, config)
+print((resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / 20)
+"""
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="glibc malloc thresholds only")
+def test_wide_temporaries_reuse_freed_heap_memory():
+    # a fresh process, so no earlier test's large free has raised glibc's
+    # adaptive threshold; mapped afresh, the 512 KiB temporaries of one
+    # n = 256 softmax attention call fault in about 500 pages
+    src = str(Path(birkhoff_attn.__file__).resolve().parents[1])
+    result = subprocess.run([sys.executable, "-c", _FAULTS_PER_CALL], capture_output=True,
+                            env=dict(os.environ, PYTHONPATH=src), check=True, text=True)
+    assert float(result.stdout) < 10.0
 
 
 class TestSerialization:

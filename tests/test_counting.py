@@ -4,8 +4,8 @@ from math import factorial
 import numpy as np
 import pytest
 
-from birkhoff_attn import c2_closed, count_brute, decomposition_check, f3_analytic
-from oracles import c2_brute
+from birkhoff_attn import c2_closed, count_brute, counting, decomposition_check, f3_analytic
+from oracles import c2_brute, decomposition_brute, f3_quadruple_sum
 
 
 def census_by_completion(n: int, p: int) -> int:
@@ -80,6 +80,10 @@ class TestF3Analytic:
     def test_frozen_large_value(self):
         assert f3_analytic(43) == 447931
 
+    @pytest.mark.parametrize("p", range(2, 44))
+    def test_matches_quadruple_sum(self, p):
+        assert f3_analytic(p) == f3_quadruple_sum(p)
+
     def test_validation(self):
         with pytest.raises(ValueError, match="p must be"):
             f3_analytic(1)
@@ -133,3 +137,46 @@ class TestDecomposition:
 
     def test_f_agrees_with_completion_census(self):
         assert decomposition_check(4, 3)["f"] == census_by_completion(4, 3)
+
+    # every n >= 3 with p^((n-1)^2) <= 10^5, and n = 2 (no head rows) at digits
+    # on both sides of uint8 and at p = 40000, whose sums overflow int16;
+    # n = 5 has three head rows
+    @pytest.mark.parametrize("n,p", [(2, p) for p in (2, 3, 7, 256, 257, 40000)]
+                             + [(3, p) for p in range(2, 18)]
+                             + [(4, 2), (4, 3), (5, 2)])
+    def test_matches_classifying_oracle(self, n, p):
+        assert decomposition_check(n, p) == decomposition_brute(n, p)
+
+
+class TestDecompositionPasses:
+    """Counts do not depend on how many heads one pass classifies."""
+
+    @staticmethod
+    def passes(monkeypatch) -> list[int]:
+        sizes = []
+
+        def spy(lo, hi, base, width):
+            sizes.append(hi - lo)
+            return odometer(lo, hi, base, width)
+
+        odometer = counting._odometer
+        monkeypatch.setattr(counting, "_odometer", spy)
+        return sizes
+
+    @pytest.mark.parametrize("n,p", [(4, 4), (3, 7)])
+    @pytest.mark.parametrize("heads", [1, 5])  # 5 divides neither 4^6 nor 7^2 heads
+    def test_counts_identical_for_any_pass_size(self, n, p, heads, monkeypatch):
+        want = decomposition_check(n, p)
+        sizes = self.passes(monkeypatch)
+        monkeypatch.setattr(counting, "_PASS_CANDIDATES", heads * p ** (n - 1))
+        assert decomposition_check(n, p) == want
+        # the first decode is the table of last rows, the last is count_brute's
+        head_passes = sizes[1:-1]
+        full, rest = divmod(p ** ((n - 1) * (n - 2)), heads)
+        assert head_passes == [heads] * full + ([rest] if rest else [])
+
+    def test_a_pass_covers_at_most_the_candidate_budget(self, monkeypatch):
+        sizes = self.passes(monkeypatch)
+        decomposition_check(4, 6)
+        assert sizes[0] == 6**3
+        assert max(sizes[1:-1]) * 6**3 <= counting._PASS_CANDIDATES
