@@ -7,9 +7,9 @@ resolved by gauging the column multipliers to sum to zero).  The full
 projection is computed either by Dykstra's alternating projections between
 the two sets, or by an operator-splitting solver on the explicit quadratic
 program min 0.5 x'x - q'x, A x = 1, x >= 0 with x the row-major flattening.
-Two genuinely different routes make cross-validation meaningful.  The
-Dykstra route also projects a (B, n, n) stack in one call, each matrix to the
-same bits as alone.
+Two genuinely different routes make cross-validation meaningful.  Both step
+a (B, n, n) stack in one loop that retires each matrix as it converges, so a
+stack is projected in one call, each matrix to the same bits as alone.
 """
 
 from __future__ import annotations
@@ -77,37 +77,40 @@ def affine_project(m) -> np.ndarray:
     return m + mu + nu
 
 
-def _dykstra(m: np.ndarray, tol: float, max_iterations: int):
-    """Dykstra's alternating projections (affine set, non-negative orthant) on a (B, n, n) stack.
+def _iterate(step, x: np.ndarray, state: tuple, tol: float, max_iterations: int):
+    """Run ``step`` on a stack, retiring each matrix once its own gap is below tol.
 
-    Each matrix leaves the iteration once its own successive-iterate gap is
-    below tol (after the first step), so it ends on the iterate it would
-    reach alone.  Returns the final iterates and a (B,) converged flag.
+    ``step(x, *state)`` returns the next iterate, its state and a (B,) gap; a
+    matrix retires at its first gap below tol after the first step, so it ends
+    on the iterate it would reach alone.  Returns the final iterates and a
+    (B,) converged flag.
     """
-    out = np.empty_like(m)
-    converged = np.zeros(len(m), dtype=bool)
-    live = np.arange(len(m))  # indices of the matrices still iterating
-    x = m
-    p = np.zeros_like(m)  # correction for the affine step
-    q = np.zeros_like(m)  # correction for the orthant step
+    out = np.empty_like(x)
+    converged = np.zeros(len(x), dtype=bool)
+    live = np.arange(len(x))  # indices of the matrices still iterating
     for it in range(max_iterations):
         if not live.size:
             break
-        xp = x + p
-        y = affine_project(xp)
-        p = xp - y
-        yq = y + q
-        x_new = np.maximum(yq, 0.0)
-        q = yq - x_new
-        done = _frobenius_norms(x_new - x) < tol
-        x = x_new
+        x, state, gap = step(x, *state)
+        done = gap < tol
         if it > 0 and done.any():
             out[live[done]] = x[done]
             converged[live[done]] = True
             keep = ~done
-            live, x, p, q = live[keep], x[keep], p[keep], q[keep]
+            live, x, state = live[keep], x[keep], tuple(s[keep] for s in state)
     out[live] = x
     return out, converged
+
+
+def _dykstra(x, p, q):
+    """One Dykstra step; p and q are the corrections for the affine and the orthant projection."""
+    xp = x + p
+    y = affine_project(xp)
+    p = xp - y  # each difference right after its operands, while they are still in cache
+    yq = y + q
+    x_new = np.maximum(yq, 0.0)
+    q = yq - x_new
+    return x_new, (p, q), _frobenius_norms(x_new - x)
 
 
 def _constraint_matrix(n: int) -> np.ndarray:
@@ -124,35 +127,43 @@ def _constraint_matrix(n: int) -> np.ndarray:
     return a
 
 
-def _splitting_qp(m: np.ndarray, tol: float, max_iterations: int):
-    """ADMM on the explicit QP: split the affine-feasible and non-negative parts."""
-    n = m.shape[0]
+def _splitting_qp(m: np.ndarray):
+    """ADMM on the explicit QP, splitting the affine-feasible and non-negative parts.
+
+    The iterates are the rows of a (B, n*n) stack.  One Cholesky solve takes
+    them all as right-hand sides; the products with the constraint matrix stay
+    one matvec per matrix, which keeps each matrix's bits.
+    """
+    n = m.shape[-1]
     a = _constraint_matrix(n)
     b = np.ones(2 * n - 1)
-    q = m.ravel()
     gram = cho_factor(a @ a.T)
     rho = 1.0
-    z = np.clip(q, 0.0, None)
-    u = np.zeros_like(q)
-    for it in range(max_iterations):
+
+    def step(z, q, u):
         w = (q + rho * (z - u)) / (1.0 + rho)
-        x = w - a.T @ cho_solve(gram, a @ w - b)
+        y = cho_solve(gram, ((a @ w[..., None])[..., 0] - b).T).T
+        x = w - (a.T @ y[..., None])[..., 0]
         z_new = np.maximum(x + u, 0.0)
-        u += x - z_new
-        gap = max(float(np.abs(x - z_new).max()), float(np.abs(z_new - z).max()))
-        z = z_new
-        if gap < tol and it > 0:
-            return z.reshape(n, n), True
-    return z.reshape(n, n), False
+        gap = np.maximum(np.abs(x - z_new).max(axis=-1), np.abs(z_new - z).max(axis=-1))
+        return z_new, (q, u + (x - z_new)), gap
+
+    q = m.reshape(len(m), n * n)
+    return step, np.clip(q, 0.0, None), (q, np.zeros_like(q))
+
+
+# each route's (step, start, state) for _iterate; no step updates its state in place
+_SOLVERS = {DYKSTRA: lambda m: (_dykstra, m, (np.zeros_like(m),) * 2),
+            SPLITTING_QP: _splitting_qp}
 
 
 def project(m, settings: ProjectionSettings | None = None):
     """Frobenius-nearest doubly stochastic matrix, validated at 1e-8.
 
-    Returns a :class:`Dsm` for one matrix.  On the Dykstra route a (B, n, n)
-    stack is projected in one call and comes back as the (B, n, n) array of
-    projections, each validated as a single matrix would be; the
-    splitting-qp route takes one matrix at a time.
+    Returns a :class:`Dsm` for one matrix.  A (B, n, n) stack is projected in
+    one call on either route and comes back as the (B, n, n) array of
+    projections, each to the same bits as alone and validated as a single
+    matrix would be.
 
     Raises :class:`ProjectionError` with the last iterate attached when the
     iteration budget runs out before the successive-iterate gap drops below
@@ -162,13 +173,10 @@ def project(m, settings: ProjectionSettings | None = None):
     """
     m = as_square(m, stack=True)
     settings = settings or ProjectionSettings()
-    if settings.method == SPLITTING_QP:
-        if m.ndim == 3:
-            raise ValueError(f"the {SPLITTING_QP} route projects one matrix at a time")
-        return _validated(*_splitting_qp(m, settings.tolerance, settings.max_iterations),
-                          settings)
-    out, converged = _dykstra(m.reshape(-1, *m.shape[-2:]), settings.tolerance,
+    stack = m.reshape(-1, *m.shape[-2:])
+    out, converged = _iterate(*_SOLVERS[settings.method](stack), settings.tolerance,
                               settings.max_iterations)
+    out = out.reshape(stack.shape)
     if m.ndim == 2:
         return _validated(out[0], converged[0], settings)
     failed = ~converged | _off_polytope(out, _VALIDATION)

@@ -43,12 +43,14 @@ from .core import (
     spearman_rho,
 )
 from .counting import count_brute, decomposition_check, f3_analytic
-from .expressivity import GridSpec, grid_total, probe_invariances, tradeoff_sweep, uniqueness_sweep
+from .expressivity import (GridSpec, _index_range, grid_total, probe_invariances, tradeoff_sweep,
+                           uniqueness_sweep)
 from .operators import OPERATOR_NAMES, SPECS, Normalizer, make_operator
 from .qontot import CircuitConfig, bench_circuit, sample_shots
 from .sinkhorn import exp_scale
 
 _FULL_GATE = 1 << 20  # sweep sizes above this need --full
+_MAX_TOTAL = 1 << 48  # sweep-unique's runaway guard on the grid size
 
 
 class _Usage(Exception):
@@ -144,10 +146,12 @@ def _boolean(text: str) -> bool:
 def _int_list(text: str) -> list[int]:
     """A comma-separated integer list (bench's --layers and --aux-qubits)."""
     try:
-        return [int(part) for part in text.split(",") if part != ""]
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(
-            f"want a comma-separated integer list, got {text!r}") from exc
+        values = [int(part) for part in text.split(",") if part != ""]
+    except ValueError:
+        values = []
+    if not values:
+        raise argparse.ArgumentTypeError(f"want a comma-separated integer list, got {text!r}")
+    return values
 
 
 def _req(args, name: str):
@@ -265,6 +269,7 @@ def _cmd_sweep_unique(args) -> int:
         total = grid_total(spec)
         if total > _FULL_GATE and not args.full:
             raise _Usage(f"sweep covers {total} inputs; pass --full to confirm")
+        start, stop = _index_range(spec, args.start, args.stop, _MAX_TOTAL)
         name = _req(args, "op")
         op = _operator(args, name, spec.n)
     report = uniqueness_sweep(
@@ -272,9 +277,9 @@ def _cmd_sweep_unique(args) -> int:
         op,
         exp_scale_tau=args.tau,
         workers=_workers(args),
-        start=args.start,
-        stop=args.stop,
-        max_total=1 << 48,
+        start=start,
+        stop=stop,
+        max_total=_MAX_TOTAL,
     )
     _emit({"op": name, "domain": spec.domain, "n": spec.n, "d": spec.d} | asdict(report))
     return 0

@@ -253,10 +253,12 @@ def load_matrix_json(path) -> np.ndarray:
         with open(path) as fh:
             obj = json.load(fh)
     try:
-        n = int(obj["n"])
+        n = obj["n"]
         data = obj["data"]
     except (TypeError, KeyError) as exc:
         raise ValueError("matrix JSON needs fields 'n' and 'data'") from exc
+    if type(n) is not int:  # a JSON integer; bool is an int subclass
+        raise ValueError(f"'n' must be an integer, got {n!r}")
     if len(data) != n * n:
         raise ValueError(f"'data' has {len(data)} entries, expected n*n = {n * n}")
     return as_square(np.asarray(data, dtype=np.float64).reshape(n, n))

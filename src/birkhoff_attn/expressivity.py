@@ -25,7 +25,7 @@ from itertools import islice, product
 import numpy as np
 
 from .core import _odometer, frobenius_distance, shannon_entropy
-from .operators import Normalizer, _each
+from .operators import Normalizer
 from .sinkhorn import exp_scale
 
 _SWEEP_CHUNK = 512  # fixed regardless of worker count
@@ -130,7 +130,8 @@ def _chunk_metrics(op, ms: np.ndarray, tau: float):
     at a time, so it is mapped over the stack.
     """
     x = exp_scale(ms, tau) if getattr(op, "needs_positive", False) else ms
-    outs = op(x) if isinstance(op, Normalizer) else _each(op, x)
+    outs = (op(x) if isinstance(op, Normalizer)
+            else np.array([op(m) for m in x], dtype=np.float64).reshape(x.shape))
     return outs, shannon_entropy(outs), frobenius_distance(ms, outs)
 
 

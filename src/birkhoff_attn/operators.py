@@ -5,10 +5,8 @@ base :class:`Normalizer`.  Its fields are the operator's settings, with
 their defaults; calling a spec applies the operator to one square matrix or
 to each matrix of a (B, n, n) stack, returning the input's shape, and
 ``attend(scores, tau)`` applies it to attention scores at temperature tau.
-A stack is one kernel call for softmax, the Sinkhorn family, Dykstra
-projection, qr and the circuit, each matrix to the same bits as alone; the
-splitting-qp projection takes one matrix at a time, so its spec maps the
-kernel over the stack.
+A stack is one kernel call for every operator, each matrix to the same
+bits as alone.
 ``needs_positive`` marks operators whose domain is strictly positive
 matrices (the Sinkhorn family); sweep drivers feed those through
 :func:`~birkhoff_attn.sinkhorn.exp_scale` first, and in attention they
@@ -28,7 +26,7 @@ from typing import ClassVar
 
 import numpy as np
 
-from .birkhoff import DYKSTRA, ProjectionSettings, project
+from .birkhoff import ProjectionSettings, project
 from .core import Dsm, as_square
 from .qontot import CircuitConfig, param_count, simulate_dsm
 from .qr import qr_dsm
@@ -67,13 +65,6 @@ def norm_softmax(m, tau: float = 1.0, power: int = 1) -> np.ndarray:
     temps = [max(min(float(std) ** power, tau), _DENOM_FLOOR)
              for std in m.reshape(-1, m.shape[-1] ** 2).std(axis=-1)]
     return _softmax(m, np.reshape(temps, m.shape[:-2] + (1, 1)))
-
-
-def _each(fn, m) -> np.ndarray:
-    """``fn`` on one matrix, or on each matrix of a (B, n, n) stack in turn, as float64."""
-    if np.ndim(m) != 3:
-        return fn(m)
-    return np.array([fn(x) for x in m], dtype=np.float64).reshape(np.shape(m))
 
 
 def _array(result) -> np.ndarray:
@@ -164,9 +155,7 @@ class BirkhoffNormalizer(ProjectionSettings, Normalizer):
     name = "birkhoff-project"
 
     def __call__(self, m) -> np.ndarray:
-        if self.method == DYKSTRA:
-            return _array(project(m, self))
-        return _each(lambda x: project(x, self).matrix, m)
+        return _array(project(m, self))
 
 
 @dataclass(frozen=True)

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings as hyp_settings
@@ -7,6 +9,7 @@ from numpy.testing import assert_allclose
 from birkhoff_attn import (
     DYKSTRA,
     SPLITTING_QP,
+    GridSpec,
     ProjectionError,
     ProjectionSettings,
     affine_project,
@@ -16,6 +19,7 @@ from birkhoff_attn import (
     frobenius_distance,
     project,
 )
+from birkhoff_attn.expressivity import grid_matrices
 
 import oracles
 
@@ -133,11 +137,11 @@ class TestProject:
             ProjectionSettings(max_iterations=0)
 
 
-def iterations_needed(m: np.ndarray) -> int:
-    """The smallest Dykstra budget under which ``m`` alone converges."""
+def iterations_needed(m: np.ndarray, method: str) -> int:
+    """The smallest budget under which ``m`` alone converges on route ``method``."""
     for budget in range(1, 10_000):
         try:
-            project(m, ProjectionSettings(max_iterations=budget))
+            project(m, ProjectionSettings(method=method, max_iterations=budget))
             return budget
         except ProjectionError:
             continue
@@ -148,40 +152,60 @@ def each_alone(stack: np.ndarray, settings=None) -> list:
     return [project(m, settings).matrix for m in stack]
 
 
+@pytest.mark.parametrize("method", [DYKSTRA, SPLITTING_QP])
 @pytest.mark.parametrize("kind", ["cube", "random"])
 @pytest.mark.parametrize("n", [1, 2, 4, 16])
 @pytest.mark.parametrize("batch", [1, 2, 7, 512])
-def test_stacked_projection_matches_each_matrix_alone(kind, batch, n):
+def test_stacked_projection_matches_each_matrix_alone(kind, batch, n, method):
     rng = np.random.default_rng([batch, n])
     if kind == "cube":
         stack = rng.integers(0, 2, (batch, n, n)).astype(np.float64)
     else:
         stack = rng.standard_normal((batch, n, n))
-    out = project(stack)
+    settings = ProjectionSettings(method=method)
+    out = project(stack, settings)
     assert out.shape == stack.shape
     affine = affine_project(stack)
     # a stack of 512 is checked at 32 spread-out indices, the first and last included
     for i in sorted({*range(0, batch, max(1, batch // 32)), batch - 1}):
-        assert out[i].tobytes() == project(stack[i]).matrix.tobytes(), i
+        assert out[i].tobytes() == project(stack[i], settings).matrix.tobytes(), i
         assert affine[i].tobytes() == affine_project(stack[i]).tobytes(), i
 
 
+@pytest.mark.parametrize("stack, digest", [
+    (grid_matrices(GridSpec(n=4, d=2), 0, 512),
+     "44b824661d5fcdbd1445eff6222fb50610d91f0d8ce4ea4f30c6f6fcc92844b5"),
+    (np.random.default_rng(0).standard_normal((4, 8, 8)),
+     "7802abe1333044df55d231e0be031e9a561b18b213fe24e973634437aefc32d8"),
+], ids=["cube-4-2", "normal-8"])
+def test_splitting_qp_output_bits_are_pinned(stack, digest):
+    # digests of each matrix's splitting-qp projection, computed one matrix at
+    # a time by the unstacked ADMM this route replaced
+    out = project(stack, QP)
+    assert hashlib.sha256(out.tobytes()).hexdigest() == digest
+
+
 class TestStackedProjection:
-    def test_samples_converging_at_different_iterations(self):
+    @pytest.mark.parametrize("method, needed", [(DYKSTRA, [90, 2, 80, 2, 34]),
+                                                (SPLITTING_QP, [88, 2, 81, 2, 34])],
+                             ids=[DYKSTRA, SPLITTING_QP])
+    def test_samples_converging_at_different_iterations(self, method, needed):
         rng = np.random.default_rng(12)
         stack = np.array([3.0 * rng.standard_normal((4, 4)), np.full((4, 4), 0.25),
                           rng.standard_normal((4, 4)), np.eye(4), rng.uniform(0.0, 1.0, (4, 4))])
-        needed = [iterations_needed(m) for m in stack]
-        assert needed == [90, 2, 80, 2, 34]  # the first sample runs longest
-        out = project(stack)
-        for got, want in zip(out, each_alone(stack)):
+        # the first sample runs longest
+        assert [iterations_needed(m, method) for m in stack] == needed
+        settings = ProjectionSettings(method=method)
+        out = project(stack, settings)
+        for got, want in zip(out, each_alone(stack, settings)):
             assert got.tobytes() == want.tobytes()
             as_dsm(got, tolerance=1e-8)
 
-    def test_first_non_converging_sample_raises_with_its_last_iterate(self):
+    @pytest.mark.parametrize("method", [DYKSTRA, SPLITTING_QP])
+    def test_first_non_converging_sample_raises_with_its_last_iterate(self, method):
         rng = np.random.default_rng(12)
         slow, fast = 3.0 * rng.standard_normal((2, 4, 4))
-        tight = ProjectionSettings(max_iterations=40)
+        tight = ProjectionSettings(method=method, max_iterations=40)
         stack = np.array([np.eye(4), slow, fast, 2.0 * slow])
         with pytest.raises(ProjectionError, match="no convergence within 40") as alone:
             project(slow, tight)
@@ -191,24 +215,30 @@ class TestStackedProjection:
         assert stacked.value.report == alone.value.report
         assert str(stacked.value) == str(alone.value)
 
-    def test_first_sample_off_the_polytope_raises_with_its_last_iterate(self):
-        # at 1e9 the gap test passes while the marginals are off by ~4e-7
+    @pytest.mark.parametrize("method", [DYKSTRA, SPLITTING_QP])
+    def test_first_sample_off_the_polytope_raises_with_its_last_iterate(self, method):
         rng = np.random.default_rng(0)
         far = 1e9 * rng.standard_normal((4, 4))
-        stack = np.array([np.eye(4), rng.standard_normal((4, 4)), far, 1e9 * np.eye(4)])
+        if method == DYKSTRA:
+            # at 1e9 the gap test passes while the marginals are off by ~4e-7
+            settings = ProjectionSettings()
+            stack = np.array([np.eye(4), rng.standard_normal((4, 4)), far, 1e9 * np.eye(4)])
+        else:
+            # ADMM stops on a gap of 1e-5 with the marginals still off by more than 1e-8
+            settings = ProjectionSettings(method=method, tolerance=1e-5)
+            far = rng.standard_normal((4, 4))
+            stack = np.array([np.eye(4), np.full((4, 4), 0.25), far, 3.0 * far])
         with pytest.raises(ProjectionError, match="off the Birkhoff polytope") as alone:
-            project(far)
+            project(far, settings)
         with pytest.raises(ProjectionError, match="off the Birkhoff polytope") as stacked:
-            project(stack)
+            project(stack, settings)
         assert stacked.value.last_iterate.tobytes() == alone.value.last_iterate.tobytes()
         assert str(stacked.value) == str(alone.value)
 
-    def test_splitting_qp_takes_one_matrix(self):
-        with pytest.raises(ValueError, match="one matrix at a time"):
-            project(np.ones((2, 3, 3)), QP)
-
-    def test_empty_stack(self):
-        assert project(np.ones((0, 3, 3))).shape == (0, 3, 3)
+    @pytest.mark.parametrize("method", [DYKSTRA, SPLITTING_QP])
+    def test_empty_stack(self, method):
+        out = project(np.ones((0, 3, 3)), ProjectionSettings(method=method))
+        assert out.shape == (0, 3, 3)
 
 
 class TestBirkhoffDistance:

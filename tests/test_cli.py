@@ -260,6 +260,8 @@ class TestOperatorFlags:
         (["apply", "--op", "birkhoff-project", "--tolerance", "-1"], CSV_2X2, "tolerance"),
         (["apply", "--op", "qontot", "--layers", "0", "--theta-seed", "0"], CSV_ID4, "layers"),
         (["apply", "--op", "qontot", "--theta-seed", "0"], "1,0,0\n0,1,0\n0,0,1\n", "dsm_dim"),
+        (["apply", "--op", "softmax"], '{"n": 1.5, "data": [3]}', "'n' must be an integer"),
+        (["apply", "--op", "softmax"], '{"n": true, "data": [3]}', "'n' must be an integer"),
         (["apply-attn", "--normalizer", "birkhoff-project", "--tolerance", "-1", *QKV_FLAGS],
          None, "tolerance"),
         (["apply-attn", "--normalizer", "qontot", "--aux-qubits", "-1", "--theta-seed", "0",
@@ -275,6 +277,10 @@ class TestOperatorFlags:
         (["sweep-unique", "--op", "softmax", "--n", "0", "--d", "2"], None, "n must be"),
         (["sweep-unique", "--op", "softmax", "--n", "2", "--d", "2", "--rounding-decimals", "-1"],
          None, "rounding_decimals"),
+        (["sweep-unique", "--op", "softmax", "--n", "2", "--d", "2", "--start", "-5"],
+         None, "bad index range [-5, 16)"),
+        (["sweep-unique", "--op", "softmax", "--n", "2", "--d", "2", "--start", "9",
+          "--stop", "3"], None, "bad index range [9, 3)"),
         (["bench", "--layers", "0"], None, "layers"),
         (["bench", "--dsm-dim", "3"], None, "dsm_dim"),
     ])
@@ -505,10 +511,16 @@ class TestBench:
         assert [r[0] for r in rows] == ["1", "2"]
         assert all(float(r[2]) > 0.0 for r in rows)
 
-    def test_bad_layer_list(self, capsys, monkeypatch):
-        code, _, err = invoke(["bench", "--layers", "1,two"], capsys, monkeypatch)
-        assert code == 1
-        assert "comma-separated" in err
+    @pytest.mark.parametrize("layers", ["1,two", ",", ""])
+    def test_bad_layer_list(self, layers, capsys, monkeypatch, tmp_path):
+        config = tmp_path / "bench.cfg"
+        config.write_text(f"layers={layers}\n")
+        for argv, message in ((["bench", "--layers", layers], "comma-separated"),
+                              (["bench", "--config", str(config)], "bad config value for layers")):
+            code, out, err = invoke(argv, capsys, monkeypatch)
+            assert code == 1
+            assert out == ""
+            assert message in err
 
 
 class TestGradcheck:

@@ -245,6 +245,13 @@ class TestSerialization:
         with pytest.raises(ValueError, match="expected"):
             load_matrix_json(path)
 
+    @pytest.mark.parametrize("n", [1.5, True, 1.0, "1", None])
+    def test_json_rejects_a_non_integer_n(self, n, tmp_path):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({"n": n, "data": [3.0]}))
+        with pytest.raises(ValueError, match="'n' must be an integer"):
+            load_matrix_json(path)
+
     def test_json_rejects_missing_fields(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps({"rows": []}))

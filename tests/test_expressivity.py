@@ -192,6 +192,14 @@ class TestUniquenessSweep:
         assert report.total_inputs == 25
         assert report.unique_outputs == 25
 
+    @pytest.mark.parametrize("op", [lambda m: m, make_operator("softmax")],
+                             ids=["bare", "spec"])
+    def test_empty_window_counts_nothing(self, op):
+        report = uniqueness_sweep(GridSpec(n=2, d=2), op, start=16)
+        assert report.total_inputs == report.unique_outputs == 0
+        assert report.count_multiset == []
+        assert report.entropy_stats == report.residual_stats == {}
+
     @pytest.mark.parametrize("start, stop", [(10, 5), (20, None)])
     def test_window_outside_the_grid_raises(self, start, stop):
         # the 2x2 binary grid has 16 inputs
@@ -252,6 +260,11 @@ class TestTradeoffSweep:
             want.append({"entropy": shannon_entropy(out),
                          "residual": float(np.linalg.norm(m - out))})
         assert tradeoff_sweep(inputs, op, exp_scale_tau=0.7) == want
+
+    def test_bare_callable_maps_each_input(self):
+        inputs = [np.arange(4.0).reshape(2, 2) + k for k in range(3)]
+        rows = tradeoff_sweep(inputs, lambda m: m.T)
+        assert [r["residual"] for r in rows] == [float(np.linalg.norm(m - m.T)) for m in inputs]
 
     def test_identity_operator_has_zero_residual(self):
         inputs = [np.full((2, 2), 0.5)]

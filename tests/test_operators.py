@@ -17,7 +17,6 @@ from birkhoff_attn import (
     sinkhorn_naive,
     softmax_rows,
 )
-from birkhoff_attn.operators import _each
 
 # the settings each operator needs beyond its defaults, for 4x4 inputs
 SETTINGS = {
@@ -117,12 +116,6 @@ class TestSpec:
 
 
 class TestBatch:
-    def test_each_maps_a_bare_callable(self):
-        stack = np.arange(12.0).reshape(3, 2, 2)
-        assert np.array_equal(_each(lambda m: m.T, stack), stack.transpose(0, 2, 1))
-        assert _each(lambda m: m, np.ones((0, 2, 2))).shape == (0, 2, 2)
-        assert np.array_equal(_each(lambda m: m.T, stack[0]), stack[0].T)
-
     @pytest.mark.parametrize("n", [1, 2, 4, 16])
     @pytest.mark.parametrize("batch", [1, 2, 7, 512])
     def test_softmax_kernels_stack(self, batch, n):
