@@ -22,11 +22,11 @@ from scipy.linalg import cho_factor, cho_solve
 from .core import (
     Dsm,
     StochasticityReport,
+    _deviations,
     _frobenius_norms,
     _off_polytope,
     as_dsm,
     as_square,
-    check_stochasticity,
     frobenius_distance,
 )
 
@@ -142,7 +142,7 @@ def _splitting_qp(m: np.ndarray):
 
     def step(z, q, u):
         w = (q + rho * (z - u)) / (1.0 + rho)
-        y = cho_solve(gram, ((a @ w[..., None])[..., 0] - b).T).T
+        y = cho_solve(gram, ((a @ w[..., None])[..., 0] - b).T, check_finite=False).T
         x = w - (a.T @ y[..., None])[..., 0]
         z_new = np.maximum(x + u, 0.0)
         gap = np.maximum(np.abs(x - z_new).max(axis=-1), np.abs(z_new - z).max(axis=-1))
@@ -187,13 +187,17 @@ def project(m, settings: ProjectionSettings | None = None):
 
 
 def _validated(out: np.ndarray, converged: bool, settings: ProjectionSettings) -> Dsm:
-    """One projection's result as a Dsm, or its ProjectionError."""
+    """One projection's result as a Dsm, or its ProjectionError.
+
+    The error's report is measured without validating the iterate, which may
+    hold NaN after an overflow.
+    """
     if not converged:
         raise ProjectionError(
             f"no convergence within {settings.max_iterations} iterations "
             f"({settings.method}, tolerance {settings.tolerance})",
             out,
-            check_stochasticity(out),
+            StochasticityReport(*map(float, _deviations(out))),
         )
     try:
         return as_dsm(out, tolerance=_VALIDATION)
@@ -201,7 +205,7 @@ def _validated(out: np.ndarray, converged: bool, settings: ProjectionSettings) -
         raise ProjectionError(
             f"{settings.method} stopped off the Birkhoff polytope: {exc}",
             out,
-            check_stochasticity(out),
+            StochasticityReport(*map(float, _deviations(out))),
         ) from exc
 
 

@@ -259,9 +259,15 @@ def load_matrix_json(path) -> np.ndarray:
         raise ValueError("matrix JSON needs fields 'n' and 'data'") from exc
     if type(n) is not int:  # a JSON integer; bool is an int subclass
         raise ValueError(f"'n' must be an integer, got {n!r}")
+    if not isinstance(data, list):
+        raise ValueError(f"'data' must be a list of n*n numbers, got {json.dumps(data)}")
     if len(data) != n * n:
         raise ValueError(f"'data' has {len(data)} entries, expected n*n = {n * n}")
-    return as_square(np.asarray(data, dtype=np.float64).reshape(n, n))
+    try:
+        values = np.asarray(data, dtype=np.float64)
+    except TypeError as exc:  # an entry that is a JSON object
+        raise ValueError(f"'data' must be a list of n*n numbers: {exc}") from exc
+    return as_square(values.reshape(n, n))
 
 
 def matrix_record(m) -> dict:

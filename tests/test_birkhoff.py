@@ -235,6 +235,25 @@ class TestStackedProjection:
         assert stacked.value.last_iterate.tobytes() == alone.value.last_iterate.tobytes()
         assert str(stacked.value) == str(alone.value)
 
+    def test_an_overflowing_sample_does_not_jump_the_index_order(self):
+        # ADMM's iterate on the 1e308 matrix overflows to NaN; the error is
+        # still the earlier matrix's, and the NaN matrix alone still fails
+        # as a ProjectionError
+        settings = ProjectionSettings(method=SPLITTING_QP, max_iterations=50)
+        slow = 3.0 * np.random.default_rng(12).standard_normal((3, 3))
+        overflow = np.full((3, 3), 1e308)
+        with np.errstate(all="ignore"):
+            with pytest.raises(ProjectionError, match="no convergence within 50") as alone:
+                project(slow, settings)
+            with pytest.raises(ProjectionError, match="no convergence within 50") as stacked:
+                project(np.array([slow, overflow]), settings)
+            with pytest.raises(ProjectionError, match="no convergence within 50") as nan:
+                project(overflow, settings)
+        assert stacked.value.last_iterate.tobytes() == alone.value.last_iterate.tobytes()
+        assert stacked.value.report == alone.value.report
+        assert np.isnan(nan.value.last_iterate).all()
+        assert np.isnan(nan.value.report.max_row_deviation)
+
     @pytest.mark.parametrize("method", [DYKSTRA, SPLITTING_QP])
     def test_empty_stack(self, method):
         out = project(np.ones((0, 3, 3)), ProjectionSettings(method=method))

@@ -380,6 +380,11 @@ class TestUsageErrors:
         (["apply", "--op", "softmax"], "1,2\n3,4,5\n", "stdin", "number of columns"),
         (["apply", "--op", "softmax"], "1,2,3\n4,5,6\n", "stdin", "must be square"),
         (["apply", "--op", "softmax"], '{"n": 2}', "stdin", "'data'"),
+        (["apply", "--op", "softmax"], '{"n": 1, "data": 3}', "stdin", "'data' must be a list"),
+        (["apply", "--op", "softmax"], '{"n": 1, "data": null}', "stdin",
+         "'data' must be a list"),
+        (["apply", "--op", "softmax"], '{"n": 1, "data": {"a": 1}}', "stdin",
+         "'data' must be a list"),
         (["apply", "--op", "softmax"], " \n", "stdin", "empty matrix input"),
         (["apply", "--op", "softmax", "--input", "missing.csv"], None, "missing.csv", "not found"),
         (["apply-attn", "--normalizer", "softmax", "--q-file", "q.csv", "--key-file",
@@ -394,7 +399,8 @@ class TestUsageErrors:
          "empty matrix input"),
         (["apply-attn", "--normalizer", "softmax", "--q-file", "empty.csv", "--key-file",
           "k.csv", "--value-file", "v.csv"], None, "empty.csv", "empty matrix input"),
-    ], ids=["ragged-stdin", "non-square-stdin", "json-without-data", "empty-stdin",
+    ], ids=["ragged-stdin", "non-square-stdin", "json-without-data", "json-int-data",
+            "json-null-data", "json-object-data", "empty-stdin",
             "missing-input", "ragged-key-file", "missing-key-file", "missing-theta-file",
             "missing-config", "empty-input-file", "empty-q-file"])
     def test_unreadable_input_names_its_source(self, argv, stdin_text, source, message,

@@ -252,6 +252,13 @@ class TestSerialization:
         with pytest.raises(ValueError, match="'n' must be an integer"):
             load_matrix_json(path)
 
+    @pytest.mark.parametrize("data", [3, None, {"a": 1}, [{"a": 1}]])
+    def test_json_rejects_data_that_is_not_a_list_of_numbers(self, data, tmp_path):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({"n": 1, "data": data}))
+        with pytest.raises(ValueError, match="'data' must be a list of n\\*n numbers"):
+            load_matrix_json(path)
+
     def test_json_rejects_missing_fields(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps({"rows": []}))

@@ -251,18 +251,82 @@ class TestStack:
                 assert (width, per_pass) == (1, 1)
 
 
+class TestTrotter:
+    """The fused trotter kernel: merged X half-steps and one phase pass per layer."""
+
+    @pytest.mark.parametrize("dsm_dim, aux, layers", [
+        (2, 0, 1),  # q = 1: no ZZ coefficients
+        (2, 0, 3),
+        (4, 0, 1),  # one layer: no merged half-step
+        (4, 3, 2),
+        (8, 1, 1),
+        (2, 4, 5),
+    ])
+    def test_matches_dense_oracle(self, dsm_dim, aux, layers):
+        c = CircuitConfig(dsm_dim=dsm_dim, aux_qubits=aux, layers=layers, ansatz="trotter")
+        rng = np.random.default_rng(dsm_dim + 10 * aux + 100 * layers)
+        theta = rng.uniform(-2.0, 2.0, param_count(c))
+        stack = rng.standard_normal((3, dsm_dim, dsm_dim))
+        for out, m in zip(simulate_dsm(c, theta, stack), stack):
+            want = oracles.dense_dsm(dsm_dim, aux, layers, "trotter", theta, m)
+            assert np.abs(out - want).max() < 1e-12
+
+    @pytest.mark.parametrize("dsm_dim, aux, layers", [(2, 0, 3), (4, 0, 1), (2, 4, 5)])
+    def test_matches_dense_oracle_in_split_blocks(self, monkeypatch, dsm_dim, aux, layers):
+        # 8 amplitudes: the five inputs go through in several passes, and above
+        # one qubit each input's columns in several blocks
+        monkeypatch.setattr(qontot, "_AMPLITUDE_BUDGET", 8)
+        c = CircuitConfig(dsm_dim=dsm_dim, aux_qubits=aux, layers=layers, ansatz="trotter")
+        width, per_pass = qontot._block_shape(c)
+        assert per_pass < 5 and (width < 1 << c.total_qubits or c.total_qubits == 1)
+        rng = np.random.default_rng(layers)
+        theta = rng.uniform(-2.0, 2.0, param_count(c))
+        stack = rng.standard_normal((5, dsm_dim, dsm_dim))
+        for out, m in zip(simulate_dsm(c, theta, stack), stack):
+            want = oracles.dense_dsm(dsm_dim, aux, layers, "trotter", theta, m)
+            assert np.abs(out - want).max() < 1e-12
+
+    @pytest.mark.parametrize("dsm_dim, aux, layers", [(2, 0, 1), (4, 0, 8), (4, 7, 4)])
+    def test_x_passes_per_block(self, monkeypatch, dsm_dim, aux, layers):
+        # (L + 1) * q X passes per block of states, against 2 * L * q unfused
+        calls = {"apply": 0, "run": 0}
+
+        def counted(name, fn):
+            def wrapper(*args):
+                calls[name] += 1
+                return fn(*args)
+            return wrapper
+
+        monkeypatch.setattr(qontot, "_apply", counted("apply", qontot._apply))
+        monkeypatch.setattr(qontot, "_run", counted("run", qontot._run))
+        c = CircuitConfig(dsm_dim=dsm_dim, aux_qubits=aux, layers=layers, ansatz="trotter")
+        theta = np.random.default_rng(0).uniform(-1.0, 1.0, param_count(c))
+        simulate_dsm(c, theta, np.ones((3, dsm_dim, dsm_dim)))
+        width, per_pass = qontot._block_shape(c)
+        blocks = -(-3 // per_pass) * ((1 << c.total_qubits) // width)
+        assert calls["run"] == blocks
+        assert calls["apply"] == blocks * (layers + 1) * c.total_qubits
+
+
 @pytest.mark.parametrize("kw, digest", [
     ({"aux_qubits": 0, "layers": 8, "ansatz": "trotter"},
-     "aa87332ee9d5084653d2329c8f4a19d3639b899b284115f8b69bf46c23d89e20"),
+     "4387a23630216c9dae30568c6fc4c211f2195776a7b509cd40beefc80893b958"),
     ({"aux_qubits": 2, "layers": 3, "ansatz": "simple"},
      "a64b5ca83127262be448b6d5969354c9a7cd0e37033950f7f6784456ad7e778a"),
 ], ids=["trotter-aux0", "simple-aux2"])
 def test_output_bits_are_pinned(kw, digest):
-    # digests of the outputs on the first 512 inputs of the n=4, d=3 cube,
-    # taken when the batched kernel was written
+    # digests of the outputs on the first 512 inputs of the n=4, d=3 cube:
+    # simple since the batched kernel was written, trotter since its X
+    # half-steps were merged and its ZZ phases folded into one diagonal; both
+    # are tied to the dense oracle too
     op = make_operator("qontot", dsm_dim=4, theta_seed=0, **kw)
-    out = op(grid_matrices(GridSpec(n=4, d=3), 0, 512))
+    inputs = grid_matrices(GridSpec(n=4, d=3), 0, 512)
+    out = op(inputs)
     assert hashlib.sha256(out.tobytes()).hexdigest() == digest
+    c = op.config
+    for got, m in zip(out, inputs):
+        want = oracles.dense_dsm(c.dsm_dim, c.aux_qubits, c.layers, c.ansatz, op.theta, m)
+        assert np.abs(got - want).max() < 1e-13
 
 
 class TestSampleShots:
