@@ -67,14 +67,19 @@ def affine_project(m) -> np.ndarray:
     and the gauge sum(nu) = 0.  Entries may be negative.  Takes a matrix or a
     (B, n, n) stack.
     """
-    m = as_square(m, stack=True)
+    return _affine(as_square(m, stack=True))
+
+
+def _affine(m: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """:func:`affine_project` of a validated array, written into ``out`` when given."""
     n = m.shape[-1]
     r = m.sum(axis=-1, keepdims=True)  # row sums as a column
     c = m.sum(axis=-2, keepdims=True)  # column sums as a row
     s = r.sum(axis=-2, keepdims=True)
     mu = (1.0 - r) / n
     nu = (1.0 - c) / n - (n - s) / n**2
-    return m + mu + nu
+    out = np.add(m, mu, out=out)
+    return np.add(out, nu, out=out)
 
 
 def _iterate(step, x: np.ndarray, state: tuple, tol: float, max_iterations: int):
@@ -82,8 +87,11 @@ def _iterate(step, x: np.ndarray, state: tuple, tol: float, max_iterations: int)
 
     ``step(x, *state)`` returns the next iterate, its state and a (B,) gap; a
     matrix retires at its first gap below tol after the first step, so it ends
-    on the iterate it would reach alone.  Returns the final iterates and a
-    (B,) converged flag.
+    on the iterate it would reach alone.  A step may overwrite its state and
+    the x it was given, so nothing here is kept across steps except through
+    copies: a retiring matrix is copied into the output, and the fancy-indexed
+    x and state of the matrices still live are copies too.  Returns the final
+    iterates and a (B,) converged flag.
     """
     out = np.empty_like(x)
     converged = np.zeros(len(x), dtype=bool)
@@ -102,15 +110,22 @@ def _iterate(step, x: np.ndarray, state: tuple, tol: float, max_iterations: int)
     return out, converged
 
 
-def _dykstra(x, p, q):
-    """One Dykstra step; p and q are the corrections for the affine and the orthant projection."""
-    xp = x + p
-    y = affine_project(xp)
-    p = xp - y  # each difference right after its operands, while they are still in cache
-    yq = y + q
-    x_new = np.maximum(yq, 0.0)
-    q = yq - x_new
-    return x_new, (p, q), _frobenius_norms(x_new - x)
+def _dykstra(x, p, q, w):
+    """One Dykstra step, written over the four buffers it is given.
+
+    p and q are the corrections for the affine and the orthant projection and
+    w is scratch.  No n x n array is allocated: every entry goes through the
+    same ufuncs on the same operands as with fresh temporaries, so reusing the
+    buffers changes no bit.  The old x ends holding the step's difference and
+    is the next step's scratch.
+    """
+    xp = np.add(x, p, out=w)
+    y = _affine(xp, out=p)
+    yq = np.add(y, q, out=q)
+    p = np.subtract(xp, y, out=p)
+    x_new = np.maximum(yq, 0.0, out=w)
+    q = np.subtract(yq, x_new, out=q)
+    return x_new, (p, q, x), _frobenius_norms(np.subtract(x_new, x, out=x))
 
 
 def _constraint_matrix(n: int) -> np.ndarray:
@@ -152,8 +167,12 @@ def _splitting_qp(m: np.ndarray):
     return step, np.clip(q, 0.0, None), (q, np.zeros_like(q))
 
 
-# each route's (step, start, state) for _iterate; no step updates its state in place
-_SOLVERS = {DYKSTRA: lambda m: (_dykstra, m, (np.zeros_like(m),) * 2),
+# each route's (step, start, state) for _iterate.  A step may overwrite its
+# state and the iterate it was given, so Dykstra starts from a copy: project's
+# stack may be the caller's own array.  The copy keeps the caller's memory
+# order, which sets the order the affine step's sums add in.
+_SOLVERS = {DYKSTRA: lambda m: (_dykstra, m.copy(order="K"),
+                                (np.zeros_like(m), np.zeros_like(m), np.empty_like(m))),
             SPLITTING_QP: _splitting_qp}
 
 

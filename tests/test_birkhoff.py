@@ -185,6 +185,22 @@ def test_splitting_qp_output_bits_are_pinned(stack, digest):
     assert hashlib.sha256(out.tobytes()).hexdigest() == digest
 
 
+@pytest.mark.parametrize("stack, digest", [
+    (grid_matrices(GridSpec(n=4, d=2), 0, 512),
+     "b28e43fcef49377dd0119ce795fdb7431a514a85bdbe719d1a3fefdc5eb4fe04"),
+    (np.random.default_rng(0).standard_normal((4, 8, 8)),
+     "a5ee73a20dbb9280570c965d56fc8d91337d72f4d277e4b3aeeccc4aa5a63407"),
+    (np.random.default_rng(0).standard_normal((64, 64)),
+     "606ebf3f059192cdd1781abc5b8e1f9867879d2195d653ee8152e696008ec23b"),
+], ids=["cube-4-2", "normal-8", "normal-64"])
+def test_dykstra_output_bits_are_pinned(stack, digest):
+    # digests of the Dykstra projections computed by the step that allocated
+    # fresh arrays each iteration; the in-place step must keep every bit
+    out = project(stack)
+    out = out.matrix if stack.ndim == 2 else out
+    assert hashlib.sha256(out.tobytes()).hexdigest() == digest
+
+
 class TestStackedProjection:
     @pytest.mark.parametrize("method, needed", [(DYKSTRA, [90, 2, 80, 2, 34]),
                                                 (SPLITTING_QP, [88, 2, 81, 2, 34])],
@@ -235,11 +251,12 @@ class TestStackedProjection:
         assert stacked.value.last_iterate.tobytes() == alone.value.last_iterate.tobytes()
         assert str(stacked.value) == str(alone.value)
 
-    def test_an_overflowing_sample_does_not_jump_the_index_order(self):
-        # ADMM's iterate on the 1e308 matrix overflows to NaN; the error is
-        # still the earlier matrix's, and the NaN matrix alone still fails
+    @pytest.mark.parametrize("method", [DYKSTRA, SPLITTING_QP])
+    def test_an_overflowing_sample_does_not_jump_the_index_order(self, method):
+        # each route's iterate on the 1e308 matrix overflows to NaN; the error
+        # is still the earlier matrix's, and the NaN matrix alone still fails
         # as a ProjectionError
-        settings = ProjectionSettings(method=SPLITTING_QP, max_iterations=50)
+        settings = ProjectionSettings(method=method, max_iterations=50)
         slow = 3.0 * np.random.default_rng(12).standard_normal((3, 3))
         overflow = np.full((3, 3), 1e308)
         with np.errstate(all="ignore"):
@@ -253,6 +270,17 @@ class TestStackedProjection:
         assert stacked.value.report == alone.value.report
         assert np.isnan(nan.value.last_iterate).all()
         assert np.isnan(nan.value.report.max_row_deviation)
+
+    @pytest.mark.parametrize("method", [DYKSTRA, SPLITTING_QP])
+    def test_the_callers_array_is_left_unchanged(self, method):
+        # project works on the caller's float64 array without a conversion
+        # copy, so a step that reused its start buffer would write into it
+        rng = np.random.default_rng(7)
+        settings = ProjectionSettings(method=method)
+        for m in (rng.standard_normal((5, 5)), rng.standard_normal((3, 5, 5))):
+            before = m.copy()
+            project(m, settings)
+            assert m.tobytes() == before.tobytes()
 
     @pytest.mark.parametrize("method", [DYKSTRA, SPLITTING_QP])
     def test_empty_stack(self, method):
