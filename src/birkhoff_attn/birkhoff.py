@@ -17,7 +17,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
 
 from .core import (
     Dsm,
@@ -149,6 +148,8 @@ def _splitting_qp(m: np.ndarray):
     them all as right-hand sides; the products with the constraint matrix stay
     one matvec per matrix, which keeps each matrix's bits.
     """
+    from scipy.linalg import cho_factor, cho_solve  # only this route needs scipy
+
     n = m.shape[-1]
     a = _constraint_matrix(n)
     b = np.ones(2 * n - 1)

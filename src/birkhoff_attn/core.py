@@ -16,7 +16,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import rankdata
 
 _M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3  # mallopt parameters, glibc's malloc.h
 _MMAP_THRESHOLD_MAX = 32 << 20  # glibc's ceiling for its adaptive threshold on 64-bit
@@ -201,6 +200,22 @@ def frobenius_distance(a, b):
     return _per_matrix(_frobenius_norms(a - b))
 
 
+def _average_ranks(x: np.ndarray) -> np.ndarray:
+    """1-based ranks of a 1-D array; tied entries share the mean of their positions.
+
+    Each tie group spanning sorted positions start..end-1 gets rank
+    (start + end + 1) / 2, a half-integer and so exact in float64.
+    """
+    order = np.argsort(x, kind="stable")
+    s = x[order]
+    new = np.r_[True, s[1:] != s[:-1]]
+    starts = np.flatnonzero(new)
+    ends = np.r_[starts[1:], len(s)]
+    ranks = np.empty(len(s))
+    ranks[order] = ((starts + ends + 1) / 2)[np.cumsum(new) - 1]
+    return ranks
+
+
 def spearman_rho(a, b) -> float:
     """Spearman rank correlation of the flattened entries of two matrices.
 
@@ -211,8 +226,8 @@ def spearman_rho(a, b) -> float:
     b = as_square(b, "b")
     if a.shape != b.shape:
         raise ValueError(f"shape mismatch: {a.shape} vs {b.shape}")
-    ra = rankdata(a.ravel(), method="average")
-    rb = rankdata(b.ravel(), method="average")
+    ra = _average_ranks(a.ravel())
+    rb = _average_ranks(b.ravel())
     if np.ptp(ra) == 0.0 or np.ptp(rb) == 0.0:
         raise ValueError("rank variance is zero (all entries tie); rho undefined")
     ra = ra - ra.mean()

@@ -1,5 +1,6 @@
 import ast
 import io
+import itertools
 import json
 import os
 import platform
@@ -12,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
-from scipy.stats import spearmanr
+from scipy.stats import rankdata, spearmanr
 
 import birkhoff_attn
 from birkhoff_attn import (
@@ -28,7 +29,7 @@ from birkhoff_attn import (
     shannon_entropy,
     spearman_rho,
 )
-from birkhoff_attn.core import _odometer
+from birkhoff_attn.core import _average_ranks, _odometer
 
 import oracles
 
@@ -129,6 +130,26 @@ class TestShannonEntropy:
             assert type(shannon_entropy(m)) is float
 
 
+def tie_heavy_vectors(seed):
+    """Vectors of one square length and few distinct values.
+
+    Small integers, runs of equal entries, mixed -0.0 and 0.0, a constant and
+    one tie-free normal draw.
+    """
+    rng = np.random.default_rng([seed, 7])
+    size = int(rng.integers(1, 20)) ** 2
+    blocks = np.repeat(rng.integers(-2, 3, size).astype(float), rng.integers(1, 9, size))[:size]
+    rng.shuffle(blocks)
+    return [
+        rng.integers(0, 4, size).astype(float),
+        blocks,
+        rng.choice([-0.0, 0.0, 1.0, -1.0], size),
+        np.where(rng.random(size) < 0.5, -0.0, 0.0),  # -0.0 == 0.0: one tie group
+        np.full(size, 3.0),
+        rng.standard_normal(size),
+    ]
+
+
 class TestSpearman:
     def test_monotone_is_one(self):
         a = np.arange(9.0).reshape(3, 3)
@@ -145,6 +166,25 @@ class TestSpearman:
             b = rng.standard_normal((4, 4))
             want = spearmanr(a.ravel(), b.ravel()).statistic
             assert spearman_rho(a, b) == pytest.approx(want, abs=1e-12)
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_ranks_are_rankdata_average_to_the_bit(self, seed):
+        for x in tie_heavy_vectors(seed):
+            assert _average_ranks(x).tobytes() == rankdata(x, method="average").tobytes()
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_rho_is_the_rankdata_formula_to_the_bit(self, seed):
+        vectors = tie_heavy_vectors(seed)
+        n = int(np.sqrt(vectors[0].size))
+        for x, y in itertools.combinations(vectors, 2):
+            a, b = x.reshape(n, n), y.reshape(n, n)
+            ra = rankdata(a.ravel(), method="average")
+            rb = rankdata(b.ravel(), method="average")
+            if np.ptp(ra) == 0.0 or np.ptp(rb) == 0.0:
+                continue
+            ra, rb = ra - ra.mean(), rb - rb.mean()
+            want = float(ra @ rb / np.sqrt((ra @ ra) * (rb @ rb)))
+            assert spearman_rho(a, b).hex() == want.hex()
 
     def test_constant_input_raises(self):
         with pytest.raises(ValueError, match="rank variance"):
@@ -210,6 +250,32 @@ def test_wide_temporaries_reuse_freed_heap_memory():
     result = subprocess.run([sys.executable, "-c", _FAULTS_PER_CALL], capture_output=True,
                             env=dict(os.environ, PYTHONPATH=src), check=True, text=True)
     assert float(result.stdout) < 10.0
+
+
+_SCIPY_AFTER_IMPORT = """
+import json
+import sys
+import numpy as np
+import birkhoff_attn
+import birkhoff_attn.cli
+from birkhoff_attn import ProjectionSettings, project
+
+def scipy_modules():
+    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+
+on_import = scipy_modules()
+project(np.eye(3) + 0.5, ProjectionSettings(method="splitting-qp"))
+print(json.dumps([on_import, "scipy.linalg" in scipy_modules()]))
+"""
+
+
+def test_importing_the_package_loads_no_scipy():
+    # a fresh process, since the test session itself has scipy loaded; only
+    # the splitting-qp route imports scipy.linalg, on its first call
+    src = str(Path(birkhoff_attn.__file__).resolve().parents[1])
+    result = subprocess.run([sys.executable, "-c", _SCIPY_AFTER_IMPORT], capture_output=True,
+                            env=dict(os.environ, PYTHONPATH=src), check=True, text=True)
+    assert json.loads(result.stdout) == [[], True]
 
 
 class TestSerialization:

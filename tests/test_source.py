@@ -1,4 +1,4 @@
-"""Static checks on the package source: no module-level private name is dead."""
+"""Static checks on the package source: no dead module-level private name, no import-time scipy."""
 
 import ast
 from pathlib import Path
@@ -39,6 +39,27 @@ def dead_private_names(sources: dict[str, str]) -> list[str]:
                   for name in private_definitions(tree) if name not in used)
 
 
+def import_time_imports(tree: ast.Module):
+    """Absolute module names imported when the module runs: every import outside a function."""
+    nodes = list(tree.body)
+    while nodes:
+        node = nodes.pop()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            continue
+        if isinstance(node, ast.Import):
+            yield from (alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            yield node.module
+        nodes.extend(ast.iter_child_nodes(node))
+
+
+def scipy_at_import(sources: dict[str, str]) -> list[str]:
+    """``module: name`` of each scipy module a source imports at import time."""
+    return sorted(f"{module}: {name}" for module, text in sources.items()
+                  for name in import_time_imports(ast.parse(text))
+                  if name == "scipy" or name.startswith("scipy."))
+
+
 def test_every_private_name_in_src_is_used():
     sources = {path.stem: path.read_text() for path in sorted(SRC.glob("*.py"))}
     assert len(sources) > 1
@@ -52,3 +73,22 @@ def test_the_check_finds_dead_names():
         "b": "from .a import _dead\nimport a\nx = a._helper\n",
     }
     assert dead_private_names(sources) == ["a._Unused", "a._dead"]
+
+
+def test_no_module_in_src_imports_scipy_at_import_time():
+    sources = {path.stem: path.read_text() for path in sorted(SRC.glob("*.py"))}
+    assert len(sources) > 1
+    assert scipy_at_import(sources) == []
+
+
+def test_the_check_finds_import_time_scipy():
+    sources = {
+        "a": "import numpy as np\nimport scipy\nfrom scipy.linalg import cho_solve\n"
+             "import scipyx, scipy.stats as st\nfrom . import scipy\n",
+        "b": "try:\n    from scipy import special\nexcept ImportError:\n    pass\n"
+             "class C:\n    import scipy.sparse\n",
+        "c": "def f():\n    from scipy.linalg import cho_factor\n    return cho_factor\n"
+             "g = lambda: __import__('scipy')\n",
+    }
+    assert scipy_at_import(sources) == [
+        "a: scipy", "a: scipy.linalg", "a: scipy.stats", "b: scipy", "b: scipy.sparse"]
