@@ -21,8 +21,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import as_square
-from .operators import Normalizer, Softmax, softmax_rows
-from .sinkhorn import _check_iterations, _check_sinkhorn_args, sinkhorn_naive
+from .operators import Normalizer, SinkhornNaive, Softmax, softmax_rows
+from .sinkhorn import _check_sinkhorn_args
 
 
 @dataclass(frozen=True)
@@ -38,18 +38,22 @@ def attention_forward(qm, km, vm, config: AttentionConfig | None = None) -> dict
     temperature is sqrt(d_k).
     """
     config = config or AttentionConfig()
-    qm = np.asarray(qm, dtype=np.float64)
-    km = np.asarray(km, dtype=np.float64)
-    vm = np.asarray(vm, dtype=np.float64)
+    qm, km, vm = _check_shapes(qm, km, vm)
+    tau = config.temperature if config.temperature is not None else float(np.sqrt(km.shape[1]))
+    attn = config.normalizer.attend(qm @ km.T, tau)
+    return {"attn": attn, "output": attn @ vm}
+
+
+def _check_shapes(qm, km, vm) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """qm, km, vm as float64 arrays, or ValueError unless qm and km match and vm has their rows."""
+    qm, km, vm = (np.asarray(a, dtype=np.float64) for a in (qm, km, vm))
     if qm.ndim != 2 or km.ndim != 2 or vm.ndim != 2:
         raise ValueError("qm, km, vm must be 2-D")
     if qm.shape != km.shape or vm.shape[0] != qm.shape[0]:
         raise ValueError(
             f"incompatible shapes qm{qm.shape} km{km.shape} vm{vm.shape}"
         )
-    tau = config.temperature if config.temperature is not None else float(np.sqrt(km.shape[1]))
-    attn = config.normalizer.attend(qm @ km.T, tau)
-    return {"attn": attn, "output": attn @ vm}
+    return qm, km, vm
 
 
 # ---------------------------------------------------------------------------
@@ -95,14 +99,11 @@ VJP_NORMALIZERS = ("sinkhorn-naive", "softmax")
 
 
 def _vjp_pair(normalizer: str, *, k: int, tau: float):
-    """The forward map and VJP :func:`vjp_check` compares; ValueError for a bad name or setting."""
+    """The forward spec and VJP :func:`vjp_check` compares; ValueError for a bad name or setting."""
     if normalizer == "sinkhorn-naive":
-        _check_iterations(k)
-        return lambda x: sinkhorn_naive(x, k), lambda m, g: sinkhorn_naive_vjp(m, k, g)
+        return SinkhornNaive(k), lambda m, g: sinkhorn_naive_vjp(m, k, g)
     if normalizer == "softmax":
-        if not tau > 0.0:
-            raise ValueError(f"tau must be positive, got {tau}")
-        return lambda x: softmax_rows(x, tau), lambda m, g: softmax_vjp(m, tau, g)
+        return Softmax(tau), lambda m, g: softmax_vjp(m, tau, g)
     raise ValueError(f"no VJP for {normalizer!r} (choose from {', '.join(VJP_NORMALIZERS)})")
 
 
@@ -121,18 +122,18 @@ def vjp_check(normalizer: str, *, k: int, tau: float, n: int, trials: int, seed)
     rng = np.random.default_rng(seed)
     h = 1e-5
     worst = 0.0
+    columns = np.arange(n)
     for _ in range(trials):
         m = rng.uniform(0.1, 10.0, (n, n))
         upstream = rng.standard_normal((n, n))
         analytic = vjp(m, upstream)
         fd = np.empty_like(m)
         for i in range(n):
-            for j in range(n):
-                bump = np.zeros_like(m)
-                bump[i, j] = h
-                fd[i, j] = (
-                    (upstream * fwd(m + bump)).sum() - (upstream * fwd(m - bump)).sum()
-                ) / (2 * h)
+            # bump j steps entry (i, j): one forward call per sign covers row i, n^3 floats
+            bumps = np.zeros((n, n, n))
+            bumps[columns, i, columns] = h
+            fd[i] = ((upstream * fwd(m + bumps)).reshape(n, -1).sum(axis=-1)
+                     - (upstream * fwd(m - bumps)).reshape(n, -1).sum(axis=-1)) / (2 * h)
         scale = max(float(np.abs(fd).max()), 1e-12)
         worst = max(worst, float(np.abs(analytic - fd).max()) / scale)
     return worst

@@ -22,9 +22,10 @@ from .core import (
     Dsm,
     StochasticityReport,
     _deviations,
+    _dsm_error,
     _frobenius_norms,
     _off_polytope,
-    as_dsm,
+    _report,
     as_square,
     frobenius_distance,
 )
@@ -183,13 +184,14 @@ def project(m, settings: ProjectionSettings | None = None):
     Returns a :class:`Dsm` for one matrix.  A (B, n, n) stack is projected in
     one call on either route and comes back as the (B, n, n) array of
     projections, each to the same bits as alone and validated as a single
-    matrix would be.
+    matrix would be: one matrix is a batch of one, on one failure path.
 
     Raises :class:`ProjectionError` with the last iterate attached when the
     iteration budget runs out before the successive-iterate gap drops below
     ``settings.tolerance``, or when the iteration stops at a matrix that
     fails the 1e-8 validation; for a stack, the error is the first failing
-    matrix's in index order.
+    matrix's in index order.  The error's report is measured without
+    validating the iterate, which may hold NaN after an overflow.
     """
     m = as_square(m, stack=True)
     settings = settings or ProjectionSettings()
@@ -197,36 +199,18 @@ def project(m, settings: ProjectionSettings | None = None):
     out, converged = _iterate(*_SOLVERS[settings.method](stack), settings.tolerance,
                               settings.max_iterations)
     out = out.reshape(stack.shape)
-    if m.ndim == 2:
-        return _validated(out[0], converged[0], settings)
-    failed = ~converged | _off_polytope(out, _VALIDATION)
-    if failed.any():
+    deviations = _deviations(out)
+    if (failed := ~converged | _off_polytope(deviations, _VALIDATION)).any():
         first = np.argmax(failed)
-        _validated(out[first], converged[first], settings)  # raises for this matrix
-    return out
-
-
-def _validated(out: np.ndarray, converged: bool, settings: ProjectionSettings) -> Dsm:
-    """One projection's result as a Dsm, or its ProjectionError.
-
-    The error's report is measured without validating the iterate, which may
-    hold NaN after an overflow.
-    """
-    if not converged:
-        raise ProjectionError(
-            f"no convergence within {settings.max_iterations} iterations "
-            f"({settings.method}, tolerance {settings.tolerance})",
-            out,
-            StochasticityReport(*map(float, _deviations(out))),
-        )
-    try:
-        return as_dsm(out, tolerance=_VALIDATION)
-    except ValueError as exc:
-        raise ProjectionError(
-            f"{settings.method} stopped off the Birkhoff polytope: {exc}",
-            out,
-            StochasticityReport(*map(float, _deviations(out))),
-        ) from exc
+        report = _report(deviations, first)
+        if converged[first]:
+            message = (f"{settings.method} stopped off the Birkhoff polytope: "
+                       f"{_dsm_error(out[first], report, _VALIDATION)}")
+        else:
+            message = (f"no convergence within {settings.max_iterations} iterations "
+                       f"({settings.method}, tolerance {settings.tolerance})")
+        raise ProjectionError(message, out[first], report)
+    return Dsm(out[0], _VALIDATION, _report(deviations, 0)) if m.ndim == 2 else out
 
 
 def birkhoff_distance(m, settings: ProjectionSettings | None = None) -> float:

@@ -7,7 +7,8 @@ structured reports are JSON lines written by ``_emit``.  Exit codes: 0 on
 success; 1 on a usage error (a bad flag, config value, input or setting),
 reported as ``error: ...``; 2 on a failure during computation, which echoes
 the failing input matrix as JSON on stderr.  Handlers build their inputs
-and operator specs inside ``_inputs``; :func:`main` picks every exit code.
+and operator specs, and check every other setting, inside ``_inputs``
+before any work starts; :func:`main` picks every exit code.
 
 The parser holds each flag's type, choices and default.  A flat key=value
 file given by --config supplies the subcommand's defaults, checked as the
@@ -29,7 +30,8 @@ from dataclasses import asdict, fields
 
 import numpy as np
 
-from .attention import VJP_NORMALIZERS, AttentionConfig, _vjp_pair, attention_forward, vjp_check
+from .attention import (VJP_NORMALIZERS, AttentionConfig, _check_shapes, _vjp_pair,
+                        attention_forward, vjp_check)
 from .birkhoff import ProjectionError, project
 from .core import (
     as_square,
@@ -42,14 +44,14 @@ from .core import (
     save_matrix_json,
     spearman_rho,
 )
-from .counting import count_brute, decomposition_check, f3_analytic
-from .expressivity import (GridSpec, _index_range, grid_total, probe_invariances, tradeoff_sweep,
+from .counting import _check_sizes, count_brute, decomposition_check, f3_analytic
+from .expressivity import (GridSpec, _index_range, probe_invariances, tradeoff_sweep,
                            uniqueness_sweep)
 from .operators import OPERATOR_NAMES, SPECS, Normalizer, make_operator
-from .qontot import CircuitConfig, bench_circuit, sample_shots
-from .sinkhorn import exp_scale
+from .qontot import CircuitConfig, _check_shots, bench_circuit, sample_shots
+from .sinkhorn import _check_tau, exp_scale
 
-_FULL_GATE = 1 << 20  # sweep sizes above this need --full
+_FULL_GATE = 1 << 20  # sweep windows of more inputs than this need --full
 _MAX_TOTAL = 1 << 48  # sweep-unique's runaway guard on the grid size
 
 
@@ -239,9 +241,12 @@ def _cmd_apply(args) -> int:
     m = _read_matrix(args.input)
     with _inputs():
         op = _operator(args, name, m.shape[0])
+        scaled = op.needs_positive and args.exp_scale
+        if scaled:  # --tau is exp_scale's temperature
+            _check_tau(args.tau)
     args.echo = m
     with np.errstate(all="ignore"):  # a non-finite result fails the check below
-        out = op(exp_scale(m, args.tau) if op.needs_positive and args.exp_scale else m)
+        out = op(exp_scale(m, args.tau) if scaled else m)
     report = check_stochasticity(out)  # before printing, so a failed run leaves stdout empty
     _print_matrix(out, args.format)
     _emit({"op": name} | asdict(report), sys.stderr)
@@ -256,6 +261,7 @@ def _cmd_apply_attn(args) -> int:
     with _inputs():
         config = AttentionConfig(normalizer=_operator(args, name, qm.shape[0]),
                                  temperature=args.temperature)
+        _check_shapes(qm, km, vm)
         args.echo = as_square(qm @ km.T, "qm @ km.T")
     result = attention_forward(qm, km, vm, config)
     _print_matrix(result[args.emit], args.format)
@@ -266,12 +272,13 @@ def _cmd_sweep_unique(args) -> int:
     with _inputs():
         spec = GridSpec(n=_req(args, "n"), d=_req(args, "d"), domain=args.domain,
                         rounding_decimals=args.rounding_decimals)
-        total = grid_total(spec)
-        if total > _FULL_GATE and not args.full:
-            raise _Usage(f"sweep covers {total} inputs; pass --full to confirm")
         start, stop = _index_range(spec, args.start, args.stop, _MAX_TOTAL)
+        if stop - start > _FULL_GATE and not args.full:
+            raise _Usage(f"sweep covers {stop - start} inputs; pass --full to confirm")
         name = _req(args, "op")
         op = _operator(args, name, spec.n)
+        if op.needs_positive:  # --tau is exp_scale's temperature
+            _check_tau(args.tau)
     report = uniqueness_sweep(
         spec,
         op,
@@ -291,6 +298,8 @@ def _cmd_sweep_tradeoff(args) -> int:
     with _inputs():
         rng = np.random.default_rng(_req(args, "seed"))
         op = _operator(args, name, args.n, reads_seed=True)
+        if op.needs_positive:  # --tau is exp_scale's temperature
+            _check_tau(args.tau)
         inputs = [rng.standard_normal((args.n, args.n)) for _ in range(args.trials)]
     rows = tradeoff_sweep(inputs, op, exp_scale_tau=args.tau)
     sys.stdout.write("index,entropy,residual\n")
@@ -313,6 +322,8 @@ def _cmd_count(args) -> int:
     p = _req(args, "p")
     if args.mode == "analytic" and n != 3:
         raise _Usage("--mode analytic is only available for n = 3")
+    with _inputs():
+        _check_sizes(n, p)
     if args.mode == "decompose":
         counts = decomposition_check(n, p)
     else:
@@ -325,8 +336,9 @@ def _cmd_shots(args) -> int:
     m = _read_matrix(args.input)
     with _inputs():
         circuit = _operator(args, "qontot", m.shape[0], reads_seed=True)
-    shots = _req(args, "shots")
-    seed = _req(args, "seed")
+        shots = _req(args, "shots")
+        seed = _req(args, "seed")
+        _check_shots(shots, circuit.config.dsm_dim)
     args.echo = m
     sampled = sample_shots(circuit.config, circuit.theta, m, shots, seed)
     exact = circuit(m)
@@ -440,7 +452,7 @@ def _build_parser() -> tuple[argparse.ArgumentParser, argparse.Action]:
     sub.add_argument("--start", type=int, default=0)
     sub.add_argument("--stop", type=int)
     sub.add_argument("--full", action="store_true",
-                     help="confirm sweeps above 2^20 inputs")
+                     help="confirm a sweep window above 2^20 inputs")
     sub.add_argument("--workers", type=int)
 
     sub = command("sweep-tradeoff", _cmd_sweep_tradeoff,

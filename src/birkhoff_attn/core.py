@@ -92,10 +92,26 @@ def _deviations(m: np.ndarray):
     return row_dev, col_dev, m.min(axis=(-2, -1))
 
 
-def _off_polytope(m: np.ndarray, tolerance: float) -> np.ndarray:
-    """(B,) flags of the matrices of a stack that :func:`as_dsm` rejects at ``tolerance``."""
-    row_dev, col_dev, min_entry = _deviations(m)
+def _off_polytope(deviations, tolerance: float) -> np.ndarray:
+    """Flags of the matrices whose :func:`_deviations` :func:`as_dsm` rejects at ``tolerance``."""
+    row_dev, col_dev, min_entry = deviations
     return ~((np.maximum(row_dev, col_dev) <= tolerance) & (min_entry >= -tolerance))
+
+
+def _report(deviations, i) -> StochasticityReport:
+    """Matrix ``i``'s report from the (B,) :func:`_deviations` of a stack."""
+    return StochasticityReport(*(float(d[i]) for d in deviations))
+
+
+def _dsm_error(m: np.ndarray, report: StochasticityReport, tolerance: float) -> str:
+    """Why :func:`as_dsm` rejects ``m``, whose report flags it off the polytope."""
+    if not np.isfinite(m).all():
+        return "matrix contains non-finite entries"
+    if report.min_entry < -tolerance:
+        return f"matrix has entry {report.min_entry} below -{tolerance}; not doubly stochastic"
+    return ("row/col sums deviate from 1 by "
+            f"({report.max_row_deviation}, {report.max_col_deviation}); "
+            f"tolerance is {tolerance}")
 
 
 @dataclass(frozen=True)
@@ -113,31 +129,22 @@ def as_dsm(m, tolerance: float = 1e-9) -> Dsm:
     Raises ValueError when any entry is below ``-tolerance`` or a row/column
     sum deviates from 1 by more than ``tolerance``.
     """
-    m = as_square(m)
-    report = check_stochasticity(m)
-    if report.min_entry < -tolerance:
-        raise ValueError(
-            f"matrix has entry {report.min_entry} below -{tolerance}; not doubly stochastic"
-        )
-    if report.max_row_deviation > tolerance or report.max_col_deviation > tolerance:
-        raise ValueError(
-            "row/col sums deviate from 1 by "
-            f"({report.max_row_deviation}, {report.max_col_deviation}); "
-            f"tolerance is {tolerance}"
-        )
-    return Dsm(m, float(tolerance), report)
+    return _dsm_or_stack(as_square(m), tolerance)
 
 
 def _dsm_or_stack(p: np.ndarray, tolerance: float) -> Dsm | np.ndarray:
     """:func:`as_dsm` of one matrix; a (B, n, n) stack passes the same check per matrix.
 
-    A stack comes back as it is, or raises the first failing matrix's error.
+    One matrix is a batch of one: the deviations are measured once on the
+    stack.  A stack comes back as it is, or raises the first failing
+    matrix's error, the one it would raise alone.
     """
-    if p.ndim == 2:
-        return as_dsm(p, tolerance)
-    if (off := _off_polytope(p, tolerance)).any():
-        as_dsm(p[np.argmax(off)], tolerance)  # raises for this matrix
-    return p
+    stack = p.reshape(-1, *p.shape[-2:])
+    deviations = _deviations(stack)
+    if (off := _off_polytope(deviations, tolerance)).any():
+        first = np.argmax(off)
+        raise ValueError(_dsm_error(stack[first], _report(deviations, first), tolerance))
+    return Dsm(p, float(tolerance), _report(deviations, 0)) if p.ndim == 2 else p
 
 
 def _odometer(lo: int, hi: int, base: int, width: int) -> np.ndarray:

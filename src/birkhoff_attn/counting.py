@@ -33,12 +33,16 @@ _FEASIBILITY_BITS = 48
 _PASS_CANDIDATES = 1 << 20  # heads per decomposition pass = this // p^(n-1), at least one
 
 
-def _check_args(n: int, p: int) -> int:
-    """Validate and return the number of free cells (n-1)^2."""
+def _check_sizes(n: int, p: int) -> None:
     if n < 2:
         raise ValueError(f"n must be >= 2, got {n}")
     if p < 2:
         raise ValueError(f"p must be >= 2, got {p}")
+
+
+def _check_args(n: int, p: int) -> int:
+    """Validate and return the number of free cells (n-1)^2."""
+    _check_sizes(n, p)
     k = (n - 1) ** 2
     if k * np.log2(p) > _FEASIBILITY_BITS:
         raise ValueError(
@@ -130,8 +134,7 @@ def f3_analytic(p: int) -> int:
     over l is taken in closed form, the count of l from max(1, p+3-i-j-k)
     up to its top.
     """
-    if p < 2:
-        raise ValueError(f"p must be >= 2, got {p}")
+    _check_sizes(3, p)
     count = 0
     for i in range(1, p + 1):
         for j in range(1, p - i + 2):

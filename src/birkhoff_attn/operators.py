@@ -2,7 +2,8 @@
 
 Each operator is a frozen, picklable dataclass derived from the exported
 base :class:`Normalizer`.  Its fields are the operator's settings, with
-their defaults; calling a spec applies the operator to one square matrix or
+their defaults, checked when the spec is built with the kernel's own
+check; calling a spec applies the operator to one square matrix or
 to each matrix of a (B, n, n) stack, returning the input's shape, and
 ``attend(scores, tau)`` applies it to attention scores at temperature tau.
 A stack is one kernel call for every operator, each matrix to the same
@@ -30,7 +31,7 @@ from .birkhoff import ProjectionSettings, project
 from .core import Dsm, as_square
 from .qontot import CircuitConfig, param_count, simulate_dsm
 from .qr import qr_dsm
-from .sinkhorn import exp_scale, sinkhorn_naive, sinkhorn_ot
+from .sinkhorn import _check_iterations, _check_tau, exp_scale, sinkhorn_naive, sinkhorn_ot
 
 _DENOM_FLOOR = 1e-6
 
@@ -38,8 +39,7 @@ _DENOM_FLOOR = 1e-6
 def softmax_rows(m, tau: float = 1.0) -> np.ndarray:
     """Row-wise softmax of m/tau with per-row max subtraction; m may be a (B, n, n) stack."""
     m = as_square(m, stack=True)
-    if not tau > 0.0:
-        raise ValueError(f"tau must be positive, got {tau}")
+    _check_tau(tau)
     return _softmax(m, tau)
 
 
@@ -58,13 +58,17 @@ def norm_softmax(m, tau: float = 1.0, power: int = 1) -> np.ndarray:
     own temperature.
     """
     m = as_square(m, stack=True)
-    if power not in (1, 2):
-        raise ValueError(f"power must be 1 (std) or 2 (variance), got {power}")
+    _check_power(power)
     # Python's float power is libm pow, which can round x**2 one ulp away
     # from numpy's square, so each temperature is taken in Python floats
     temps = [max(min(float(std) ** power, tau), _DENOM_FLOOR)
              for std in m.reshape(-1, m.shape[-1] ** 2).std(axis=-1)]
     return _softmax(m, np.reshape(temps, m.shape[:-2] + (1, 1)))
+
+
+def _check_power(power: int) -> None:
+    if power not in (1, 2):
+        raise ValueError(f"power must be 1 (std) or 2 (variance), got {power}")
 
 
 def _array(result) -> np.ndarray:
@@ -99,6 +103,9 @@ class Softmax(Normalizer):
     name = "softmax"
     tau: float = 1.0
 
+    def __post_init__(self):
+        _check_tau(self.tau)
+
     def __call__(self, m) -> np.ndarray:
         return softmax_rows(m, self.tau)
 
@@ -114,6 +121,9 @@ class NormSoftmax(Normalizer):
     power: int = 1
     tau: float = 1.0
 
+    def __post_init__(self):
+        _check_power(self.power)
+
     def __call__(self, m) -> np.ndarray:
         return norm_softmax(m, self.tau, self.power)
 
@@ -125,6 +135,9 @@ class _Sinkhorn(Normalizer):
     """The Sinkhorn family: positive inputs only, so attention exponentiates the scores."""
 
     needs_positive = True
+
+    def __post_init__(self):
+        _check_iterations(self.iterations)
 
     def attend(self, scores, tau):
         return self(exp_scale(scores, tau))

@@ -290,6 +290,11 @@ def simulate_dsm(config: CircuitConfig, theta, m) -> Dsm | np.ndarray:
     return _dsm_or_stack(out.reshape(m.shape), _VALIDATION)
 
 
+def _check_shots(shots: int, t: int) -> None:
+    if shots < t:
+        raise ValueError(f"need at least one shot per column: shots={shots} < T={t}")
+
+
 def sample_shots(config: CircuitConfig, theta, m, shots: int, seed: int) -> np.ndarray:
     """Empirical column frequencies from finite sampling of the exact DSM.
 
@@ -298,8 +303,7 @@ def sample_shots(config: CircuitConfig, theta, m, shots: int, seed: int) -> np.n
     the seed.  Requires shots >= T.
     """
     t = config.dsm_dim
-    if shots < t:
-        raise ValueError(f"need at least one shot per column: shots={shots} < T={t}")
+    _check_shots(shots, t)
     exact = simulate_dsm(config, theta, as_square(m)).matrix
     per_col = shots // t
     rng = np.random.default_rng(seed)

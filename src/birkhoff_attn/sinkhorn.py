@@ -33,10 +33,14 @@ def exp_scale(m, tau: float = 1.0) -> np.ndarray:
     positive and at most 1.  Each matrix of a stack is shifted by its own max.
     """
     m = as_square(m, stack=True)
-    if not tau > 0.0:
-        raise ValueError(f"tau must be positive, got {tau}")
+    _check_tau(tau)
     out = np.exp((m - m.max(axis=(-2, -1), keepdims=True)) / tau)
     return np.maximum(out, _TINY)
+
+
+def _check_tau(tau: float) -> None:
+    if not tau > 0.0:
+        raise ValueError(f"tau must be positive, got {tau}")
 
 
 def _check_sinkhorn_args(m, k: int) -> np.ndarray:

@@ -235,6 +235,32 @@ class TestVjpCheck:
         with pytest.raises(ValueError, match="no VJP for 'qr'"):
             vjp_check("qr", k=3, tau=1.0, n=2, trials=1, seed=0)
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 5, 8, 16, 32])
+    @pytest.mark.parametrize("name, setting", [
+        *(("sinkhorn-naive", k) for k in (1, 3, 21)),
+        *(("softmax", tau) for tau in (0.3, 1.0, 7.0)),
+    ])
+    def test_matches_the_per_entry_central_difference_to_the_bit(self, name, setting, n):
+        # vjp_check steps a row of entries per stacked forward call; its error
+        # must be the one of stepping each entry through its own call
+        if name == "sinkhorn-naive":
+            kw = dict(k=setting, tau=1.0)
+            fwd = lambda x: sinkhorn_naive(x, setting)
+            vjp = lambda m, g: sinkhorn_naive_vjp(m, setting, g)
+        else:
+            kw = dict(k=3, tau=setting)
+            fwd = lambda x: softmax_rows(x, setting)
+            vjp = lambda m, g: softmax_vjp(m, setting, g)
+        rng = np.random.default_rng(n)
+        worst = 0.0
+        for _ in range(2):
+            m = rng.uniform(0.1, 10.0, (n, n))
+            upstream = rng.standard_normal((n, n))
+            fd = oracles.central_fd_vjp(fwd, m, upstream)
+            scale = max(float(np.abs(fd).max()), 1e-12)
+            worst = max(worst, float(np.abs(vjp(m, upstream) - fd).max()) / scale)
+        assert vjp_check(name, n=n, trials=2, seed=n, **kw) == worst
+
 
 def test_normalizer_defaults():
     assert SinkhornNaive().iterations == 21

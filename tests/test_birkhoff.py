@@ -93,6 +93,17 @@ class TestProject:
         assert d.tolerance == 1e-8
         assert d.report.max_row_deviation <= 1e-8
 
+    @pytest.mark.parametrize("method", [DYKSTRA, SPLITTING_QP])
+    def test_one_matrix_report_is_its_own_measurement(self, method):
+        # one matrix is projected and validated as a batch of one; its Dsm
+        # report is still the one measured on the matrix alone, bit for bit
+        settings = ProjectionSettings(method=method)
+        m = np.random.default_rng(6).standard_normal((6, 6))
+        for view in (m, np.asfortranarray(m), m.T):
+            d = project(view, settings)
+            assert d.report == check_stochasticity(d.matrix)
+            assert d.matrix.tobytes() == project(view[None], settings)[0].tobytes()
+
     def test_idempotence(self):
         m = np.random.default_rng(7).standard_normal((4, 4))
         once = project(m).matrix

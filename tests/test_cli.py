@@ -23,6 +23,7 @@ from birkhoff_attn import (
 )
 from birkhoff_attn.cli import _build_parser, main
 from birkhoff_attn.expressivity import _SWEEP_CHUNK
+from birkhoff_attn.operators import SPECS
 
 CSV_2X2 = "2,1\n1,2\n"
 CSV_ID4 = "1,0,0,0\n0,1,0,0\n0,0,1,0\n0,0,0,1\n"
@@ -231,6 +232,48 @@ class TestApplyAttn:
         assert err.startswith("error: ") and "--format csv" in err
 
 
+# invalid settings that a kernel checks too, with the stdin each reads; the CLI
+# rejects every one before any work starts
+KERNEL_SETTING_CASES = [
+    (["apply", "--op", "sinkhorn-naive", "--exp-scale", "--k", "4"], CSV_POS4,
+     "iteration count must be odd and >= 1, got 4"),
+    (["sweep-unique", "--op", "sinkhorn-ot", "--k", "4", "--n", "2", "--d", "2"], None,
+     "iteration count must be odd and >= 1, got 4"),
+    (["apply", "--op", "norm-softmax", "--power", "3"], CSV_POS4,
+     "power must be 1 (std) or 2 (variance), got 3"),
+    (["props", "--op", "norm-softmax", "--power", "5", "--seed", "0"], None,
+     "power must be 1 (std) or 2 (variance), got 5"),
+    (["apply", "--op", "softmax", "--tau", "0"], CSV_POS4, "tau must be positive, got 0.0"),
+    (["props", "--op", "softmax", "--tau", "0", "--seed", "0"], None,
+     "tau must be positive, got 0.0"),
+    (["sweep-tradeoff", "--op", "softmax", "--tau", "-1", "--seed", "0"], None,
+     "tau must be positive, got -1.0"),
+    (["sweep-unique", "--op", "sinkhorn-naive", "--tau", "0", "--n", "2", "--d", "2"], None,
+     "tau must be positive, got 0.0"),
+    (["sweep-tradeoff", "--op", "sinkhorn-ot", "--tau", "-2", "--seed", "0"], None,
+     "tau must be positive, got -2.0"),
+    (["apply", "--op", "sinkhorn-naive", "--exp-scale", "--tau", "0"], CSV_POS4,
+     "tau must be positive, got 0.0"),
+    (["count", "--n", "1", "--p", "5"], None, "n must be >= 2, got 1"),
+    (["count", "--mode", "analytic", "--n", "3", "--p", "1"], None, "p must be >= 2, got 1"),
+    (["shots", "--shots", "2", "--seed", "0", "--theta-seed", "0"], CSV_ID4,
+     "need at least one shot per column: shots=2 < T=4"),
+    (["apply-attn", "--normalizer", "softmax", "--q-file", "q.csv", "--key-file", "k.csv",
+      "--value-file", "v3.csv"], None, "incompatible shapes qm(4, 3) km(4, 3) vm(3, 2)"),
+]
+
+# the CLI's names for the calls that start work; a usage error must come before any
+WORK_ENTRY_POINTS = ("vjp_check", "probe_invariances", "tradeoff_sweep", "bench_circuit",
+                     "uniqueness_sweep", "count_brute", "f3_analytic", "decomposition_check",
+                     "sample_shots", "attention_forward", "project", "exp_scale")
+
+
+def write_setting_inputs(directory):
+    """Q/K/V files of 4 rows, and a value file of 3 rows that does not match them."""
+    write_qkv(directory, t=4)
+    np.savetxt(directory / "v3.csv", np.ones((3, 2)), delimiter=",")
+
+
 class TestOperatorFlags:
     @pytest.mark.parametrize("name", OPERATOR_NAMES)
     def test_apply_and_apply_attn_accept_the_same_names(self, name, capsys, monkeypatch,
@@ -283,11 +326,12 @@ class TestOperatorFlags:
           "--stop", "3"], None, "bad index range [9, 3)"),
         (["bench", "--layers", "0"], None, "layers"),
         (["bench", "--dsm-dim", "3"], None, "dsm_dim"),
+        *KERNEL_SETTING_CASES,
     ])
     def test_invalid_setting_is_usage_error(self, argv, stdin_text, message, capsys,
                                             monkeypatch, tmp_path):
         monkeypatch.chdir(tmp_path)
-        write_qkv(tmp_path, t=4)
+        write_setting_inputs(tmp_path)
         code, out, err = invoke(argv, capsys, monkeypatch, stdin_text=stdin_text or "")
         assert code == 1
         assert out == ""
@@ -295,25 +339,38 @@ class TestOperatorFlags:
 
 
     @pytest.mark.parametrize("argv, message", [
-        (["gradcheck", "--normalizer", "sinkhorn-naive", "--k", "2"], "iteration count must be odd"),
-        (["gradcheck", "--normalizer", "softmax", "--tau", "-1"], "tau must be positive"),
-        (["gradcheck", "--normalizer", "softmax", "--n", "0"], "n must be >= 1, got 0"),
-        (["gradcheck", "--normalizer", "softmax", "--trials", "0"], "trials must be >= 1, got 0"),
-        (["props", "--op", "softmax", "--n", "0"], "n must be >= 1, got 0"),
-        (["props", "--op", "softmax", "--trials", "-2"], "trials must be >= 1, got -2"),
-        (["sweep-tradeoff", "--op", "softmax", "--n", "0"], "n must be >= 1, got 0"),
-        (["sweep-tradeoff", "--op", "softmax", "--trials", "0"], "trials must be >= 1, got 0"),
+        (["gradcheck", "--normalizer", "sinkhorn-naive", "--k", "2", "--seed", "0"],
+         "iteration count must be odd"),
+        (["gradcheck", "--normalizer", "softmax", "--tau", "-1", "--seed", "0"],
+         "tau must be positive"),
+        (["gradcheck", "--normalizer", "softmax", "--n", "0", "--seed", "0"],
+         "n must be >= 1, got 0"),
+        (["gradcheck", "--normalizer", "softmax", "--trials", "0", "--seed", "0"],
+         "trials must be >= 1, got 0"),
+        (["props", "--op", "softmax", "--n", "0", "--seed", "0"], "n must be >= 1, got 0"),
+        (["props", "--op", "softmax", "--trials", "-2", "--seed", "0"],
+         "trials must be >= 1, got -2"),
+        (["sweep-tradeoff", "--op", "softmax", "--n", "0", "--seed", "0"],
+         "n must be >= 1, got 0"),
+        (["sweep-tradeoff", "--op", "softmax", "--trials", "0", "--seed", "0"],
+         "trials must be >= 1, got 0"),
         (["bench", "--reps", "0"], "reps must be >= 1, got 0"),
+        *((argv, message) for argv, _, message in KERNEL_SETTING_CASES),
     ])
     def test_invalid_count_or_setting_fails_before_any_work(self, argv, message, capsys,
-                                                             monkeypatch):
+                                                             monkeypatch, tmp_path):
         def work(*args, **kw):
             raise AssertionError("work started before the settings were checked")
 
-        for name in ("vjp_check", "probe_invariances", "tradeoff_sweep", "bench_circuit"):
+        monkeypatch.chdir(tmp_path)
+        write_setting_inputs(tmp_path)
+        for name in WORK_ENTRY_POINTS:
             monkeypatch.setattr(f"birkhoff_attn.cli.{name}", work)
-        seed = [] if argv[0] == "bench" else ["--seed", "0"]
-        code, out, err = invoke([*argv, *seed], capsys)
+        for spec in SPECS.values():  # a spec call is work too
+            monkeypatch.setattr(spec, "__call__", work)
+            monkeypatch.setattr(spec, "attend", work)
+        # every case that reads stdin takes a 4 x 4 matrix
+        code, out, err = invoke(argv, capsys, monkeypatch, stdin_text=CSV_POS4)
         assert (code, out) == (1, "")
         assert err.startswith("error: ") and message in err and err.count("\n") == 1
 
@@ -375,6 +432,13 @@ class TestUsageErrors:
 
     def test_help_exits_zero(self, capsys):
         assert main(["--help"]) == 0
+
+    def test_non_finite_theta_file_is_usage_error(self, capsys, monkeypatch, tmp_path):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "theta.csv").write_text("0.5,nan,0.25\n")
+        code, out, err = invoke(["apply", "--op", "qontot", "--theta-file", "theta.csv"],
+                                capsys, monkeypatch, stdin_text=CSV_ID4)
+        assert (code, out, err) == (1, "", "error: theta.csv contains NaN or inf\n")
 
     @pytest.mark.parametrize("argv, stdin_text, source, message", [
         (["apply", "--op", "softmax"], "1,2\n3,4,5\n", "stdin", "number of columns"),
@@ -578,6 +642,41 @@ class TestSweeps:
         assert code == 1
         assert "--full" in err
 
+    def test_window_under_the_gate_runs_without_full(self, capsys):
+        # the grid has 3^16 = 43,046,721 inputs; the gate counts the 10 in the window
+        code, out, err = invoke(["sweep-unique", "--n", "4", "--d", "3", "--op", "softmax",
+                                 "--start", "0", "--stop", "10", "--workers", "1"], capsys)
+        assert (code, err) == (0, "")
+        assert json.loads(out)["total_inputs"] == 10
+
+    def test_window_clipped_to_the_grid_is_what_the_gate_counts(self, capsys):
+        code, out, _ = invoke(["sweep-unique", "--n", "4", "--d", "3", "--op", "softmax",
+                               "--start", str(3**16 - 5), "--stop", str(3**16 + 10**7),
+                               "--workers", "1"], capsys)
+        assert code == 0
+        assert json.loads(out)["total_inputs"] == 5
+
+    def test_window_above_the_gate_needs_full(self, capsys):
+        code, out, err = invoke(["sweep-unique", "--n", "4", "--d", "3", "--op", "softmax",
+                                 "--start", "5", "--stop", str(5 + 2**20 + 1)], capsys)
+        assert (code, out) == (1, "")
+        assert err == "error: sweep covers 1048577 inputs; pass --full to confirm\n"
+
+    def test_zero_workers_is_usage_error(self, capsys, monkeypatch):
+        code, out, err = invoke(["sweep-unique", "--op", "softmax", "--n", "2", "--d", "2",
+                                 "--workers", "0"], capsys, monkeypatch)
+        assert (code, out, err) == (1, "", "error: workers must be >= 1, got 0\n")
+
+    @pytest.mark.parametrize("value, message", [
+        ("two", "bad BIRKHOFF_ATTN_WORKERS value 'two'"),
+        ("0", "workers must be >= 1, got 0"),
+    ])
+    def test_bad_workers_variable_is_usage_error(self, value, message, capsys, monkeypatch):
+        monkeypatch.setenv("BIRKHOFF_ATTN_WORKERS", value)
+        code, out, err = invoke(["sweep-unique", "--op", "softmax", "--n", "2", "--d", "2"],
+                                capsys, monkeypatch)
+        assert (code, out, err) == (1, "", f"error: {message}\n")
+
     def test_tradeoff_csv(self, capsys, monkeypatch):
         code, out, _ = invoke(
             ["sweep-tradeoff", "--op", "softmax", "--n", "4", "--trials", "3",
@@ -640,6 +739,7 @@ class TestConfigFile:
     ])
     def test_full_takes_true_or_false(self, value, code, message, capsys, monkeypatch,
                                       tmp_path):
+        monkeypatch.setattr("birkhoff_attn.cli._FULL_GATE", 1)  # so a 2-input window needs --full
         config = tmp_path / "sweep.cfg"
         config.write_text(f"full={value}\n")
         got, _, err = invoke(
@@ -734,7 +834,7 @@ def operator_runs(command):
     per_command = {
         "apply": [([*op, "--exp-scale"], CSV_POS4) for op in ops],
         "apply-attn": [(["--normalizer", *op[1:], *QKV_FLAGS], None) for op in ops],
-        # a grid above 2^20 inputs, so --full is read
+        # a window above the --full gate, which the test lowers to 1 input
         "sweep-unique": [([*op, "--n", "4", "--d", "3", "--stop", "2", "--full",
                            "--workers", "1"], None) for op in ops],
         "sweep-tradeoff": [([*op, "--n", "4", "--trials", "2", "--seed", "0"], None)
@@ -767,6 +867,7 @@ class TestDeclaredFlags:
     @pytest.mark.parametrize("command", list(BASE_RUNS))
     def test_every_declared_flag_is_read(self, command, capsys, monkeypatch, tmp_path):
         monkeypatch.chdir(tmp_path)
+        monkeypatch.setattr("birkhoff_attn.cli._FULL_GATE", 1)  # so sweep-unique reads --full
         write_qkv(tmp_path, t=4)
         parser, commands = _build_parser()
         declared = {action.dest for action in commands.choices[command]._actions

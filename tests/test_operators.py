@@ -69,6 +69,18 @@ class TestMakeOperator:
         with pytest.raises(ValueError, match="flat vector"):
             make_operator("qontot", dsm_dim=4, theta=np.zeros((2, 2)))
 
+    @pytest.mark.parametrize("name, settings, message", [
+        ("softmax", {"tau": 0.0}, "tau must be positive, got 0.0"),
+        ("softmax", {"tau": -1.0}, "tau must be positive, got -1.0"),
+        ("norm-softmax", {"power": 3}, r"power must be 1 \(std\) or 2 \(variance\), got 3"),
+        ("sinkhorn-naive", {"iterations": 4}, "iteration count must be odd and >= 1, got 4"),
+        ("sinkhorn-ot", {"iterations": 0}, "iteration count must be odd and >= 1, got 0"),
+    ])
+    def test_settings_are_checked_at_construction(self, name, settings, message):
+        # with the kernel's own message, before any matrix is seen
+        with pytest.raises(ValueError, match=message):
+            make_operator(name, **settings)
+
     def test_projection_method_setting_flows_through(self):
         m = np.random.default_rng(2).standard_normal((3, 3))
         dykstra = make_operator("birkhoff-project")

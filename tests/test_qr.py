@@ -132,6 +132,15 @@ class TestStack:
         with pytest.raises(ValueError, match="a noise_seed is required"):
             qr_orthonormalize(stack)
 
+    def test_non_finite_output_fails_alike_alone_and_in_a_stack(self):
+        # the second column's projection onto the first overflows, and the
+        # residual becomes NaN; the validation names it as as_dsm does
+        m = np.array([[1.0, 1.7e308], [1.0, 1.7e308]])
+        with np.errstate(all="ignore"):
+            for x in (m, np.array([np.eye(2), m])):
+                with pytest.raises(ValueError, match="^matrix contains non-finite entries$"):
+                    qr_dsm(x, noise_seed=0)
+
     def test_all_restarts_exhausted_raises_on_a_stack(self, monkeypatch):
         monkeypatch.setattr(qr_module, "_NOISE_STD", 1e-300)
         with pytest.raises(ValueError, match="persisted"):
