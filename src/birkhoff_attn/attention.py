@@ -30,6 +30,10 @@ class AttentionConfig:
     normalizer: Normalizer = Softmax()
     temperature: float | None = None  # None: sqrt of the key width
 
+    def __post_init__(self):
+        if self.temperature is not None:
+            self.normalizer.check_temperature(self.temperature)
+
 
 def attention_forward(qm, km, vm, config: AttentionConfig | None = None) -> dict:
     """Normalized attention: weights from qm @ km.T, output = weights @ vm.

@@ -51,12 +51,14 @@ class ProjectionSettings:
 
 
 class ProjectionError(RuntimeError):
-    """Projection failed to converge; carries the last iterate and its report."""
+    """Projection failed to converge; carries the last iterate, its report and its step count."""
 
-    def __init__(self, message: str, last_iterate: np.ndarray, report: StochasticityReport):
+    def __init__(self, message: str, last_iterate: np.ndarray, report: StochasticityReport,
+                 iterations: int):
         super().__init__(message)
         self.last_iterate = last_iterate
         self.report = report
+        self.iterations = iterations
 
 
 def affine_project(m) -> np.ndarray:
@@ -91,10 +93,11 @@ def _iterate(step, x: np.ndarray, state: tuple, tol: float, max_iterations: int)
     the x it was given, so nothing here is kept across steps except through
     copies: a retiring matrix is copied into the output, and the fancy-indexed
     x and state of the matrices still live are copies too.  Returns the final
-    iterates and a (B,) converged flag.
+    iterates, a (B,) converged flag and the (B,) steps each matrix took.
     """
     out = np.empty_like(x)
     converged = np.zeros(len(x), dtype=bool)
+    iterations = np.full(len(x), max_iterations)  # the count of a matrix that never retires
     live = np.arange(len(x))  # indices of the matrices still iterating
     for it in range(max_iterations):
         if not live.size:
@@ -104,10 +107,11 @@ def _iterate(step, x: np.ndarray, state: tuple, tol: float, max_iterations: int)
         if it > 0 and done.any():
             out[live[done]] = x[done]
             converged[live[done]] = True
+            iterations[live[done]] = it + 1
             keep = ~done
             live, x, state = live[keep], x[keep], tuple(s[keep] for s in state)
     out[live] = x
-    return out, converged
+    return out, converged, iterations
 
 
 def _dykstra(x, p, q, w):
@@ -191,13 +195,14 @@ def project(m, settings: ProjectionSettings | None = None):
     ``settings.tolerance``, or when the iteration stops at a matrix that
     fails the 1e-8 validation; for a stack, the error is the first failing
     matrix's in index order.  The error's report is measured without
-    validating the iterate, which may hold NaN after an overflow.
+    validating the iterate, which may hold NaN after an overflow; its
+    ``iterations`` are the steps that matrix took.
     """
     m = as_square(m, stack=True)
     settings = settings or ProjectionSettings()
     stack = m.reshape(-1, *m.shape[-2:])
-    out, converged = _iterate(*_SOLVERS[settings.method](stack), settings.tolerance,
-                              settings.max_iterations)
+    out, converged, iterations = _iterate(*_SOLVERS[settings.method](stack),
+                                          settings.tolerance, settings.max_iterations)
     out = out.reshape(stack.shape)
     deviations = _deviations(out)
     if (failed := ~converged | _off_polytope(deviations, _VALIDATION)).any():
@@ -209,10 +214,15 @@ def project(m, settings: ProjectionSettings | None = None):
         else:
             message = (f"no convergence within {settings.max_iterations} iterations "
                        f"({settings.method}, tolerance {settings.tolerance})")
-        raise ProjectionError(message, out[first], report)
+        raise ProjectionError(message, out[first], report, int(iterations[first]))
     return Dsm(out[0], _VALIDATION, _report(deviations, 0)) if m.ndim == 2 else out
 
 
-def birkhoff_distance(m, settings: ProjectionSettings | None = None) -> float:
-    """Frobenius distance from m to its doubly stochastic projection."""
-    return frobenius_distance(as_square(m), project(m, settings).matrix)
+def birkhoff_distance(m, settings: ProjectionSettings | None = None):
+    """Frobenius distance from m to its doubly stochastic projection.
+
+    A float for one matrix; a (B, n, n) stack gives the (B,) array of each
+    matrix's distance, to the same bits as alone.
+    """
+    m = as_square(m, stack=True)
+    return frobenius_distance(m, project(m, settings))

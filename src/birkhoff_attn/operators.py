@@ -82,7 +82,8 @@ class Normalizer:
     A subclass is a frozen dataclass whose fields are the operator's
     settings; it sets the class attributes ``name`` and ``needs_positive``
     and defines ``__call__`` on a matrix or a (B, n, n) stack.  By default
-    ``attend`` normalizes the temperature-scaled scores ``scores / tau``.
+    ``attend`` normalizes the temperature-scaled scores ``scores / tau``, and
+    ``check_temperature`` rejects the temperatures ``attend`` cannot take.
     """
 
     name: ClassVar[str]
@@ -94,6 +95,11 @@ class Normalizer:
     def attend(self, scores: np.ndarray, tau: float) -> np.ndarray:
         """Attention weights from the score matrix at temperature tau."""
         return self(scores / tau)
+
+    def check_temperature(self, tau: float) -> None:
+        """Raise ValueError unless ``attend`` takes temperature tau: by default any nonzero number."""
+        if not (tau < 0.0 or tau > 0.0):
+            raise ValueError(f"temperature must be a nonzero number, got {tau}")
 
 
 @dataclass(frozen=True)
@@ -111,6 +117,9 @@ class Softmax(Normalizer):
 
     def attend(self, scores, tau):
         return softmax_rows(scores, tau)
+
+    def check_temperature(self, tau):
+        _check_tau(tau)
 
 
 @dataclass(frozen=True)
@@ -141,6 +150,9 @@ class _Sinkhorn(Normalizer):
 
     def attend(self, scores, tau):
         return self(exp_scale(scores, tau))
+
+    def check_temperature(self, tau):
+        _check_tau(tau)
 
 
 @dataclass(frozen=True)

@@ -9,9 +9,10 @@ blocks and dividing by the aux dimension -- which preserves double
 stochasticity.
 
 The simulation runs a batch of inputs at once: a (B, 2^q, c) state holds a
-block of c basis-state columns of each input's W, and every gate is an
-elementwise update of that state with the input's own coefficients, so each
-matrix of a stack comes out to the same bits as alone.  The block width c
+block of c basis-state columns of each input's W, and every gate updates
+that state with the input's own coefficients, elementwise or as matrix
+products of shapes fixed by the config, so each matrix of a stack comes out
+to the same bits as alone.  The block width c
 and the inputs per pass follow from the config alone and keep a pass within
 2^15 amplitudes (512 KiB), or one column of one input above 15 qubits, so
 memory stays O(2^q) and W is only held whole when it fits that budget.  The
@@ -31,7 +32,16 @@ Two ansatz families:
   commute and add, so the closing half-step of layer L and the opening one
   of layer L+1 are simulated as one rotation by (b_L + b_{L+1})/2; the ZZ
   factor is diagonal, one phase per basis state, applied as one elementwise
-  multiply.  A block of states takes (L+1)q X passes and L phase passes.
+  multiply.  X rotations on different qubits commute too, so those of one
+  step on a contiguous group of at most five qubits are one gate, their
+  Kronecker product, applied with one matrix product per input and run of
+  higher bits: many passes over the state that each do little arithmetic
+  become a few that do more (statevector simulators fuse gates the same
+  way; Häner & Steiger, arXiv:1704.01127).  With g = ceil(q / 5) groups a
+  block of states takes (L+1)g X passes and L phase passes.  A register of
+  at most two qubits keeps one elementwise 2x2 pass per qubit, (L+1)q X
+  passes, as a 4x4 matrix product per input does not pay.  The gates and
+  phases are built once per pass of inputs and serve all its blocks.
 """
 
 from __future__ import annotations
@@ -156,8 +166,10 @@ def _xrot(c) -> np.ndarray:
 
 
 def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """np.kron of each pair of (..., 2, 2) gates, a (..., 4, 4) stack."""
-    return (a[..., :, None, :, None] * b[..., None, :, None, :]).reshape(a.shape[:-2] + (4, 4))
+    """np.kron of each pair of (..., k, k) and (..., j, j) gates, a (..., kj, kj) stack."""
+    p = a[..., :, None, :, None] * b[..., None, :, None, :]
+    k = p.shape[-4] * p.shape[-3]
+    return p.reshape(p.shape[:-4] + (k, k))
 
 
 def build_block(alpha) -> np.ndarray:
@@ -173,14 +185,19 @@ def build_block(alpha) -> np.ndarray:
 
 # ---------------------------------------------------------------------------
 # the kernel: a (B, 2^q, c) block of statevectors, qubit k <-> bit k of the
-# basis index, input b with its own angles; every gate is an elementwise
-# update of reshaped views, so no input's arithmetic depends on the others
+# basis index, input b with its own angles.  A circuit is a list of steps
+# built once per pass of inputs: (low, gates) applies each input's (k, k)
+# gate to the qubits from ``low`` up, (None, phases) multiplies each basis
+# state by its input's phase.  Every step treats each input on its own, with
+# operands whose shapes follow from the config alone, so no input's
+# arithmetic depends on the others.
 
 _REGISTER_ORDER = [0, 2, 1, 3]  # a block's 4x4 index with its second (higher) qubit as high bit
+_GROUP_QUBITS = 5  # qubits one fused X gate spans at most: a 32 x 32 gate per input
 
 
 def _apply(state: np.ndarray, low: int, gate: np.ndarray) -> None:
-    """Each input's (k, k) gate on the qubits from ``low`` up, in place.
+    """Each input's (k, k) gate on the qubits from ``low`` up, in place, entry by entry.
 
     The gate's index runs over those qubits' bits with the highest one most
     significant, as in the register.
@@ -199,41 +216,91 @@ def _apply(state: np.ndarray, low: int, gate: np.ndarray) -> None:
         amps[:, :, r] = row
 
 
-def _run(state: np.ndarray, config: CircuitConfig, phi: np.ndarray) -> None:
-    """The circuit on each input's block of states, in place; phi is the (B, P) stack of angles."""
+def _matmul(state: np.ndarray, low: int, gate: np.ndarray) -> np.ndarray:
+    """:func:`_apply` as one matrix product per input and run of high bits, into a new array."""
+    b, dim, width = state.shape
+    k = gate.shape[-1]
+    amps = state.reshape(b, dim // (k << low), k, (1 << low) * width)
+    return np.matmul(gate[:, None], amps).reshape(state.shape)
+
+
+def _run(state: np.ndarray, steps: list) -> np.ndarray:
+    """The circuit's steps on each input's block of states; returns the final block.
+
+    A gate of more than two qubits goes through :func:`_matmul`, a smaller
+    one through :func:`_apply` in place.
+    """
+    for low, gate in steps:
+        if low is None:
+            state *= gate
+        elif gate.shape[-1] > 4:
+            state = _matmul(state, low, gate)
+        else:
+            _apply(state, low, gate)
+    return state
+
+
+def _x_groups(q: int) -> list[tuple[int, int]]:
+    """(lowest qubit, qubits) of the contiguous groups whose X rotations fuse into one gate.
+
+    ceil(q / 5) groups of sizes as even as possible, the larger ones lower:
+    (5, 4) at 9 qubits.  A register of at most two qubits keeps one 2x2
+    gate per qubit: a fused 4x4 gate per input is a matrix product too
+    small to beat two elementwise passes.
+    """
+    if q <= 2:
+        return [(k, 1) for k in range(q)]
+    count = -(-q // _GROUP_QUBITS)
+    sizes = [q // count + (i < q % count) for i in range(count)]
+    return [(sum(sizes[:i]), size) for i, size in enumerate(sizes)]
+
+
+def _trotter_steps(config: CircuitConfig, phi: np.ndarray) -> list:
+    """The trotter circuit's steps for the (B, P) stack of angles phi.
+
+    X rotations on one qubit commute and add, so layer L's closing X
+    half-step and layer L+1's opening one merge into one rotation; the X
+    rotations of one layer on a group of qubits are one gate, their
+    Kronecker product with the highest qubit first.  A layer's ZZ gates are
+    diagonal: one phase exp(-i sum_k a_k z_k z_{k+1}) per basis state.
+    """
     q = config.total_qubits
-    if config.ansatz == TROTTER:
-        steps = phi.reshape(len(phi), config.layers, 2 * q - 1)
-        # layer L's closing X half-step and layer L+1's opening one act on the
-        # same qubits back to back, so they merge into one rotation
-        half = np.pad(steps[..., q - 1:] / 2.0, ((0, 0), (1, 1), (0, 0)))
-        x_gates = _xrot(half[:, :-1] + half[:, 1:])
-        # a layer's ZZ gates are diagonal: one phase exp(-i sum_k a_k z_k z_{k+1})
-        # per basis state
-        bits = np.arange(1 << q) >> np.arange(q)[:, None] & 1
-        signs = 1 - 2 * (bits[:-1] ^ bits[1:])
-        angles = np.zeros(steps.shape[:2] + (1 << q,))
-        for k in range(q - 1):
-            angles += steps[..., k, None] * signs[k]
-        phases = np.exp(-1j * angles)
-        for layer in range(config.layers + 1):
-            if layer:
-                state *= phases[:, layer - 1, :, None]
-            for k in range(q):
-                _apply(state, k, x_gates[:, layer, k])
-        return
+    coef = phi.reshape(len(phi), config.layers, 2 * q - 1)
+    half = np.pad(coef[..., q - 1:] / 2.0, ((0, 0), (1, 1), (0, 0)))
+    x = _xrot(half[:, :-1] + half[:, 1:])  # (B, L + 1, q, 2, 2)
+    gates = []
+    for low, size in _x_groups(q):
+        gate = x[:, :, low + size - 1]
+        for k in reversed(range(low, low + size - 1)):
+            gate = _kron(gate, x[:, :, k])
+        gates.append((low, gate))
+    bits = np.arange(1 << q) >> np.arange(q)[:, None] & 1
+    signs = 1 - 2 * (bits[:-1] ^ bits[1:])
+    angles = np.zeros(coef.shape[:2] + (1 << q,))
+    for k in range(q - 1):
+        angles += coef[..., k, None] * signs[k]
+    phases = np.exp(-1j * angles)[..., None]
+    out = []
+    for layer in range(config.layers + 1):
+        if layer:
+            out.append((None, phases[:, layer - 1]))
+        out += [(low, gate[:, layer]) for low, gate in gates]
+    return out
+
+
+def _simple_steps(config: CircuitConfig, phi: np.ndarray) -> list:
+    """The simple ansatz's steps for the (B, P) stack of angles phi."""
+    q = config.total_qubits
+    if q == 1:  # each even layer's block reduces to RY(a1) RY(a4)
+        return [(0, _ry(phi[:, c]) @ _ry(phi[:, c + 3])) for c in range(0, phi.shape[1], 4)]
+    out = []
     cursor = 0
     for layer in range(config.layers):
-        if q == 1:
-            if layer % 2 == 0:
-                a = phi[:, cursor:cursor + 4]
-                cursor += 4
-                _apply(state, 0, _ry(a[:, 0]) @ _ry(a[:, 3]))
-            continue
         for qa, _ in _simple_pairs(q, layer):
             block = build_block(phi[:, cursor:cursor + 4])
             cursor += 4
-            _apply(state, qa, block[:, _REGISTER_ORDER][:, :, _REGISTER_ORDER])
+            out.append((qa, block[:, _REGISTER_ORDER][:, :, _REGISTER_ORDER]))
+    return out
 
 
 def _block_shape(config: CircuitConfig) -> tuple[int, int]:
@@ -259,10 +326,11 @@ def _simulate(config: CircuitConfig, phi: np.ndarray) -> np.ndarray:
         angles = phi[lo:lo + per_pass]
         b = len(angles)
         acc = np.zeros((b, t, t))
+        steps = (_trotter_steps if config.ansatz == TROTTER else _simple_steps)(config, angles)
         for col in range(0, dim, width):
             state = np.zeros((b, dim, width), dtype=np.complex128)
             state[:, col + np.arange(width), np.arange(width)] = 1.0
-            _run(state, config, angles)
+            state = _run(state, steps)
             probs = state.real ** 2 + state.imag ** 2
             # rows: aux block, data row; columns: aux block, data column
             probs = probs.reshape(b, config.aux_dim, t, width // fold, fold)

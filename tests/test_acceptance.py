@@ -114,18 +114,19 @@ def test_c02_counting_identities(note):
 
 
 def test_c03_soundness_margins(note):
-    rng = np.random.default_rng(7)
+    # 1,000 trials as one stack: the generator draws the same matrices as
+    # 1,000 draws of one 8x8 each, and every operator and birkhoff_distance
+    # give each matrix of a stack the bits it gets alone
+    x = np.random.default_rng(7).standard_normal((1000, 8, 8))
     qont = make_operator("qontot", dsm_dim=8, layers=2, ansatz="trotter",
                          theta_seed=0)
-    dmax = {"qr": 0.0, "qontot": 0.0, "projection": 0.0}
-    sink3 = []
-    for trial in range(1000):
-        m = rng.standard_normal((8, 8))
-        dmax["qr"] = max(dmax["qr"], birkhoff_distance(qr_dsm(m, noise_seed=trial)))
-        dmax["qontot"] = max(dmax["qontot"], birkhoff_distance(qont(m)))
-        dmax["projection"] = max(dmax["projection"], birkhoff_distance(project(m)))
-        sink3.append(birkhoff_distance(sinkhorn_naive(exp_scale(m, 1.0), 3)))
-    median3 = float(np.median(sink3))
+    # qr_dsm reads its noise seed only to restart a rank-deficient matrix, and
+    # without a seed such a restart raises; no Gaussian draw here needs one,
+    # so the stack gets the bits the per-trial seeds gave each matrix alone
+    dmax = {"qr": float(birkhoff_distance(qr_dsm(x)).max()),
+            "qontot": float(birkhoff_distance(qont(x)).max()),
+            "projection": float(birkhoff_distance(project(x)).max())}
+    median3 = float(np.median(birkhoff_distance(sinkhorn_naive(exp_scale(x, 1.0), 3))))
     ok = all(v <= 1e-6 for v in dmax.values()) and median3 > 1e-3
     note(3, "soundness-margins", ok,
           f"max distances qr {dmax['qr']:.1e}, qontot {dmax['qontot']:.1e}, "

@@ -269,3 +269,23 @@ def test_normalizer_defaults():
     assert QrNormalizer().noise_seed is None
     assert AttentionConfig().temperature is None
     assert isinstance(AttentionConfig().normalizer, Softmax)
+
+
+@pytest.mark.parametrize("normalizer, temperature, message", [
+    (Softmax(), 0.0, "tau must be positive"),
+    (Softmax(), -1.0, "tau must be positive"),
+    (SinkhornNaive(), -2.0, "tau must be positive"),
+    (SinkhornOT(), 0.0, "tau must be positive"),
+    (NormSoftmax(), 0.0, "temperature must be a nonzero number"),
+    (BirkhoffNormalizer(), 0.0, "temperature must be a nonzero number"),
+    (QrNormalizer(), float("nan"), "temperature must be a nonzero number"),
+])
+def test_config_rejects_a_temperature_its_normalizer_cannot_take(normalizer, temperature,
+                                                                 message):
+    with pytest.raises(ValueError, match=message):
+        AttentionConfig(normalizer, temperature)
+
+
+def test_normalizers_outside_softmax_and_sinkhorn_take_a_negative_temperature():
+    for normalizer in (BirkhoffNormalizer(), QrNormalizer(), NormSoftmax()):
+        assert AttentionConfig(normalizer, -1.0).temperature == -1.0

@@ -19,6 +19,7 @@ from birkhoff_attn import (
     frobenius_distance,
     project,
 )
+from birkhoff_attn import birkhoff
 from birkhoff_attn.expressivity import grid_matrices
 
 import oracles
@@ -212,21 +213,55 @@ def test_dykstra_output_bits_are_pinned(stack, digest):
     assert hashlib.sha256(out.tobytes()).hexdigest() == digest
 
 
+def five_samples() -> np.ndarray:
+    """Five 4x4 matrices that converge at different iterations, the first one last."""
+    rng = np.random.default_rng(12)
+    return np.array([3.0 * rng.standard_normal((4, 4)), np.full((4, 4), 0.25),
+                     rng.standard_normal((4, 4)), np.eye(4), rng.uniform(0.0, 1.0, (4, 4))])
+
+
+NEEDED = pytest.mark.parametrize("method, needed", [(DYKSTRA, [90, 2, 80, 2, 34]),
+                                                    (SPLITTING_QP, [88, 2, 81, 2, 34])],
+                                 ids=[DYKSTRA, SPLITTING_QP])
+
+
 class TestStackedProjection:
-    @pytest.mark.parametrize("method, needed", [(DYKSTRA, [90, 2, 80, 2, 34]),
-                                                (SPLITTING_QP, [88, 2, 81, 2, 34])],
-                             ids=[DYKSTRA, SPLITTING_QP])
+    @NEEDED
     def test_samples_converging_at_different_iterations(self, method, needed):
-        rng = np.random.default_rng(12)
-        stack = np.array([3.0 * rng.standard_normal((4, 4)), np.full((4, 4), 0.25),
-                          rng.standard_normal((4, 4)), np.eye(4), rng.uniform(0.0, 1.0, (4, 4))])
-        # the first sample runs longest
+        stack = five_samples()
         assert [iterations_needed(m, method) for m in stack] == needed
         settings = ProjectionSettings(method=method)
         out = project(stack, settings)
         for got, want in zip(out, each_alone(stack, settings)):
             assert got.tobytes() == want.tobytes()
             as_dsm(got, tolerance=1e-8)
+
+    @NEEDED
+    def test_each_matrix_counts_the_steps_it_takes_alone(self, method, needed):
+        # the solver loop's count is the smallest budget under which the matrix
+        # converges, in a stack as alone
+        settings = ProjectionSettings(method=method)
+
+        def counts(stack):
+            return birkhoff._iterate(*birkhoff._SOLVERS[method](stack), settings.tolerance,
+                                     settings.max_iterations)[2]
+
+        stack = five_samples()
+        assert counts(stack).tolist() == needed
+        assert [int(counts(m[None])[0]) for m in stack] == needed
+
+    @pytest.mark.parametrize("method", [DYKSTRA, SPLITTING_QP])
+    def test_a_failure_carries_the_failing_matrix_step_count(self, method):
+        slow, _, quick = five_samples()[:3]
+        five = ProjectionSettings(method=method, max_iterations=5)
+        for m in (slow, np.array([np.eye(4), slow, quick])):
+            with pytest.raises(ProjectionError, match="no convergence within 5") as exc_info:
+                project(m, five)
+            assert exc_info.value.iterations == 5
+        # a matrix that stops off the polytope stops before the budget runs out
+        with pytest.raises(ProjectionError, match="off the Birkhoff polytope") as exc_info:
+            project(1e9 * np.random.default_rng(0).standard_normal((4, 4)))
+        assert 1 < exc_info.value.iterations < ProjectionSettings().max_iterations
 
     @pytest.mark.parametrize("method", [DYKSTRA, SPLITTING_QP])
     def test_first_non_converging_sample_raises_with_its_last_iterate(self, method):
@@ -310,6 +345,16 @@ class TestBirkhoffDistance:
 
     def test_positive_off_polytope(self):
         assert birkhoff_distance(np.zeros((3, 3))) > 0.5
+
+    @pytest.mark.parametrize("method", [DYKSTRA, SPLITTING_QP])
+    def test_stack_gives_each_matrix_distance_to_the_bit(self, method):
+        settings = ProjectionSettings(method=method)
+        stack = np.random.default_rng(3).standard_normal((6, 5, 5))
+        got = birkhoff_distance(stack, settings)
+        assert isinstance(got, np.ndarray) and got.shape == (6,)
+        assert got.tolist() == [birkhoff_distance(m, settings) for m in stack]
+        assert isinstance(birkhoff_distance(stack[0], settings), float)
+        assert birkhoff_distance(stack[:0], settings).shape == (0,)
 
 
 @given(st.integers(0, 2**32 - 1), st.integers(2, 5))

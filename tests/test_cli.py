@@ -23,7 +23,7 @@ from birkhoff_attn import (
 )
 from birkhoff_attn.cli import _build_parser, main
 from birkhoff_attn.expressivity import _SWEEP_CHUNK
-from birkhoff_attn.operators import SPECS
+from birkhoff_attn.operators import SPECS, make_operator
 
 CSV_2X2 = "2,1\n1,2\n"
 CSV_ID4 = "1,0,0,0\n0,1,0,0\n0,0,1,0\n0,0,0,1\n"
@@ -213,6 +213,24 @@ class TestApplyAttn:
         assert code == 1
         assert "--q-file" in err
 
+    @pytest.mark.parametrize("name, flags, settings", [
+        ("birkhoff-project", [], {}),
+        ("qr", ["--seed", "0"], {"noise_seed": 0}),
+        ("qontot", ["--theta-seed", "0"], {"dsm_dim": 4, "theta_seed": 0}),
+        ("norm-softmax", [], {}),
+    ])
+    def test_negative_temperature_scales_the_scores(self, name, flags, settings, capsys,
+                                                    monkeypatch, tmp_path):
+        # only softmax and the Sinkhorn family need a positive temperature
+        monkeypatch.chdir(tmp_path)
+        write_qkv(tmp_path, t=4)
+        code, out, err = invoke(["apply-attn", "--normalizer", name, *flags, *QKV_FLAGS,
+                                 "--temperature", "-1.5", "--emit", "attn"], capsys)
+        assert (code, err) == (0, "")
+        qm, km = (np.loadtxt(tmp_path / f, delimiter=",") for f in ("q.csv", "k.csv"))
+        want = make_operator(name, **settings).attend(qm @ km.T, -1.5)
+        assert_allclose(parse_csv(out), want, atol=1e-15)
+
     def test_json_output_of_attention_weights_loads_back(self, capsys, monkeypatch, tmp_path):
         monkeypatch.chdir(tmp_path)
         write_qkv(tmp_path, d_v=5)
@@ -260,6 +278,26 @@ KERNEL_SETTING_CASES = [
      "need at least one shot per column: shots=2 < T=4"),
     (["apply-attn", "--normalizer", "softmax", "--q-file", "q.csv", "--key-file", "k.csv",
       "--value-file", "v3.csv"], None, "incompatible shapes qm(4, 3) km(4, 3) vm(3, 2)"),
+    # a temperature the normalizer cannot take: softmax and the Sinkhorn family
+    # need a positive one, every other normalizer a nonzero number
+    (["apply-attn", "--normalizer", "softmax", *QKV_FLAGS, "--temperature", "0"], None,
+     "tau must be positive, got 0.0"),
+    (["apply-attn", "--normalizer", "softmax", *QKV_FLAGS, "--temperature", "-1"], None,
+     "tau must be positive, got -1.0"),
+    (["apply-attn", "--normalizer", "sinkhorn-naive", *QKV_FLAGS, "--temperature", "-0.5"],
+     None, "tau must be positive, got -0.5"),
+    (["apply-attn", "--normalizer", "sinkhorn-ot", *QKV_FLAGS, "--temperature", "0"], None,
+     "tau must be positive, got 0.0"),
+    (["apply-attn", "--normalizer", "norm-softmax", *QKV_FLAGS, "--temperature", "0"], None,
+     "temperature must be a nonzero number, got 0.0"),
+    (["apply-attn", "--normalizer", "birkhoff-project", *QKV_FLAGS, "--temperature", "0"],
+     None, "temperature must be a nonzero number, got 0.0"),
+    (["apply-attn", "--normalizer", "qr", "--seed", "0", *QKV_FLAGS, "--temperature", "0"],
+     None, "temperature must be a nonzero number, got 0.0"),
+    (["apply-attn", "--normalizer", "qontot", "--theta-seed", "0", *QKV_FLAGS,
+      "--temperature", "0"], None, "temperature must be a nonzero number, got 0.0"),
+    (["apply-attn", "--normalizer", "birkhoff-project", *QKV_FLAGS, "--temperature", "nan"],
+     None, "temperature must be a nonzero number, got nan"),
 ]
 
 # the CLI's names for the calls that start work; a usage error must come before any

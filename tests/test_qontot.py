@@ -1,4 +1,8 @@
 import hashlib
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -252,21 +256,24 @@ class TestStack:
 
 
 class TestTrotter:
-    """The fused trotter kernel: merged X half-steps and one phase pass per layer."""
+    """The fused trotter kernel: merged X half-steps, each layer's X rotations as
+    one gate per group of qubits, and one phase pass per layer."""
 
-    @pytest.mark.parametrize("dsm_dim, aux, layers", [
-        (2, 0, 1),  # q = 1: no ZZ coefficients
-        (2, 0, 3),
-        (4, 0, 1),  # one layer: no merged half-step
-        (4, 3, 2),
-        (8, 1, 1),
-        (2, 4, 5),
+    @pytest.mark.parametrize("dsm_dim, aux, layers, batch", [
+        (2, 0, 1, 3),  # q = 1: no ZZ coefficients
+        (2, 0, 3, 3),
+        (4, 0, 1, 3),  # one layer: no merged half-step
+        (4, 3, 2, 3),  # q = 5: one group of five
+        (8, 1, 1, 3),
+        (2, 4, 5, 3),
+        (8, 4, 2, 3),  # q = 7: uneven groups of four and three
+        (4, 7, 4, 1),  # q = 9: groups of five and four, the benchmark's circuit
     ])
-    def test_matches_dense_oracle(self, dsm_dim, aux, layers):
+    def test_matches_dense_oracle(self, dsm_dim, aux, layers, batch):
         c = CircuitConfig(dsm_dim=dsm_dim, aux_qubits=aux, layers=layers, ansatz="trotter")
         rng = np.random.default_rng(dsm_dim + 10 * aux + 100 * layers)
         theta = rng.uniform(-2.0, 2.0, param_count(c))
-        stack = rng.standard_normal((3, dsm_dim, dsm_dim))
+        stack = rng.standard_normal((batch, dsm_dim, dsm_dim))
         for out, m in zip(simulate_dsm(c, theta, stack), stack):
             want = oracles.dense_dsm(dsm_dim, aux, layers, "trotter", theta, m)
             assert np.abs(out - want).max() < 1e-12
@@ -286,10 +293,25 @@ class TestTrotter:
             want = oracles.dense_dsm(dsm_dim, aux, layers, "trotter", theta, m)
             assert np.abs(out - want).max() < 1e-12
 
-    @pytest.mark.parametrize("dsm_dim, aux, layers", [(2, 0, 1), (4, 0, 8), (4, 7, 4)])
+    @pytest.mark.parametrize("q, groups", [
+        (1, [(0, 1)]), (2, [(0, 1), (1, 1)]), (3, [(0, 3)]), (5, [(0, 5)]),
+        (6, [(0, 3), (3, 3)]), (7, [(0, 4), (4, 3)]), (9, [(0, 5), (5, 4)]),
+        (11, [(0, 4), (4, 4), (8, 3)]), (24, [(0, 5), (5, 5), (10, 5), (15, 5), (20, 4)]),
+    ])
+    def test_x_groups_are_contiguous_and_as_even_as_possible(self, q, groups):
+        assert qontot._x_groups(q) == groups
+
+    @pytest.mark.parametrize("dsm_dim, aux, layers", [
+        (2, 0, 1),  # one qubit: one 2x2 pass per layer
+        (4, 0, 8),  # two qubits: per-qubit 2x2 passes
+        (4, 1, 2),  # three qubits: one 8x8 gate
+        (4, 4, 3),  # six: two 8x8 gates
+        (4, 7, 4),  # nine: a 32x32 and a 16x16 gate
+    ])
     def test_x_passes_per_block(self, monkeypatch, dsm_dim, aux, layers):
-        # (L + 1) * q X passes per block of states, against 2 * L * q unfused
-        calls = {"apply": 0, "run": 0}
+        # (L + 1) X passes per group and block of states, against 2 * L * q
+        # unfused; a group of more than two qubits is one matrix product
+        calls = {"apply": 0, "matmul": 0, "run": 0}
 
         def counted(name, fn):
             def wrapper(*args):
@@ -297,36 +319,75 @@ class TestTrotter:
                 return fn(*args)
             return wrapper
 
-        monkeypatch.setattr(qontot, "_apply", counted("apply", qontot._apply))
-        monkeypatch.setattr(qontot, "_run", counted("run", qontot._run))
+        for name in calls:
+            monkeypatch.setattr(qontot, f"_{name}", counted(name, getattr(qontot, f"_{name}")))
         c = CircuitConfig(dsm_dim=dsm_dim, aux_qubits=aux, layers=layers, ansatz="trotter")
         theta = np.random.default_rng(0).uniform(-1.0, 1.0, param_count(c))
         simulate_dsm(c, theta, np.ones((3, dsm_dim, dsm_dim)))
         width, per_pass = qontot._block_shape(c)
         blocks = -(-3 // per_pass) * ((1 << c.total_qubits) // width)
-        assert calls["run"] == blocks
-        assert calls["apply"] == blocks * (layers + 1) * c.total_qubits
+        passes = blocks * (layers + 1) * len(qontot._x_groups(c.total_qubits))
+        fused = c.total_qubits > 2
+        assert calls == {"run": blocks, "matmul": passes if fused else 0,
+                         "apply": 0 if fused else passes}
 
 
-@pytest.mark.parametrize("kw, digest", [
+# digests of the outputs on the first 512 inputs of the n=4, d=3 cube: simple
+# since the batched kernel was written; trotter on two qubits since its X
+# half-steps were merged and its ZZ phases folded into one diagonal, and on
+# four since each layer's X rotations became one 16x16 gate; all are tied to
+# the dense oracle too
+PINNED = [
     ({"aux_qubits": 0, "layers": 8, "ansatz": "trotter"},
      "4387a23630216c9dae30568c6fc4c211f2195776a7b509cd40beefc80893b958"),
+    ({"aux_qubits": 2, "layers": 8, "ansatz": "trotter"},
+     "c7438b9bdb387f77ff00cdf52c79f1736db9919fc19e4b5c8b2f530bbcf12ac7"),
     ({"aux_qubits": 2, "layers": 3, "ansatz": "simple"},
      "a64b5ca83127262be448b6d5969354c9a7cd0e37033950f7f6784456ad7e778a"),
-], ids=["trotter-aux0", "simple-aux2"])
+]
+WIDE = CircuitConfig(dsm_dim=4, aux_qubits=7, layers=4, ansatz="trotter")  # the benchmark's circuit
+
+
+def pinned_operator(kw: dict):
+    return make_operator("qontot", dsm_dim=4, theta_seed=0, **kw)
+
+
+def pinned_inputs() -> np.ndarray:
+    return grid_matrices(GridSpec(n=4, d=3), 0, 512)
+
+
+def output_digests() -> list[str]:
+    """sha256 of each pinned output and of one output of the 9-qubit circuit."""
+    rng = np.random.default_rng(5)
+    wide = simulate_dsm(WIDE, rng.uniform(-1.0, 1.0, param_count(WIDE)),
+                        rng.standard_normal((4, 4)))
+    outs = [pinned_operator(kw)(pinned_inputs()) for kw, _ in PINNED] + [wide.matrix]
+    return [hashlib.sha256(out.tobytes()).hexdigest() for out in outs]
+
+
+@pytest.mark.parametrize("kw, digest", PINNED, ids=["trotter-aux0", "trotter-aux2", "simple-aux2"])
 def test_output_bits_are_pinned(kw, digest):
-    # digests of the outputs on the first 512 inputs of the n=4, d=3 cube:
-    # simple since the batched kernel was written, trotter since its X
-    # half-steps were merged and its ZZ phases folded into one diagonal; both
-    # are tied to the dense oracle too
-    op = make_operator("qontot", dsm_dim=4, theta_seed=0, **kw)
-    inputs = grid_matrices(GridSpec(n=4, d=3), 0, 512)
+    op = pinned_operator(kw)
+    inputs = pinned_inputs()
     out = op(inputs)
     assert hashlib.sha256(out.tobytes()).hexdigest() == digest
     c = op.config
     for got, m in zip(out, inputs):
         want = oracles.dense_dsm(c.dsm_dim, c.aux_qubits, c.layers, c.ansatz, op.theta, m)
         assert np.abs(got - want).max() < 1e-13
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_outputs_do_not_depend_on_the_blas_thread_count(threads):
+    # the fused X gates go through BLAS matrix products: a fresh interpreter
+    # with its BLAS held to ``threads`` threads gives this process's bytes
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
+               PYTHONPATH=os.pathsep.join([str(root / "src"), str(root / "tests")]))
+    run = subprocess.run(
+        [sys.executable, "-c", "import test_qontot; print(*test_qontot.output_digests())"],
+        env=env, capture_output=True, text=True, timeout=300, check=True)
+    assert run.stdout.split() == output_digests()
 
 
 class TestSampleShots:

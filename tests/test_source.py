@@ -1,9 +1,12 @@
-"""Static checks on the package source: no dead module-level private name, no import-time scipy."""
+"""Static checks on the source: no dead module-level private name, no import-time scipy,
+and test oracles that share no code with the package."""
 
 import ast
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "birkhoff_attn"
+ORACLES = Path(__file__).resolve().parent / "oracles.py"
+PACKAGE = SRC.name
 
 
 def private_definitions(tree: ast.Module):
@@ -92,3 +95,31 @@ def test_the_check_finds_import_time_scipy():
     }
     assert scipy_at_import(sources) == [
         "a: scipy", "a: scipy.linalg", "a: scipy.stats", "b: scipy", "b: scipy.sparse"]
+
+
+def package_imports(text: str) -> list[str]:
+    """Each import of the package in a source, at any depth; a relative import counts too."""
+    found = []
+    for node in ast.walk(ast.parse(text)):
+        if isinstance(node, ast.Import):
+            found += [alias.name for alias in node.names if alias.name.split(".")[0] == PACKAGE]
+        elif isinstance(node, ast.ImportFrom):
+            module = "." * node.level + (node.module or "")
+            if node.level or module.split(".")[0] == PACKAGE:
+                found.append(module)
+    return sorted(found)
+
+
+def test_the_oracles_import_nothing_from_the_package():
+    assert package_imports(ORACLES.read_text()) == []
+
+
+def test_the_check_finds_package_imports():
+    text = (f"import numpy as np, {PACKAGE}.core\n"
+            f"from {PACKAGE} import project\n"
+            "from . import sibling\n"
+            f"import {PACKAGE}x\n"
+            "def f():\n"
+            f"    from {PACKAGE}.qontot import _run\n"
+            "    return _run\n")
+    assert package_imports(text) == sorted([f"{PACKAGE}.core", PACKAGE, ".", f"{PACKAGE}.qontot"])
