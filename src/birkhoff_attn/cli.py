@@ -12,11 +12,11 @@ before any work starts; :func:`main` picks every exit code.
 
 The parser holds each flag's type, choices and default.  A flat key=value
 file given by --config supplies the subcommand's defaults, checked as the
-flags are; explicit flags win.  sweep-unique's --workers falls back to the
-BIRKHOFF_ATTN_WORKERS environment variable and then the CPU count.  Every
-randomized code path requires an explicit seed, so identical invocations
-produce byte-identical output regardless of worker count (bench wall-times
-excepted).
+flags are; explicit flags win, and a key no subcommand declares is a usage
+error.  sweep-unique's --workers falls back to the BIRKHOFF_ATTN_WORKERS
+environment variable and then the CPU count.  Every randomized code path
+requires an explicit seed, so identical invocations produce byte-identical
+output regardless of worker count (bench wall-times excepted).
 """
 
 from __future__ import annotations
@@ -30,8 +30,8 @@ from dataclasses import asdict, fields
 
 import numpy as np
 
-from .attention import (VJP_NORMALIZERS, AttentionConfig, _check_shapes, _vjp_pair,
-                        attention_forward, vjp_check)
+from .attention import (VJP_NORMALIZERS, AttentionConfig, _check_shapes, attention_forward,
+                        vjp_check)
 from .birkhoff import ProjectionError, project
 from .core import (
     as_square,
@@ -105,13 +105,15 @@ def _load_table(path: str) -> np.ndarray:
 
 # --- --config: file values become the subcommand's defaults -----------------
 
-def _config_defaults(sub: argparse.ArgumentParser, path: str) -> dict:
-    """The file's values for ``sub``'s flags, converted and checked as the flags are.
+def _config_defaults(commands: argparse.Action, command: str, path: str) -> dict:
+    """The file's values for ``command``'s flags, converted and checked as the flags are.
 
     Keys name flag destinations (``-`` and ``_`` interchangeable); keys that
-    name none of the subcommand's flags are ignored.
+    name another subcommand's flag are ignored, and any other key is a usage
+    error.
     """
-    actions = {action.dest: action for action in sub._actions}
+    actions = {action.dest: action for action in commands.choices[command]._actions}
+    known = {action.dest for sub in commands.choices.values() for action in sub._actions}
     with _inputs(path), open(path) as fh:
         lines = [line.strip() for line in fh]
     out = {}
@@ -124,10 +126,12 @@ def _config_defaults(sub: argparse.ArgumentParser, path: str) -> dict:
         key, text = key.strip().replace("-", "_"), text.strip()
         action = actions.get(key)
         if action is None:
+            if key not in known:
+                raise _Usage(f"config key {key!r} names no flag of any subcommand")
             continue
         try:
-            if action.const is True:  # a store_true switch
-                out[key] = _boolean(text)
+            if action.const is True:  # a store_true switch; false counts as unset
+                out[key] = _boolean(text) or None
             else:
                 out[key] = action.type(text) if action.type else text
                 if action.choices is not None and out[key] not in action.choices:
@@ -185,25 +189,32 @@ def _workers(args) -> int:
     return value
 
 
-# --- the operator spec shared by apply / apply-attn / sweeps / props / shots --
+# --- the operator spec of every subcommand that names an operator -----------
 
 # make_operator settings whose flag destination has another name
 _SETTING_FLAGS = {"iterations": "k", "noise_seed": "seed"}
-# destinations of the flags that set an operator; --tau is not among them,
-# as it has a default and also sets exp_scale's temperature
-_OPERATOR_FLAGS = ("k", "power", "method", "tolerance", "max_iterations", "seed",
-                   "layers", "aux_qubits", "ansatz", "theta_seed", "theta_file")
+# destinations of the flags that set an operator or how it is applied
+_OPERATOR_FLAGS = ("k", "power", "tau", "method", "tolerance", "max_iterations", "seed",
+                   "layers", "aux_qubits", "ansatz", "theta_seed", "theta_file", "exp_scale")
 
 
-def _operator(args, name: str, dsm_dim: int, reads_seed: bool = False) -> Normalizer:
+def _tau(args) -> float:
+    """--tau, or 1.0 when it is not set."""
+    return 1.0 if args.tau is None else args.tau
+
+
+def _operator(args, name: str, dsm_dim: int, reads_seed: bool = False,
+              scales: bool = False) -> Normalizer:
     """The spec of operator ``name`` from the flags; settings not given keep its defaults.
 
     A spec field the subcommand has no flag for (apply-attn has no --tau)
-    keeps its default too.  A flag set for another operator is a usage
-    error; ``reads_seed`` marks a handler that takes --seed for its own
-    draws.  qontot takes its size from ``dsm_dim`` and its parameters from
-    exactly one of --theta-seed / --theta-file.  Call it inside ``_inputs``,
-    so settings the spec rejects are usage errors.
+    keeps its default too.  A flag the operator does not read is a usage
+    error.  ``reads_seed`` marks a handler that takes --seed for its own
+    draws, ``scales`` one that feeds a positive-domain operator (the only
+    kind that takes --exp-scale) exp_scale(m, --tau), whose temperature is
+    checked here.  qontot takes its size from ``dsm_dim`` and its parameters
+    from exactly one of --theta-seed / --theta-file.  Call it inside
+    ``_inputs``, so bad settings are usage errors.
     """
     if name not in SPECS:
         raise _Usage(f"unknown operator {name!r} (choose from {', '.join(OPERATOR_NAMES)})")
@@ -213,6 +224,8 @@ def _operator(args, name: str, dsm_dim: int, reads_seed: bool = False) -> Normal
     else:
         keys = [f.name for f in fields(SPECS[name])]
         taken = {_SETTING_FLAGS.get(key, key) for key in keys}
+    if SPECS[name].needs_positive:
+        taken.update(("exp_scale", "tau") if scales else ("exp_scale",))
     if reads_seed:
         taken.add("seed")
     stray = [f"--{flag.replace('_', '-')}" for flag in _OPERATOR_FLAGS
@@ -230,7 +243,10 @@ def _operator(args, name: str, dsm_dim: int, reads_seed: bool = False) -> Normal
         if args.theta_file is not None:
             theta = _load_table(args.theta_file).ravel()
         settings.update(dsm_dim=dsm_dim, theta=theta, theta_seed=args.theta_seed)
-    return make_operator(name, **settings)
+    op = make_operator(name, **settings)
+    if scales and op.needs_positive:
+        _check_tau(_tau(args))
+    return op
 
 
 # --- subcommand implementations --------------------------------------------
@@ -240,13 +256,10 @@ def _cmd_apply(args) -> int:
     name = _req(args, "op")
     m = _read_matrix(args.input)
     with _inputs():
-        op = _operator(args, name, m.shape[0])
-        scaled = op.needs_positive and args.exp_scale
-        if scaled:  # --tau is exp_scale's temperature
-            _check_tau(args.tau)
+        op = _operator(args, name, m.shape[0], scales=args.exp_scale)
     args.echo = m
     with np.errstate(all="ignore"):  # a non-finite result fails the check below
-        out = op(exp_scale(m, args.tau) if scaled else m)
+        out = op(exp_scale(m, _tau(args)) if args.exp_scale else m)
     report = check_stochasticity(out)  # before printing, so a failed run leaves stdout empty
     _print_matrix(out, args.format)
     _emit({"op": name} | asdict(report), sys.stderr)
@@ -276,18 +289,9 @@ def _cmd_sweep_unique(args) -> int:
         if stop - start > _FULL_GATE and not args.full:
             raise _Usage(f"sweep covers {stop - start} inputs; pass --full to confirm")
         name = _req(args, "op")
-        op = _operator(args, name, spec.n)
-        if op.needs_positive:  # --tau is exp_scale's temperature
-            _check_tau(args.tau)
-    report = uniqueness_sweep(
-        spec,
-        op,
-        exp_scale_tau=args.tau,
-        workers=_workers(args),
-        start=start,
-        stop=stop,
-        max_total=_MAX_TOTAL,
-    )
+        op = _operator(args, name, spec.n, scales=True)
+    report = uniqueness_sweep(spec, op, exp_scale_tau=_tau(args), workers=_workers(args),
+                              start=start, stop=stop, max_total=_MAX_TOTAL)
     _emit({"op": name, "domain": spec.domain, "n": spec.n, "d": spec.d} | asdict(report))
     return 0
 
@@ -297,11 +301,9 @@ def _cmd_sweep_tradeoff(args) -> int:
     _at_least_one(args, "n", "trials")
     with _inputs():
         rng = np.random.default_rng(_req(args, "seed"))
-        op = _operator(args, name, args.n, reads_seed=True)
-        if op.needs_positive:  # --tau is exp_scale's temperature
-            _check_tau(args.tau)
+        op = _operator(args, name, args.n, reads_seed=True, scales=True)
         inputs = [rng.standard_normal((args.n, args.n)) for _ in range(args.trials)]
-    rows = tradeoff_sweep(inputs, op, exp_scale_tau=args.tau)
+    rows = tradeoff_sweep(inputs, op, exp_scale_tau=_tau(args))
     sys.stdout.write("index,entropy,residual\n")
     for i, row in enumerate(rows):
         sys.stdout.write(f"{i},{row['entropy']:.17g},{row['residual']:.17g}\n")
@@ -371,15 +373,11 @@ def _cmd_bench(args) -> int:
 def _cmd_gradcheck(args) -> int:
     name = _req(args, "normalizer")
     _at_least_one(args, "n", "trials")
-    unread = "k" if name == "softmax" else "tau"  # sinkhorn-naive reads --k, softmax --tau
-    if getattr(args, unread) is not None:
-        raise _Usage(f"operator {name!r} takes no --{unread}")
-    k = 3 if args.k is None else args.k
-    tau = 1.0 if args.tau is None else args.tau
     with _inputs():
+        _operator(args, name, args.n, reads_seed=True)  # checks the settings given
         rng = np.random.default_rng(_req(args, "seed"))
-        _vjp_pair(name, k=k, tau=tau)
-    error = vjp_check(name, k=k, tau=tau, n=args.n, trials=args.trials, seed=rng)
+    error = vjp_check(name, k=3 if args.k is None else args.k, tau=_tau(args), n=args.n,
+                      trials=args.trials, seed=rng)
     _emit({"normalizer": name, "trials": args.trials, "max_relative_error": error})
     return 0
 
@@ -407,8 +405,8 @@ def _add_setting_flags(sub) -> None:
 
 def _add_operator_flags(sub) -> None:
     sub.add_argument("--op")
-    sub.add_argument("--tau", type=float, default=1.0,
-                     help="softmax temperature, and exp-scale temperature for sinkhorn")
+    sub.add_argument("--tau", type=float,
+                     help="softmax temperature, or the sinkhorn family's exp-scale one")
     _add_setting_flags(sub)
 
 
@@ -429,7 +427,7 @@ def _build_parser() -> tuple[argparse.ArgumentParser, argparse.Action]:
     sub = command("apply", _cmd_apply, "apply a normalizer to one matrix")
     _add_operator_flags(sub)
     sub.add_argument("--input", default="-", help="matrix file (CSV or JSON); default stdin")
-    sub.add_argument("--exp-scale", action="store_true",
+    sub.add_argument("--exp-scale", action="store_true", default=None,
                      help="pre-apply exp_scale (for the sinkhorn family on raw scores)")
     sub.add_argument("--format", choices=("csv", "json"), default="csv")
 
@@ -506,8 +504,8 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         if args.config:
-            sub = commands.choices[args.command]
-            sub.set_defaults(**_config_defaults(sub, args.config))
+            commands.choices[args.command].set_defaults(
+                **_config_defaults(commands, args.command, args.config))
             args = parser.parse_args(argv)
         return args.func(args)
     except SystemExit as exc:  # argparse printed --help or a usage error

@@ -56,6 +56,14 @@ def as_square(m, name: str = "matrix", stack: bool = False) -> np.ndarray:
     With ``stack=True`` a (B, n, n) stack of square matrices passes too; the
     stacked kernels treat a single matrix as a batch of one.
     """
+    out = _square(m, name, stack)
+    if not np.isfinite(out).all():
+        raise ValueError(f"{name} contains non-finite entries")
+    return out
+
+
+def _square(m, name: str, stack: bool) -> np.ndarray:
+    """:func:`as_square` without the finiteness check."""
     m = getattr(m, "matrix", m)  # accept Dsm wrappers anywhere a matrix is
     out = np.asarray(m, dtype=np.float64)
     if out.ndim not in ((2, 3) if stack else (2,)) or out.shape[-1] != out.shape[-2]:
@@ -63,8 +71,6 @@ def as_square(m, name: str = "matrix", stack: bool = False) -> np.ndarray:
         raise ValueError(f"{name} must be {kind}, got shape {out.shape}")
     if out.shape[-1] < 1:
         raise ValueError(f"{name} must have n >= 1")
-    if not np.isfinite(out).all():
-        raise ValueError(f"{name} contains non-finite entries")
     return out
 
 
@@ -123,22 +129,17 @@ class Dsm:
     report: StochasticityReport
 
 
-def as_dsm(m, tolerance: float = 1e-9) -> Dsm:
-    """Validate ``m`` as doubly stochastic within ``tolerance`` and wrap it.
+def as_dsm(m, tolerance: float = 1e-9) -> Dsm | np.ndarray:
+    """Validate ``m`` as doubly stochastic within ``tolerance``; wrap one matrix in a Dsm.
 
-    Raises ValueError when any entry is below ``-tolerance`` or a row/column
-    sum deviates from 1 by more than ``tolerance``.
+    Raises ValueError when an entry is not finite or below ``-tolerance``,
+    or a row/column sum deviates from 1 by more than ``tolerance``.  A
+    (B, n, n) stack passes the same check per matrix and comes back as it
+    is, or raises the first failing matrix's error, the one it would raise
+    alone.  One matrix is a batch of one: the deviations are measured once
+    on the stack, and flag every non-finite matrix, whose error names it.
     """
-    return _dsm_or_stack(as_square(m), tolerance)
-
-
-def _dsm_or_stack(p: np.ndarray, tolerance: float) -> Dsm | np.ndarray:
-    """:func:`as_dsm` of one matrix; a (B, n, n) stack passes the same check per matrix.
-
-    One matrix is a batch of one: the deviations are measured once on the
-    stack.  A stack comes back as it is, or raises the first failing
-    matrix's error, the one it would raise alone.
-    """
+    p = _square(m, "matrix", stack=True)
     stack = p.reshape(-1, *p.shape[-2:])
     deviations = _deviations(stack)
     if (off := _off_polytope(deviations, tolerance)).any():

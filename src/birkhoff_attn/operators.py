@@ -53,12 +53,13 @@ def norm_softmax(m, tau: float = 1.0, power: int = 1) -> np.ndarray:
     """Row softmax at a data-driven temperature.
 
     The temperature is the population std (power 1) or variance (power 2) of
-    all entries of m, capped above by tau and floored at 1e-6 so a constant
-    input cannot divide by zero.  Each matrix of a (B, n, n) stack gets its
-    own temperature.
+    all entries of m, capped above by tau, which must be positive, and
+    floored at 1e-6 so a constant input cannot divide by zero.  Each matrix
+    of a (B, n, n) stack gets its own temperature.
     """
     m = as_square(m, stack=True)
     _check_power(power)
+    _check_tau(tau)
     # Python's float power is libm pow, which can round x**2 one ulp away
     # from numpy's square, so each temperature is taken in Python floats
     temps = [max(min(float(std) ** power, tau), _DENOM_FLOOR)
@@ -132,12 +133,16 @@ class NormSoftmax(Normalizer):
 
     def __post_init__(self):
         _check_power(self.power)
+        _check_tau(self.tau)
 
     def __call__(self, m) -> np.ndarray:
         return norm_softmax(m, self.tau, self.power)
 
     def attend(self, scores, tau):
         return norm_softmax(scores, tau, self.power)
+
+    def check_temperature(self, tau):
+        _check_tau(tau)
 
 
 class _Sinkhorn(Normalizer):

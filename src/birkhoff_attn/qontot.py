@@ -51,7 +51,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Dsm, _dsm_or_stack, as_square
+from .core import Dsm, as_dsm, as_square
 
 _MAX_QUBITS = 24
 _AMPLITUDE_BUDGET = 1 << 15  # amplitudes one pass holds: 512 KiB of complex128
@@ -355,7 +355,7 @@ def simulate_dsm(config: CircuitConfig, theta, m) -> Dsm | np.ndarray:
     if theta.shape != (expected,):
         raise ValueError(f"theta must have length {expected}, got {theta.shape}")
     out = _simulate(config, inject(theta, m.reshape((-1,) + m.shape[-2:])))
-    return _dsm_or_stack(out.reshape(m.shape), _VALIDATION)
+    return as_dsm(out.reshape(m.shape), _VALIDATION)
 
 
 def _check_shots(shots: int, t: int) -> None:

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import Dsm, _dsm_or_stack, as_square
+from .core import Dsm, as_dsm, as_square
 
 _PIVOT_FLOOR = 1e-10   # residual column norm below this counts as rank deficiency
 _NOISE_STD = 1e-7      # std of the entrywise restart perturbation
@@ -84,4 +84,4 @@ def qr_dsm(m, noise_seed: int | None = None) -> Dsm | np.ndarray:
     A :class:`Dsm` for one matrix; for a stack, the validated array, or the
     first failing matrix's error.
     """
-    return _dsm_or_stack(qr_orthonormalize(m, noise_seed) ** 2, _VALIDATION)
+    return as_dsm(qr_orthonormalize(m, noise_seed) ** 2, _VALIDATION)

@@ -76,6 +76,11 @@ class TestNormSoftmax:
         with pytest.raises(ValueError, match="power"):
             norm_softmax(np.eye(2), power=3)
 
+    @pytest.mark.parametrize("tau", [0.0, -1.0, float("nan")])
+    def test_rejects_a_tau_that_is_not_positive(self, tau):
+        with pytest.raises(ValueError, match=f"tau must be positive, got {tau}"):
+            norm_softmax(np.eye(2), tau=tau)
+
 
 class TestAttentionForward:
     def test_softmax_output_is_weighted_values(self):
@@ -276,7 +281,8 @@ def test_normalizer_defaults():
     (Softmax(), -1.0, "tau must be positive"),
     (SinkhornNaive(), -2.0, "tau must be positive"),
     (SinkhornOT(), 0.0, "tau must be positive"),
-    (NormSoftmax(), 0.0, "temperature must be a nonzero number"),
+    (NormSoftmax(), 0.0, "tau must be positive"),
+    (NormSoftmax(), -1.0, "tau must be positive"),
     (BirkhoffNormalizer(), 0.0, "temperature must be a nonzero number"),
     (QrNormalizer(), float("nan"), "temperature must be a nonzero number"),
 ])
@@ -286,6 +292,6 @@ def test_config_rejects_a_temperature_its_normalizer_cannot_take(normalizer, tem
         AttentionConfig(normalizer, temperature)
 
 
-def test_normalizers_outside_softmax_and_sinkhorn_take_a_negative_temperature():
-    for normalizer in (BirkhoffNormalizer(), QrNormalizer(), NormSoftmax()):
+def test_doubly_stochastic_normalizers_take_a_negative_temperature():
+    for normalizer in (BirkhoffNormalizer(), QrNormalizer()):
         assert AttentionConfig(normalizer, -1.0).temperature == -1.0

@@ -21,7 +21,7 @@ from birkhoff_attn import (
     sinkhorn_naive,
     softmax_rows,
 )
-from birkhoff_attn.cli import _build_parser, main
+from birkhoff_attn.cli import _OPERATOR_FLAGS, _build_parser, main
 from birkhoff_attn.expressivity import _SWEEP_CHUNK
 from birkhoff_attn.operators import SPECS, make_operator
 
@@ -217,11 +217,10 @@ class TestApplyAttn:
         ("birkhoff-project", [], {}),
         ("qr", ["--seed", "0"], {"noise_seed": 0}),
         ("qontot", ["--theta-seed", "0"], {"dsm_dim": 4, "theta_seed": 0}),
-        ("norm-softmax", [], {}),
     ])
     def test_negative_temperature_scales_the_scores(self, name, flags, settings, capsys,
                                                     monkeypatch, tmp_path):
-        # only softmax and the Sinkhorn family need a positive temperature
+        # only the softmax and Sinkhorn families need a positive temperature
         monkeypatch.chdir(tmp_path)
         write_qkv(tmp_path, t=4)
         code, out, err = invoke(["apply-attn", "--normalizer", name, *flags, *QKV_FLAGS,
@@ -278,8 +277,8 @@ KERNEL_SETTING_CASES = [
      "need at least one shot per column: shots=2 < T=4"),
     (["apply-attn", "--normalizer", "softmax", "--q-file", "q.csv", "--key-file", "k.csv",
       "--value-file", "v3.csv"], None, "incompatible shapes qm(4, 3) km(4, 3) vm(3, 2)"),
-    # a temperature the normalizer cannot take: softmax and the Sinkhorn family
-    # need a positive one, every other normalizer a nonzero number
+    # a temperature the normalizer cannot take: the softmax and Sinkhorn
+    # families need a positive one, every other normalizer a nonzero number
     (["apply-attn", "--normalizer", "softmax", *QKV_FLAGS, "--temperature", "0"], None,
      "tau must be positive, got 0.0"),
     (["apply-attn", "--normalizer", "softmax", *QKV_FLAGS, "--temperature", "-1"], None,
@@ -289,7 +288,13 @@ KERNEL_SETTING_CASES = [
     (["apply-attn", "--normalizer", "sinkhorn-ot", *QKV_FLAGS, "--temperature", "0"], None,
      "tau must be positive, got 0.0"),
     (["apply-attn", "--normalizer", "norm-softmax", *QKV_FLAGS, "--temperature", "0"], None,
-     "temperature must be a nonzero number, got 0.0"),
+     "tau must be positive, got 0.0"),
+    (["apply-attn", "--normalizer", "norm-softmax", *QKV_FLAGS, "--temperature", "-1.5"],
+     None, "tau must be positive, got -1.5"),
+    (["apply", "--op", "norm-softmax", "--tau", "-1"], CSV_POS4,
+     "tau must be positive, got -1.0"),
+    (["props", "--op", "norm-softmax", "--tau", "nan", "--seed", "0"], None,
+     "tau must be positive, got nan"),
     (["apply-attn", "--normalizer", "birkhoff-project", *QKV_FLAGS, "--temperature", "0"],
      None, "temperature must be a nonzero number, got 0.0"),
     (["apply-attn", "--normalizer", "qr", "--seed", "0", *QKV_FLAGS, "--temperature", "0"],
@@ -306,6 +311,18 @@ WORK_ENTRY_POINTS = ("vjp_check", "probe_invariances", "tradeoff_sweep", "bench_
                      "sample_shots", "attention_forward", "project", "exp_scale")
 
 
+def forbid_work(monkeypatch):
+    """Make every call that starts work fail the test."""
+    def work(*args, **kw):
+        raise AssertionError("work started before the settings were checked")
+
+    for name in WORK_ENTRY_POINTS:
+        monkeypatch.setattr(f"birkhoff_attn.cli.{name}", work)
+    for spec in SPECS.values():  # a spec call is work too
+        monkeypatch.setattr(spec, "__call__", work)
+        monkeypatch.setattr(spec, "attend", work)
+
+
 def write_setting_inputs(directory):
     """Q/K/V files of 4 rows, and a value file of 3 rows that does not match them."""
     write_qkv(directory, t=4)
@@ -319,8 +336,8 @@ class TestOperatorFlags:
         monkeypatch.chdir(tmp_path)
         write_qkv(tmp_path, t=4)
         flags = OPERATOR_FLAGS.get(name, [])
-        code, _, err = invoke(["apply", "--op", name, *flags, "--exp-scale"],
-                              capsys, monkeypatch, stdin_text=CSV_POS4)
+        code, _, err = invoke(["apply", "--op", name, *flags], capsys, monkeypatch,
+                              stdin_text=CSV_POS4)
         assert code == 0, err
         code, _, err = invoke(["apply-attn", "--normalizer", name, *flags, *QKV_FLAGS], capsys)
         assert code == 0, err
@@ -397,16 +414,9 @@ class TestOperatorFlags:
     ])
     def test_invalid_count_or_setting_fails_before_any_work(self, argv, message, capsys,
                                                              monkeypatch, tmp_path):
-        def work(*args, **kw):
-            raise AssertionError("work started before the settings were checked")
-
         monkeypatch.chdir(tmp_path)
         write_setting_inputs(tmp_path)
-        for name in WORK_ENTRY_POINTS:
-            monkeypatch.setattr(f"birkhoff_attn.cli.{name}", work)
-        for spec in SPECS.values():  # a spec call is work too
-            monkeypatch.setattr(spec, "__call__", work)
-            monkeypatch.setattr(spec, "attend", work)
+        forbid_work(monkeypatch)
         # every case that reads stdin takes a 4 x 4 matrix
         code, out, err = invoke(argv, capsys, monkeypatch, stdin_text=CSV_POS4)
         assert (code, out) == (1, "")
@@ -456,6 +466,69 @@ class TestOtherOperatorSettings:
                                  "--n", "3", "--trials", "1", "--seed", "0"], capsys)
         assert (code, out) == (1, "")
         assert err == f"error: operator '{normalizer}' takes no {flag}\n"
+
+
+SOFTMAXES = {"softmax", "norm-softmax"}
+SINKHORNS = {"sinkhorn-naive", "sinkhorn-ot"}
+# the operators that take the given flags on each subcommand: --tau is the
+# softmax family's temperature, or the exp_scale temperature of a Sinkhorn
+# whose inputs the handler exponentiates (the sweeps always, apply with
+# --exp-scale); only the Sinkhorn family takes --exp-scale
+TAU_TAKERS = {
+    ("apply", ("--tau", "0.5")): SOFTMAXES,
+    ("apply", ("--exp-scale",)): SINKHORNS,
+    ("apply", ("--exp-scale", "--tau", "0.5")): SINKHORNS,
+    ("sweep-unique", ("--tau", "0.5")): SOFTMAXES | SINKHORNS,
+    ("sweep-tradeoff", ("--tau", "0.5")): SOFTMAXES | SINKHORNS,
+    ("props", ("--tau", "0.5")): SOFTMAXES,
+}
+# a run of each subcommand, less its operator, with the stdin it reads
+OPERATOR_RUNS = {
+    "apply": (["apply"], CSV_POS4),
+    "sweep-unique": (["sweep-unique", "--n", "2", "--d", "2", "--workers", "1"], None),
+    "sweep-tradeoff": (["sweep-tradeoff", "--n", "4", "--trials", "2", "--seed", "0"], None),
+    "props": (["props", "--n", "4", "--trials", "2", "--seed", "0"], None),
+}
+
+
+class TestTauAndExpScale:
+    @pytest.mark.parametrize("command, flags, name", [
+        (command, flags, name) for command, flags in TAU_TAKERS for name in OPERATOR_NAMES
+    ])
+    def test_only_an_operator_that_reads_them_takes_them(self, command, flags, name, capsys,
+                                                         monkeypatch):
+        argv, stdin_text = OPERATOR_RUNS[command]
+        argv = [*argv, "--op", name, *OPERATOR_FLAGS.get(name, []), *flags]
+        if name in TAU_TAKERS[command, flags]:
+            code, _, err = invoke(argv, capsys, monkeypatch, stdin_text=stdin_text or "")
+            assert code == 0, err
+            return
+        forbid_work(monkeypatch)
+        code, out, err = invoke(argv, capsys, monkeypatch, stdin_text=stdin_text or "")
+        assert (code, out) == (1, "")
+        assert err.startswith(f"error: operator '{name}' takes no --") and err.count("\n") == 1
+        if len(named := [flag for flag in flags if flag.startswith("--")]) == 1:
+            assert err == f"error: operator '{name}' takes no {named[0]}\n"
+
+    def test_exp_scale_set_to_false_in_a_config_is_unset(self, capsys, monkeypatch, tmp_path):
+        config = tmp_path / "switch.cfg"
+        argv = ["apply", "--op", "softmax", "--config", str(config)]
+        config.write_text("exp-scale=false\n")
+        plain = invoke(argv[:3], capsys, monkeypatch, stdin_text=CSV_2X2)
+        assert plain[0] == 0
+        assert invoke(argv, capsys, monkeypatch, stdin_text=CSV_2X2) == plain
+        config.write_text("exp-scale=true\n")
+        assert invoke(argv, capsys, monkeypatch, stdin_text=CSV_2X2) == (
+            1, "", "error: operator 'softmax' takes no --exp-scale\n")
+
+    def test_operator_flags_are_the_operator_settings_the_parser_declares(self):
+        # the flags every subcommand with --op shares, less --op, and apply's --exp-scale
+        _, commands = _build_parser()
+        with_op = [{action.dest for action in sub._actions}
+                   for sub in commands.choices.values()
+                   if any(action.dest == "op" for action in sub._actions)]
+        shared = set.intersection(*with_op) - {"op", "config", "help"}
+        assert set(_OPERATOR_FLAGS) == shared | {"exp_scale"}
 
 
 class TestUsageErrors:
@@ -870,7 +943,8 @@ def operator_runs(command):
     """argv and stdin of one successful run per operator (or per mode) of ``command``."""
     ops = [["--op", name, *OPERATOR_FLAGS.get(name, [])] for name in OPERATOR_NAMES]
     per_command = {
-        "apply": [([*op, "--exp-scale"], CSV_POS4) for op in ops],
+        "apply": [([*op, *["--exp-scale"] * SPECS[op[1]].needs_positive], CSV_POS4)
+                  for op in ops],
         "apply-attn": [(["--normalizer", *op[1:], *QKV_FLAGS], None) for op in ops],
         # a window above the --full gate, which the test lowers to 1 input
         "sweep-unique": [([*op, "--n", "4", "--d", "3", "--stop", "2", "--full",
@@ -949,6 +1023,15 @@ class TestDeclaredFlags:
             plain = invoke([*argv, *seed_flags], capsys)
             assert plain[0] == 0
             assert invoke([*argv, "--config", str(config)], capsys) == plain
+
+
+def test_config_key_naming_no_flag_of_any_subcommand_is_usage_error(capsys, monkeypatch,
+                                                                    tmp_path):
+    config = tmp_path / "typo.cfg"
+    config.write_text("trials=2\ntrails=2\n")
+    forbid_work(monkeypatch)
+    assert invoke(["props", "--op", "qr", "--seed", "0", "--config", str(config)], capsys) == (
+        1, "", "error: config key 'trails' names no flag of any subcommand\n")
 
 
 def run_cli(argv, stdin_text="", returncode=0, **env_overrides):

@@ -29,7 +29,7 @@ from birkhoff_attn import (
     shannon_entropy,
     spearman_rho,
 )
-from birkhoff_attn.core import _average_ranks, _dsm_or_stack, _odometer
+from birkhoff_attn.core import _average_ranks, _odometer
 
 import oracles
 
@@ -78,7 +78,7 @@ class TestAsDsm:
         as_dsm(m, tolerance=1e-5)  # same matrix, looser gate
 
 
-class TestDsmOrStack:
+class TestAsDsmStack:
     @pytest.mark.parametrize("bad", [
         np.array([[1.0 + 1e-6, -1e-6], [-0.0, 1.0]]),  # an entry below -tolerance
         np.full((2, 2), 0.6),  # sums off by 0.2
@@ -87,25 +87,21 @@ class TestDsmOrStack:
     ], ids=["negative-entry", "bad-sums", "near-miss", "nan"])
     def test_stack_raises_the_failing_matrix_error_it_raises_alone(self, bad):
         with pytest.raises(ValueError) as alone:
-            _dsm_or_stack(bad, 1e-9)
+            as_dsm(bad)
         stack = np.array([np.eye(2), np.full((2, 2), 0.5), bad, np.full((2, 2), 0.6)])
         with pytest.raises(ValueError) as stacked:
-            _dsm_or_stack(stack, 1e-9)
+            as_dsm(stack)
         assert str(stacked.value) == str(alone.value)
-        if np.isfinite(bad).all():
-            with pytest.raises(ValueError) as public:
-                as_dsm(bad)
-            assert str(public.value) == str(alone.value)
 
     def test_a_passing_stack_comes_back_as_it_is(self):
         stack = np.array([np.eye(3), np.full((3, 3), 1 / 3)])
-        assert _dsm_or_stack(stack, 1e-9) is stack
+        assert as_dsm(stack) is stack
 
     @pytest.mark.parametrize("order", ["C", "F"])
     def test_one_matrix_report_is_its_own_measurement(self, order):
         # the report of a batch of one is the matrix's own, bit for bit
         m = np.asarray(sinkhorn_dsm(5), order=order)
-        d = _dsm_or_stack(m, 1e-9)
+        d = as_dsm(m)
         assert d.matrix is m
         assert d.report == check_stochasticity(m)
 

@@ -73,6 +73,8 @@ class TestMakeOperator:
         ("softmax", {"tau": 0.0}, "tau must be positive, got 0.0"),
         ("softmax", {"tau": -1.0}, "tau must be positive, got -1.0"),
         ("norm-softmax", {"power": 3}, r"power must be 1 \(std\) or 2 \(variance\), got 3"),
+        ("norm-softmax", {"tau": -1.0}, "tau must be positive, got -1.0"),
+        ("norm-softmax", {"tau": float("nan")}, "tau must be positive, got nan"),
         ("sinkhorn-naive", {"iterations": 4}, "iteration count must be odd and >= 1, got 4"),
         ("sinkhorn-ot", {"iterations": 0}, "iteration count must be odd and >= 1, got 0"),
     ])

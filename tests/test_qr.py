@@ -141,6 +141,19 @@ class TestStack:
                 with pytest.raises(ValueError, match="^matrix contains non-finite entries$"):
                     qr_dsm(x, noise_seed=0)
 
+    def test_stack_raises_the_first_failing_matrix_error_before_a_later_non_finite_one(self):
+        # matrix 0's pivots overflow, so its columns divide to zero and its sums
+        # miss 1; matrix 1's output is NaN, which must not be reported first
+        big = 1e154 * (np.ones((2, 2)) + 0.5 * np.eye(2))
+        stack = np.array([big, [[1.0, 1.7e308], [1.0, 1.7e308]]])
+        with np.errstate(all="ignore"):
+            with pytest.raises(ValueError) as alone:
+                qr_dsm(big, noise_seed=0)
+            with pytest.raises(ValueError) as stacked:
+                qr_dsm(stack, noise_seed=0)
+        assert str(alone.value).startswith("row/col sums deviate from 1 by (1.0, 1.0)")
+        assert str(stacked.value) == str(alone.value)
+
     def test_all_restarts_exhausted_raises_on_a_stack(self, monkeypatch):
         monkeypatch.setattr(qr_module, "_NOISE_STD", 1e-300)
         with pytest.raises(ValueError, match="persisted"):
