@@ -175,9 +175,8 @@ def _splitting_qp(m: np.ndarray):
 
 # each route's (step, start, state) for _iterate.  A step may overwrite its
 # state and the iterate it was given, so Dykstra starts from a copy: project's
-# stack may be the caller's own array.  The copy keeps the caller's memory
-# order, which sets the order the affine step's sums add in.
-_SOLVERS = {DYKSTRA: lambda m: (_dykstra, m.copy(order="K"),
+# stack may be the caller's own array.
+_SOLVERS = {DYKSTRA: lambda m: (_dykstra, m.copy(),
                                 (np.zeros_like(m), np.zeros_like(m), np.empty_like(m))),
             SPLITTING_QP: _splitting_qp}
 

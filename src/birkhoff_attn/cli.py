@@ -302,7 +302,7 @@ def _cmd_sweep_tradeoff(args) -> int:
     with _inputs():
         rng = np.random.default_rng(_req(args, "seed"))
         op = _operator(args, name, args.n, reads_seed=True, scales=True)
-        inputs = [rng.standard_normal((args.n, args.n)) for _ in range(args.trials)]
+        inputs = rng.standard_normal((args.trials, args.n, args.n))
     rows = tradeoff_sweep(inputs, op, exp_scale_tau=_tau(args))
     sys.stdout.write("index,entropy,residual\n")
     for i, row in enumerate(rows):

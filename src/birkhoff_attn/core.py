@@ -51,19 +51,22 @@ _reuse_freed_blocks()
 
 
 def as_square(m, name: str = "matrix", stack: bool = False) -> np.ndarray:
-    """Coerce to a float64 square 2-D array, rejecting NaN/inf.
+    """Coerce to a C-ordered float64 square 2-D array, rejecting NaN/inf.
 
     With ``stack=True`` a (B, n, n) stack of square matrices passes too; the
-    stacked kernels treat a single matrix as a batch of one.
+    stacked kernels treat a single matrix as a batch of one.  The result is
+    ``m`` itself when it already is a C-ordered float64 array, else a
+    C-ordered copy, so a kernel's bits depend on the values alone and not on
+    the memory layout, which sets the order numpy's sums add in.
     """
-    out = _square(m, name, stack)
+    out = np.ascontiguousarray(_square(m, name, stack))
     if not np.isfinite(out).all():
         raise ValueError(f"{name} contains non-finite entries")
     return out
 
 
 def _square(m, name: str, stack: bool) -> np.ndarray:
-    """:func:`as_square` without the finiteness check."""
+    """:func:`as_square` without the finiteness check and the copy into C order."""
     m = getattr(m, "matrix", m)  # accept Dsm wrappers anywhere a matrix is
     out = np.asarray(m, dtype=np.float64)
     if out.ndim not in ((2, 3) if stack else (2,)) or out.shape[-1] != out.shape[-2]:
@@ -178,7 +181,7 @@ def shannon_entropy(p):
     array of each matrix's value.  The row mean is at most ln(n), attained by
     the uniform matrix.
     """
-    m = np.clip(p.matrix if isinstance(p, Dsm) else as_square(p, stack=True), 0.0, None)
+    m = np.clip(as_square(p, stack=True), 0.0, None)
     with np.errstate(divide="ignore", invalid="ignore"):
         terms = np.where(m > 0.0, -m * np.log(np.where(m > 0.0, m, 1.0)), 0.0)
     return _per_matrix(terms.sum(axis=-1).mean(axis=-1))
@@ -280,17 +283,14 @@ def load_matrix_json(path) -> np.ndarray:
         data = obj["data"]
     except (TypeError, KeyError) as exc:
         raise ValueError("matrix JSON needs fields 'n' and 'data'") from exc
-    if type(n) is not int:  # a JSON integer; bool is an int subclass
-        raise ValueError(f"'n' must be an integer, got {n!r}")
-    if not isinstance(data, list):
+    if type(n) is not int or n < 1:  # a JSON integer; bool is an int subclass
+        raise ValueError(f"'n' must be an integer >= 1, got {n!r}")
+    # JSON numbers only: numpy would also take strings, booleans and nested lists
+    if not isinstance(data, list) or not all(type(x) in (int, float) for x in data):
         raise ValueError(f"'data' must be a list of n*n numbers, got {json.dumps(data)}")
     if len(data) != n * n:
         raise ValueError(f"'data' has {len(data)} entries, expected n*n = {n * n}")
-    try:
-        values = np.asarray(data, dtype=np.float64)
-    except TypeError as exc:  # an entry that is a JSON object
-        raise ValueError(f"'data' must be a list of n*n numbers: {exc}") from exc
-    return as_square(values.reshape(n, n))
+    return as_square(np.asarray(data, dtype=np.float64).reshape(n, n))
 
 
 def matrix_record(m) -> dict:

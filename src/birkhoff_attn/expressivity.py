@@ -208,46 +208,47 @@ def tradeoff_sweep(inputs, operator, *, exp_scale_tau: float = 1.0) -> list[dict
     return rows
 
 
-def probe_invariances(operator, trials: int = 10, seed: int = 0, n: int = 4,
+def probe_invariances(operator: Normalizer, trials: int = 10, seed: int = 0, n: int = 4,
                       tolerance: float = 1e-8) -> dict:
     """Empirically test scale invariance and permutation equivariance.
 
     Scale: f(lam m) = f(m) for lam in {0.5, 2, 10}.  Permutation:
-    f(P1 m P2) = P1 f(m) P2 for random permutations.  Inputs are sampled
-    from the operator's domain (uniform [0.1, 10] when it needs positivity,
-    standard normal otherwise).  The first failure of each kind is kept as a
-    witness (input, transform, max deviation); everything derives from
-    ``seed``, so witnesses are reproducible.
+    f(P1 m P2) = P1 f(m) P2 for random permutations.  ``operator`` is an
+    operator spec (see :func:`make_operator`).  Each trial draws its input
+    from the spec's domain (uniform [0.1, 10] when it needs positivity,
+    standard normal otherwise), then its row and its column permutation.
+    The trials run as one (trials, n, n) stack in five spec calls: the
+    inputs, each scaling of them, and the permuted inputs.  The first failing
+    trial of each kind is kept as a witness (input, transform, max deviation),
+    for scale with its first failing lam; everything derives from ``seed``,
+    so witnesses are reproducible.
     """
+    if trials < 0:
+        raise ValueError(f"trials must be >= 0, got {trials}")
     rng = np.random.default_rng(seed)
-    scale_witness = None
-    perm_witness = None
-    for _ in range(trials):
-        if getattr(operator, "needs_positive", False):
-            m = rng.uniform(0.1, 10.0, (n, n))
-        else:
-            m = rng.standard_normal((n, n))
-        base = operator(m)
-        for lam in (0.5, 2.0, 10.0):
-            dev = float(np.abs(operator(lam * m) - base).max())
-            if dev > tolerance and scale_witness is None:
-                scale_witness = {
-                    "matrix": m.tolist(),
-                    "lam": lam,
-                    "max_abs_deviation": dev,
-                }
-        p1 = rng.permutation(n)
-        p2 = rng.permutation(n)
-        dev = float(np.abs(operator(m[p1][:, p2]) - base[p1][:, p2]).max())
-        if dev > tolerance and perm_witness is None:
-            perm_witness = {
-                "matrix": m.tolist(),
-                "row_permutation": p1.tolist(),
-                "col_permutation": p2.tolist(),
-                "max_abs_deviation": dev,
-            }
+    ms, (rows, cols) = np.empty((trials, n, n)), np.empty((2, trials, n), int)
+    for t in range(trials):
+        ms[t] = (rng.uniform(0.1, 10.0, (n, n)) if operator.needs_positive
+                 else rng.standard_normal((n, n)))
+        rows[t], cols[t] = rng.permutation(n), rng.permutation(n)
+    base = operator(ms)
+    scales = (0.5, 2.0, 10.0)
+    scale_devs = np.stack([np.abs(operator(lam * ms) - base).max(axis=(-2, -1))
+                           for lam in scales], axis=-1)  # row-major: the loop's trial-then-lam order
+    permuted = np.arange(trials)[:, None, None], rows[:, :, None], cols[:, None, :]
+    perm_devs = np.abs(operator(ms[permuted]) - base[permuted]).max(axis=(-2, -1))
+    scale_witness = perm_witness = None
+    if (failing := np.flatnonzero(scale_devs > tolerance)).size:
+        t, k = divmod(failing[0], len(scales))
+        scale_witness = {"matrix": ms[t].tolist(), "lam": scales[k],
+                         "max_abs_deviation": float(scale_devs[t, k])}
+    if (failing := np.flatnonzero(perm_devs > tolerance)).size:
+        t = failing[0]
+        perm_witness = {"matrix": ms[t].tolist(), "row_permutation": rows[t].tolist(),
+                        "col_permutation": cols[t].tolist(),
+                        "max_abs_deviation": float(perm_devs[t])}
     return {
-        "operator": getattr(operator, "name", "custom"),
+        "operator": operator.name,
         "trials": trials,
         "tolerance": tolerance,
         "scale_invariant": scale_witness is None,

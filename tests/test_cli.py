@@ -360,6 +360,12 @@ class TestOperatorFlags:
         (["apply", "--op", "qontot", "--theta-seed", "0"], "1,0,0\n0,1,0\n0,0,1\n", "dsm_dim"),
         (["apply", "--op", "softmax"], '{"n": 1.5, "data": [3]}', "'n' must be an integer"),
         (["apply", "--op", "softmax"], '{"n": true, "data": [3]}', "'n' must be an integer"),
+        (["apply", "--op", "softmax"], '{"n": -2, "data": [1, 2, 3, 4]}',
+         "'n' must be an integer >= 1, got -2"),
+        (["apply", "--op", "softmax"], '{"n": 1, "data": ["1"]}', "'data' must be a list of"),
+        (["apply", "--op", "softmax"], '{"n": 1, "data": [true]}', "'data' must be a list of"),
+        (["apply", "--op", "softmax"], '{"n": 2, "data": [[1], [2], [3], [4]]}',
+         "'data' must be a list of"),
         (["apply-attn", "--normalizer", "birkhoff-project", "--tolerance", "-1", *QKV_FLAGS],
          None, "tolerance"),
         (["apply-attn", "--normalizer", "qontot", "--aux-qubits", "-1", "--theta-seed", "0",
@@ -817,6 +823,42 @@ class TestProps:
         result = json.loads(out)
         assert result["scale_invariant"] is True
         assert result["permutation_equivariant"] is True
+
+
+# SHA-256 of stdout, taken while probes and tradeoff sweeps still called
+# their operator one matrix at a time
+SEEDED_RUNS = {"props": ["--n", "4", "--trials", "10", "--seed", "5"],
+               "sweep-tradeoff": ["--n", "4", "--trials", "20", "--seed", "0"]}
+
+
+@pytest.mark.parametrize("command, name, digest", [
+    ("props", "sinkhorn-naive", "2161578c141495f3facb791d1bf1e54373da9478f1ffd9812dbc5ddcc022f8c4"),
+    ("sweep-tradeoff", "sinkhorn-naive",
+     "3a36a969f8b31952378a4d917d9121a19f6388acbbba51fdd335c684a20cd902"),
+    ("props", "sinkhorn-ot", "2132ee1ccc3d9af6dc9eaacc9eeb957962eb624f9970cf0b1a2ff16bc1ad212b"),
+    ("sweep-tradeoff", "sinkhorn-ot",
+     "02e532148df7fc66baea88c6d53bcd4bdbeb2d09e3e7f80779f9ce417204fd5b"),
+    ("props", "birkhoff-project",
+     "6d705a6b7f493ea6389a8775457297f8c097a95702fd9813f4d239c8a045e33d"),
+    ("sweep-tradeoff", "birkhoff-project",
+     "2a0174b6d256c40890a177b0825dd3a60466fe1cc3abd115a590c157b0fbde41"),
+    ("props", "qr", "eaa54dfb07f03c939f8fe72bc4f2a4e7a51dbdc50cf9fda483cc6d0ae856d0c6"),
+    ("sweep-tradeoff", "qr", "1bb0965d9c5801666237eccfca09ca050206b12c4f744e822eade86894cd104b"),
+    ("props", "qontot", "6e3941c0152f155116646022827b67ab55e1c6458ce296a47bf4586bf8519567"),
+    ("sweep-tradeoff", "qontot",
+     "d2be0d6a7afba89cd278481a731bfbc32ccea62d5994ef3df0bc919a482bdbeb"),
+    ("props", "softmax", "dece479ee8c876dc58907ee65d3fb891ccb2a2034b5fc3d97277ca83c9d2e096"),
+    ("sweep-tradeoff", "softmax",
+     "c42419c2213fc6c201c4f3b82dfbb51648861bb70ec7aa2c93fa2385a9f8c9ac"),
+    ("props", "norm-softmax", "2bdb72162b24992e5ea21fc399f3522907bfaf331e515e85bd40527205fc7312"),
+    ("sweep-tradeoff", "norm-softmax",
+     "51ff38a10d8ece4fee163756b1d0dbb19cdb74dcde9b7d112722fa22b2434944"),
+])
+def test_props_and_tradeoff_stdout_bytes_are_pinned(command, name, digest, capsys):
+    flags = ["--theta-seed", "0"] if name == "qontot" else []
+    code, out, err = invoke([command, "--op", name, *flags, *SEEDED_RUNS[command]], capsys)
+    assert code == 0, err
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 class TestConfigFile:

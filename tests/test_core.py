@@ -351,7 +351,16 @@ class TestSerialization:
         with pytest.raises(ValueError, match="'n' must be an integer"):
             load_matrix_json(path)
 
-    @pytest.mark.parametrize("data", [3, None, {"a": 1}, [{"a": 1}]])
+    @pytest.mark.parametrize("n", [0, -1, -2])
+    def test_json_rejects_n_below_one(self, n, tmp_path):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({"n": n, "data": [3.0] * (n * n)}))
+        with pytest.raises(ValueError, match=f"'n' must be an integer >= 1, got {n}"):
+            load_matrix_json(path)
+
+    # strings, booleans and nested lists are not JSON numbers, though numpy converts them
+    @pytest.mark.parametrize("data", [3, None, {"a": 1}, [{"a": 1}], ["1"], [True], [None],
+                                      [[3.0]]])
     def test_json_rejects_data_that_is_not_a_list_of_numbers(self, data, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps({"n": 1, "data": data}))

@@ -7,6 +7,7 @@ from numpy.testing import assert_allclose
 from birkhoff_attn import (
     OPERATOR_NAMES,
     GridSpec,
+    Normalizer,
     enumerate_grid,
     exp_scale,
     grid_matrix,
@@ -54,6 +55,45 @@ def per_input_sweep(spec: GridSpec, op) -> SweepReport:
     return SweepReport(total_inputs=len(digests), unique_outputs=len(counts),
                        entropy_stats=stats(entropies), residual_stats=stats(residuals),
                        count_multiset=counts)
+
+
+def per_trial_probe(op, trials: int, seed: int, n: int, tolerance: float = 1e-8) -> dict:
+    """The invariance probe run one trial and one operator call at a time."""
+    rng = np.random.default_rng(seed)
+    scale_witness = None
+    perm_witness = None
+    for _ in range(trials):
+        if op.needs_positive:
+            m = rng.uniform(0.1, 10.0, (n, n))
+        else:
+            m = rng.standard_normal((n, n))
+        base = op(m)
+        for lam in (0.5, 2.0, 10.0):
+            dev = float(np.abs(op(lam * m) - base).max())
+            if dev > tolerance and scale_witness is None:
+                scale_witness = {"matrix": m.tolist(), "lam": lam, "max_abs_deviation": dev}
+        p1 = rng.permutation(n)
+        p2 = rng.permutation(n)
+        dev = float(np.abs(op(m[p1][:, p2]) - base[p1][:, p2]).max())
+        if dev > tolerance and perm_witness is None:
+            perm_witness = {"matrix": m.tolist(), "row_permutation": p1.tolist(),
+                            "col_permutation": p2.tolist(), "max_abs_deviation": dev}
+    return {"operator": op.name, "trials": trials, "tolerance": tolerance,
+            "scale_invariant": scale_witness is None,
+            "permutation_equivariant": perm_witness is None,
+            "scale_witness": scale_witness, "permutation_witness": perm_witness}
+
+
+class CountingSpec(Normalizer):
+    """A spec that counts its calls and passes each on to the spec it wraps."""
+
+    def __init__(self, spec: Normalizer):
+        self.spec, self.calls = spec, 0
+        self.name, self.needs_positive = spec.name, spec.needs_positive
+
+    def __call__(self, m):
+        self.calls += 1
+        return self.spec(m)
 
 
 class TestGridSpec:
@@ -295,6 +335,26 @@ class TestProbeInvariances:
         result = probe_invariances(make_operator("softmax", tau=1.0), trials=5, seed=2)
         assert result["scale_invariant"] is False
         assert result["scale_witness"]["lam"] in (0.5, 2.0, 10.0)
+
+    @pytest.mark.parametrize("name", OPERATOR_NAMES)
+    def test_stacked_probe_is_the_per_trial_loop(self, name):
+        for n in (2, 4, 8):
+            op = sweep_operator(name, n)
+            for seed in range(3):
+                for trials in (0, 1, 10):
+                    got = probe_invariances(op, trials=trials, seed=seed, n=n)
+                    assert got == per_trial_probe(op, trials, seed, n), (n, seed, trials)
+
+    @pytest.mark.parametrize("trials", [1, 3, 10])
+    @pytest.mark.parametrize("name", OPERATOR_NAMES)
+    def test_a_probe_makes_five_spec_calls(self, name, trials):
+        op = CountingSpec(sweep_operator(name, 4))
+        probe_invariances(op, trials=trials, seed=0)
+        assert op.calls == 5
+
+    def test_negative_trials_are_rejected(self):
+        with pytest.raises(ValueError, match="trials must be >= 0, got -1"):
+            probe_invariances(make_operator("softmax"), trials=-1)
 
     def test_same_seed_reproduces_witnesses(self):
         op = make_operator("qontot", dsm_dim=4, layers=2, theta_seed=5)

@@ -14,6 +14,7 @@ from birkhoff_attn import (
     norm_softmax,
     param_count,
     qontot_theta,
+    qr_orthonormalize,
     sinkhorn_naive,
     softmax_rows,
 )
@@ -152,6 +153,40 @@ class TestBatch:
             for i, m in enumerate(stack):
                 want = softmax_rows(m, max(min(float(m.std()) ** power, tau), 1e-6))
                 assert out[i].tobytes() == want.tobytes()
+
+
+LAYOUT_SUBJECTS = (*OPERATOR_NAMES, "splitting-qp", "qr_orthonormalize")
+
+
+def layout_subject(label: str, n: int):
+    """Operator ``label``'s spec for n x n inputs, projection by splitting, or the QR kernel."""
+    if label == "qr_orthonormalize":
+        return qr_orthonormalize
+    if label == "splitting-qp":
+        return make_operator("birkhoff-project", method="splitting-qp")
+    return make_operator(label, **({"dsm_dim": n, "theta_seed": 0} if label == "qontot"
+                                   else SETTINGS.get(label, {})))
+
+
+def layouts(c: np.ndarray):
+    """``c`` (C-ordered), its Fortran-ordered copy and a non-contiguous view, all equal."""
+    wide = np.zeros(c.shape[:-1] + (2 * c.shape[-1],))
+    wide[..., ::2] = c
+    view = wide[..., ::2]
+    assert not view.flags.c_contiguous and np.array_equal(view, c)
+    return c, np.asfortranarray(c), view
+
+
+@pytest.mark.parametrize("n", [4, 16])
+@pytest.mark.parametrize("shape", [(), (3,)], ids=["alone", "stack"])
+@pytest.mark.parametrize("label", LAYOUT_SUBJECTS)
+def test_output_bytes_depend_on_the_values_alone(label, shape, n):
+    subject = layout_subject(label, n)
+    rng = np.random.default_rng(n)
+    c = (rng.uniform(0.1, 10.0, (*shape, n, n)) if getattr(subject, "needs_positive", False)
+         else rng.standard_normal((*shape, n, n)))
+    want, *others = (np.asarray(subject(m)).tobytes() for m in layouts(c))
+    assert others == [want, want]
 
 
 class TestQontotTheta:
