@@ -290,7 +290,11 @@ def load_matrix_json(path) -> np.ndarray:
         raise ValueError(f"'data' must be a list of n*n numbers, got {json.dumps(data)}")
     if len(data) != n * n:
         raise ValueError(f"'data' has {len(data)} entries, expected n*n = {n * n}")
-    return as_square(np.asarray(data, dtype=np.float64).reshape(n, n))
+    try:
+        m = np.asarray(data, dtype=np.float64)
+    except OverflowError as exc:  # an integer beyond float range; 1e400 parses to inf
+        raise ValueError("matrix contains non-finite entries") from exc
+    return as_square(m.reshape(n, n))
 
 
 def matrix_record(m) -> dict:

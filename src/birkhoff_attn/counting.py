@@ -6,7 +6,9 @@ into integer arithmetic: the free (n-1) x (n-1) interior submatrix has
 entries in {0, ..., p-1} and determines the rest, and a candidate is a DSM
 exactly when every interior row and column sums to at most p-1 and the
 interior total is at least (n-2)(p-1) (which makes the corner entry
-non-negative).  Everything here counts with exact Python integers.
+non-negative).  Every count is exact: array passes use integer dtypes wide
+enough for every sum they hold, and each pass's count is added to a Python
+integer.
 
 The census decomposes by inclusion-exclusion: with c1 the candidates
 violating the marginal cap, c2 those violating the total lower bound and
@@ -14,11 +16,15 @@ c12 those violating both, f = p^((n-1)^2) - c1 - c2 + c12.
 
 Both enumerations split a candidate into its head, the first n-2 interior
 rows, and its last interior row.  The possible last rows are decoded once
-into a table, and each head is classified against every last row at once by
-broadcasting the head's remaining column room and its total over the table's
-columns.  count_brute walks only the heads its pruning keeps;
-decomposition_check walks all of them in chunks.  Neither decodes a whole
-candidate.
+into a table, and heads are classified against every last row at once by
+broadcasting their remaining column room and their totals over the table's
+columns, in passes of at most ``_PASS_CANDIDATES`` candidates.
+decomposition_check decodes all heads, pass by pass.  count_brute walks the
+first n-3 head rows in Python, one pruned prefix at a time, and broadcasts
+the rest: each prefix takes every valid row as its last head row at once,
+and the children it keeps are classified as above.  Neither decodes a whole
+candidate.  f3_analytic is a separate closed sum for n = 3, broadcast over
+one (j, k) grid per outer index.
 """
 
 from __future__ import annotations
@@ -30,7 +36,9 @@ import numpy as np
 from .core import _odometer
 
 _FEASIBILITY_BITS = 48
-_PASS_CANDIDATES = 1 << 20  # heads per decomposition pass = this // p^(n-1), at least one
+# candidates (heads x last rows, or f3_analytic cells) per array pass; a pass
+# classifies at least one head
+_PASS_CANDIDATES = 1 << 20
 
 
 def _check_sizes(n: int, p: int) -> None:
@@ -62,25 +70,49 @@ def _rows(side: int, p: int, dtype: np.dtype) -> tuple[np.ndarray, np.ndarray]:
     return rows, rows.sum(axis=1, dtype=dtype)
 
 
+def _completions(cols: np.ndarray, totals: np.ndarray, columns: np.ndarray,
+                 sums: np.ndarray, cap: int, bound: int) -> int:
+    """Count the (head, last row) pairs that keep every column within cap and reach the bound.
+
+    ``cols`` and ``totals`` are the heads' column sums and totals, one row per
+    head; ``columns`` and ``sums`` are the last-row table's columns and row sums.
+    """
+    fits = sums >= (bound - totals)[:, None]
+    for column, used in zip(columns, cols.T):
+        fits &= column <= (cap - used)[:, None]
+    return int(np.count_nonzero(fits))
+
+
 def count_brute(n: int, p: int) -> int:
-    """f(n, p) by depth-first odometer enumeration of the interior rows.
+    """f(n, p) by depth-first enumeration of the interior rows.
 
     Rows violating the marginal cap are never generated; partial column sums
-    and the best still-achievable total prune the tree above the last row.
-    At the last row, one broadcast over the table of valid rows counts every
-    row that keeps each column within the cap and lifts the total to the
-    bound.
+    and the best still-achievable total prune the walk down to the
+    penultimate head, the first n-3 rows.  Each such head takes every valid
+    row at once as its last head row, keeps the children that stay within
+    the cap and can still reach the bound, and classifies them against the
+    table of valid last rows in passes of at most ``_PASS_CANDIDATES``
+    candidates (at least one child per pass).
     """
     _check_args(n, p)
     side = n - 1
     cap = p - 1
     bound = (n - 2) * cap
-    rows, sums = _rows(side, p, _sum_dtype(side, cap))
+    dtype = _sum_dtype(side, cap)
+    rows, sums = _rows(side, p, dtype)
     valid = sums <= cap
     rows, sums = rows[valid], sums[valid]
     columns = np.ascontiguousarray(rows.T)
-    listed = list(zip(sums.tolist(), rows.tolist()))
+    step = max(1, _PASS_CANDIDATES // len(rows))
 
+    def classify(cols: np.ndarray, totals: np.ndarray) -> int:
+        return sum(_completions(cols[lo:lo + step], totals[lo:lo + step], columns, sums,
+                                cap, bound)
+                   for lo in range(0, len(cols), step))
+
+    if side == 1:  # no head rows: the empty head is the only one
+        return classify(np.zeros((1, 1), dtype), np.zeros(1, dtype))
+    listed = list(zip(sums.tolist(), rows.tolist()))
     count = 0
     # (depth, column sums, total) of each head prefix still to extend; an
     # explicit stack, since a recursive closure is a reference cycle that
@@ -88,11 +120,11 @@ def count_brute(n: int, p: int) -> int:
     stack = [(0, (0,) * side, 0)]
     while stack:
         depth, cols, total = stack.pop()
-        if depth == side - 1:
-            fits = sums >= bound - total
-            for column, used in zip(columns, cols):
-                fits &= column <= cap - used
-            count += int(np.count_nonzero(fits))
+        if depth == side - 2:
+            child_cols = rows + np.array(cols, dtype)
+            child_totals = sums + total
+            keep = (child_cols <= cap).all(axis=1) & (child_totals >= bound - cap)
+            count += classify(child_cols[keep], child_totals[keep])
             continue
         slack = (side - depth - 1) * cap
         for row_total, row in listed:
@@ -132,15 +164,21 @@ def f3_analytic(p: int) -> int:
     It is the quadruple sum over i, j, k, l >= 1 with i <= p, j, k <= p-i+1,
     l <= p + 1 - max(j, k) of [i + j + k + l - 3 >= p]; the innermost sum
     over l is taken in closed form, the count of l from max(1, p+3-i-j-k)
-    up to its top.
+    up to its top.  For each i the (j, k) grid is summed by broadcast in
+    passes of at most ``_PASS_CANDIDATES`` cells, each pass an exact int64
+    sum added to a Python integer.
     """
     _check_sizes(3, p)
     count = 0
     for i in range(1, p + 1):
-        for j in range(1, p - i + 2):
-            for k in range(1, p - i + 2):
-                top = p + 1 - max(j, k)
-                count += max(0, top - max(1, p + 3 - i - j - k) + 1)
+        width = p - i + 1
+        cells = width * width
+        for lo in range(0, cells, _PASS_CANDIDATES):
+            j, k = np.divmod(np.arange(lo, min(lo + _PASS_CANDIDATES, cells), dtype=np.int64),
+                             width)
+            top = p - np.maximum(j, k)  # p + 1 - max(j, k) with j, k counted from 1
+            low = np.maximum(1, p + 1 - i - j - k)
+            count += int(np.maximum(0, top - low + 1).sum())
     return count
 
 

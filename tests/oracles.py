@@ -6,9 +6,9 @@ precision, the polytope projections solve KKT systems with lstsq, QR comes
 from LAPACK's Householder factorization, grid matrices are decoded one
 Python-int ``divmod`` at a time, counting candidates are walked with
 ``itertools.product`` and classified one by one, and f(3, p) is the literal
-quadruple sum.  Agreement between these and the streaming /
-iterative / hand-rolled / vectorized implementations is the point of the tests
-that import this module.
+quadruple sum and MacMahon's closed polynomial.  Agreement between these and
+the streaming / iterative / hand-rolled / vectorized implementations is the
+point of the tests that import this module.
 """
 
 from __future__ import annotations
@@ -217,6 +217,16 @@ def f3_quadruple_sum(p: int) -> int:
                     if i + j + k + l - 3 >= p:
                         count += 1
     return count
+
+
+def f3_ehrhart(p: int) -> int:
+    """f(3, p) by MacMahon's formula, the Ehrhart polynomial of the 3 x 3 Birkhoff polytope.
+
+    With t = p - 1 the dilation, f = (t+1)(t+2)(t^2+3t+4)/8 (Beck & Pixton,
+    arXiv:math/0202267); the product is always divisible by 8.
+    """
+    t = p - 1
+    return (t + 1) * (t + 2) * (t * t + 3 * t + 4) // 8
 
 
 # --- arbitrary precision Sinkhorn ------------------------------------------

@@ -137,6 +137,13 @@ class TestApply:
         assert "non-finite" in payload["error"]
         assert payload["input"] == {"n": 2, "data": [1e308] * 4}
 
+    def test_integer_beyond_float_range_fails_like_an_inf_literal(self, capsys, monkeypatch):
+        # json reads 1e400 as inf, but an integer literal of that size as a Python int
+        results = [invoke(["apply", "--op", "softmax"], capsys, monkeypatch,
+                          stdin_text=f'{{"n": 1, "data": [{big}]}}')
+                   for big in ("1e400", "1" + "0" * 400, "-1" + "0" * 400)]
+        assert results == [(1, "", "error: stdin: matrix contains non-finite entries\n")] * 3
+
     def test_qr_without_seed_is_usage_error(self, capsys, monkeypatch):
         code, _, err = invoke(
             ["apply", "--op", "qr"], capsys, monkeypatch, stdin_text=CSV_2X2,
@@ -642,6 +649,10 @@ class TestCount:
         ("decompose", 4, 5, 0, "be87cdd5ef48927f271c011ce0931f46c47f5d5a8b5971956225e5981df6f768"),
         ("analytic", 3, 12, 0, "90ce916ea941f246b9c0c155c88d334a34244b460bb00bd5712dca6dc6ae5cc6"),
         ("analytic", 4, 5, 1, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+        # the benchmark's sizes, taken before counting in array passes
+        ("brute", 3, 43, 0, "c7b97a352ba0a12644801be086379f18d2aa853404749cff5d122ea3c11ee7d2"),
+        ("analytic", 3, 43, 0, "c7b97a352ba0a12644801be086379f18d2aa853404749cff5d122ea3c11ee7d2"),
+        ("decompose", 4, 6, 0, "5f693019fefcf574bccaf7829a93e7e818d556fad51bbf0c6877518549a8f5ed"),
     ])
     def test_stdout_bytes_are_pinned(self, mode, n, p, code, digest, capsys, monkeypatch):
         got, out, _ = invoke(["count", "--n", str(n), "--p", str(p), "--mode", mode],

@@ -367,6 +367,13 @@ class TestSerialization:
         with pytest.raises(ValueError, match="'data' must be a list of n\\*n numbers"):
             load_matrix_json(path)
 
+    @pytest.mark.parametrize("big", ["1" + "0" * 400, "-1" + "0" * 400], ids=["plus", "minus"])
+    def test_json_integer_beyond_float_range_is_non_finite(self, big, tmp_path):
+        path = tmp_path / "big.json"
+        path.write_text(f'{{"n": 1, "data": [{big}]}}')
+        with pytest.raises(ValueError, match="matrix contains non-finite entries"):
+            load_matrix_json(path)
+
     def test_json_rejects_missing_fields(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps({"rows": []}))

@@ -1,11 +1,11 @@
 import itertools
-from math import factorial
+from math import comb, factorial
 
 import numpy as np
 import pytest
 
 from birkhoff_attn import c2_closed, count_brute, counting, decomposition_check, f3_analytic
-from oracles import c2_brute, decomposition_brute, f3_quadruple_sum
+from oracles import c2_brute, decomposition_brute, f3_ehrhart, f3_quadruple_sum
 
 
 def census_by_completion(n: int, p: int) -> int:
@@ -68,6 +68,66 @@ class TestCountBrute:
         with pytest.raises(ValueError, match="budget"):
             count_brute(8, 10)  # 10^49 candidates is far beyond 2^48
 
+    # n = 3 sums are int8 up to p = 64 and int16 from p = 65; p = 129 is the
+    # first whose digits alone overflow int8
+    @pytest.mark.parametrize("p", [44, 64, 65, 97, 129])
+    def test_three_by_three_matches_ehrhart_polynomial(self, p):
+        assert count_brute(3, p) == f3_ehrhart(p)
+
+    # n = 2 digits leave uint8 at p = 257, and sums leave int16 before p = 40000
+    @pytest.mark.parametrize("p", [256, 257, 40000])
+    def test_two_by_two_is_p_at_wide_dtypes(self, p):
+        assert count_brute(2, p) == p
+
+
+class TestCountBrutePasses:
+    """count_brute's count does not depend on how many children one pass classifies."""
+
+    @staticmethod
+    def spy(monkeypatch) -> tuple[list[int], list[tuple[int, int]]]:
+        """Record each decoded range's size, and each pass's (children, last rows)."""
+        decoded, passes = [], []
+        odometer, completions = counting._odometer, counting._completions
+
+        def decode(lo, hi, base, width):
+            decoded.append(hi - lo)
+            return odometer(lo, hi, base, width)
+
+        def classify(cols, totals, columns, sums, cap, bound):
+            passes.append((len(cols), len(sums)))
+            return completions(cols, totals, columns, sums, cap, bound)
+
+        monkeypatch.setattr(counting, "_odometer", decode)
+        monkeypatch.setattr(counting, "_completions", classify)
+        return decoded, passes
+
+    @pytest.mark.parametrize("n,p", [(3, 7), (4, 4), (5, 2)])
+    @pytest.mark.parametrize("budget", ["one", "five-children"])
+    def test_counts_identical_for_any_pass_size(self, n, p, budget, monkeypatch):
+        decoded, passes = self.spy(monkeypatch)
+        want = count_brute(n, p)
+        children = sum(heads for heads, _ in passes)
+        widest = max(heads for heads, _ in passes)  # one pass per head by default
+        table = comb(p - 1 + n - 1, n - 1)  # rows of n-1 cells summing to at most p-1
+        candidates = 1 if budget == "one" else 5 * table
+        decoded.clear()
+        passes.clear()
+        monkeypatch.setattr(counting, "_PASS_CANDIDATES", candidates)
+        assert count_brute(n, p) == want
+        assert decoded == [p ** (n - 1)]  # the one table of last rows
+        assert {rows for _, rows in passes} == {table}
+        assert sum(heads for heads, _ in passes) == children
+        # a pass classifies at most the budget, or a single child when one is more
+        assert max(heads for heads, _ in passes) == (1 if budget == "one" else min(5, widest))
+        assert all(heads * table <= max(candidates, table) for heads, _ in passes)
+
+    def test_a_pass_covers_at_most_the_candidate_budget(self, monkeypatch):
+        decoded, passes = self.spy(monkeypatch)
+        assert count_brute(3, 97) == f3_ehrhart(97)
+        assert decoded == [97**2]
+        assert len(passes) > 1
+        assert max(heads * rows for heads, rows in passes) <= counting._PASS_CANDIDATES
+
 
 class TestF3Analytic:
     def test_matches_brute_small(self):
@@ -79,6 +139,14 @@ class TestF3Analytic:
 
     def test_frozen_large_value(self):
         assert f3_analytic(43) == 447931
+
+    def test_matches_ehrhart_polynomial(self):
+        assert [f3_analytic(p) for p in range(2, 201)] == [f3_ehrhart(p) for p in range(2, 201)]
+
+    @pytest.mark.parametrize("cells", [1, 7])
+    def test_counts_identical_for_any_pass_size(self, cells, monkeypatch):
+        monkeypatch.setattr(counting, "_PASS_CANDIDATES", cells)
+        assert [f3_analytic(p) for p in range(2, 13)] == [f3_ehrhart(p) for p in range(2, 13)]
 
     @pytest.mark.parametrize("p", range(2, 44))
     def test_matches_quadruple_sum(self, p):
