@@ -15,16 +15,13 @@ violating the marginal cap, c2 those violating the total lower bound and
 c12 those violating both, f = p^((n-1)^2) - c1 - c2 + c12.
 
 Both enumerations split a candidate into its head, the first n-2 interior
-rows, and its last interior row.  The possible last rows are decoded once
-into a table, and heads are classified against every last row at once by
-broadcasting their remaining column room and their totals over the table's
-columns, in passes of at most ``_PASS_CANDIDATES`` candidates.
-decomposition_check decodes all heads, pass by pass.  count_brute walks the
-first n-3 head rows in Python, one pruned prefix at a time, and broadcasts
-the rest: each prefix takes every valid row as its last head row at once,
-and the children it keeps are classified as above.  Neither decodes a whole
-candidate.  f3_analytic is a separate closed sum for n = 3, broadcast over
-one (j, k) grid per outer index.
+rows, and its last row, drawn from a table decoded once; a pass pairs the
+table with ``_PASS_CANDIDATES // table`` prefixes or head classes, at least
+one.  count_brute walks the head one level per row, pruning as it goes.
+decomposition_check prunes nothing: it builds the histogram of head classes
+one row at a time and classifies each class once, weighted by its
+multiplicity.  f3_analytic is a separate closed sum for n = 3, broadcast
+over one (j, k) grid per outer index.
 """
 
 from __future__ import annotations
@@ -36,8 +33,8 @@ import numpy as np
 from .core import _odometer
 
 _FEASIBILITY_BITS = 48
-# candidates (heads x last rows, or f3_analytic cells) per array pass; a pass
-# classifies at least one head
+# candidates (head classes or prefixes x table rows, or f3_analytic cells) per
+# array pass; a pass takes at least one class or prefix
 _PASS_CANDIDATES = 1 << 20
 
 
@@ -84,15 +81,14 @@ def _completions(cols: np.ndarray, totals: np.ndarray, columns: np.ndarray,
 
 
 def count_brute(n: int, p: int) -> int:
-    """f(n, p) by depth-first enumeration of the interior rows.
+    """f(n, p) by a pruned walk over the interior rows, one level per row.
 
-    Rows violating the marginal cap are never generated; partial column sums
-    and the best still-achievable total prune the walk down to the
-    penultimate head, the first n-3 rows.  Each such head takes every valid
-    row at once as its last head row, keeps the children that stay within
-    the cap and can still reach the bound, and classifies them against the
-    table of valid last rows in passes of at most ``_PASS_CANDIDATES``
-    candidates (at least one child per pass).
+    Rows violating the marginal cap are never generated.  A chunk of head
+    prefixes gives every prefix every valid row at once as its next row and
+    keeps the children whose columns stay within the cap and whose total can
+    still reach the bound.  A chunk of whole heads is classified against the
+    table of valid last rows.  A chunk holds ``_PASS_CANDIDATES // table``
+    prefixes, at least one.
     """
     _check_args(n, p)
     side = n - 1
@@ -104,36 +100,21 @@ def count_brute(n: int, p: int) -> int:
     rows, sums = rows[valid], sums[valid]
     columns = np.ascontiguousarray(rows.T)
     step = max(1, _PASS_CANDIDATES // len(rows))
-
-    def classify(cols: np.ndarray, totals: np.ndarray) -> int:
-        return sum(_completions(cols[lo:lo + step], totals[lo:lo + step], columns, sums,
-                                cap, bound)
-                   for lo in range(0, len(cols), step))
-
-    if side == 1:  # no head rows: the empty head is the only one
-        return classify(np.zeros((1, 1), dtype), np.zeros(1, dtype))
-    listed = list(zip(sums.tolist(), rows.tolist()))
     count = 0
-    # (depth, column sums, total) of each head prefix still to extend; an
-    # explicit stack, since a recursive closure is a reference cycle that
-    # keeps every call's row tables alive until the cycle collector runs
-    stack = [(0, (0,) * side, 0)]
+    # (rows placed, column sums, totals) of each prefix chunk to extend; a stack,
+    # since a recursive closure's reference cycle keeps its row tables alive
+    stack = [(0, np.zeros((1, side), dtype), np.zeros(1, dtype))]
     while stack:
-        depth, cols, total = stack.pop()
-        if depth == side - 2:
-            child_cols = rows + np.array(cols, dtype)
-            child_totals = sums + total
-            keep = (child_cols <= cap).all(axis=1) & (child_totals >= bound - cap)
-            count += classify(child_cols[keep], child_totals[keep])
+        placed, cols, totals = stack.pop()
+        if placed == side - 1:
+            count += _completions(cols, totals, columns, sums, cap, bound)
             continue
-        slack = (side - depth - 1) * cap
-        for row_total, row in listed:
-            if total + row_total + slack < bound:
-                continue
-            new_cols = tuple(c + r for c, r in zip(cols, row))
-            if max(new_cols) > cap:
-                continue
-            stack.append((depth + 1, new_cols, total + row_total))
+        cols = (cols[:, None] + rows).reshape(-1, side)
+        totals = (totals[:, None] + sums).ravel()
+        keep = (cols <= cap).all(axis=1) & (totals >= bound - (side - placed - 1) * cap)
+        cols, totals = cols[keep], totals[keep]
+        stack.extend((placed + 1, cols[lo:lo + step], totals[lo:lo + step])
+                     for lo in range(0, len(cols), step))
     return count
 
 
@@ -182,47 +163,66 @@ def f3_analytic(p: int) -> int:
     return count
 
 
+def _merge(keys: np.ndarray, weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each distinct key once, ascending, with the int64 sum of its weights."""
+    order = np.argsort(keys, axis=None)
+    keys, weights = keys.ravel()[order], np.broadcast_to(weights, keys.shape).ravel()[order]
+    first = np.flatnonzero(np.r_[True, keys[1:] != keys[:-1]])
+    return keys[first], np.add.reduceat(weights, first)
+
+
+def _census(room: np.ndarray, over: np.ndarray, short: np.ndarray, columns: np.ndarray,
+            sums: np.ndarray, sums_over: np.ndarray) -> np.ndarray:
+    """Per head class, the last rows breaking the cap, the bound and both: (classes, 3).
+
+    The cap breaks when a head row (``over``) or the last row (``sums_over``)
+    is over it, or a column overfills its ``room``, cap - head column sum;
+    the bound breaks when the last row sums to less than ``short``.
+    """
+    marginal = over[:, None] | sums_over
+    for column, free in zip(columns, room.T):
+        marginal |= column > free[:, None]
+    total = sums < short[:, None]
+    return np.stack([np.count_nonzero(v, axis=1) for v in (marginal, total, marginal & total)], 1)
+
+
 def decomposition_check(n: int, p: int) -> dict:
     """Classify every candidate and verify the inclusion-exclusion identity.
 
-    Returns {total, c1, c2, c12, f} counted in a single full enumeration
-    pass, after asserting f = total - c1 - c2 + c12 equals the independently
-    pruned count_brute.
+    Returns {total, c1, c2, c12, f} over all p^((n-1)^2) candidates, after
+    asserting f = total - c1 - c2 + c12 equals the independently pruned
+    count_brute.
 
-    The p^((n-1)(n-2)) heads (the first n-2 interior rows) are decoded in
-    chunks of ``_PASS_CANDIDATES // p^(n-1)`` heads, at least one.  Each head
-    is classified against all p^(n-1) last rows at once: the candidate breaks
-    the marginal cap when the head or the last row has a row over the cap or
-    the last row overfills a column's room ``cap - head column sum``, and it
-    breaks the total bound when ``head total + last row sum < bound``.  All
-    sums use the smallest signed dtype holding (n-1)(p-1).
+    A head's verdicts depend only on its class: its column sums and whether
+    a head row is over the cap.  The class histogram grows one head row at a
+    time: every row of the table of all p^(n-1) rows joins every class, and
+    equal classes merge, multiplicities added.  Each class is classified
+    against the table once, weighted by its multiplicity, ``_PASS_CANDIDATES
+    // p^(n-1)`` classes a pass, at least one.  int64 holds every count.
     """
     k = _check_args(n, p)
     side = n - 1
     cap = p - 1
     bound = (n - 2) * cap
     dtype = _sum_dtype(side, cap)
-    last, last_sums = _rows(side, p, dtype)
-    last_columns = np.ascontiguousarray(last.T)
-    last_over = last_sums > cap
-    head_cells = k - side
-    heads = p**head_cells
-    step = max(1, _PASS_CANDIDATES // p**side)
-    c1 = c2 = c12 = 0
-    for lo in range(0, heads, step):
-        hi = min(lo + step, heads)
-        head = _odometer(lo, hi, p, head_cells).astype(dtype).reshape(hi - lo, side - 1, side)
-        head_rows = head.sum(axis=2, dtype=dtype)
-        room = cap - head.sum(axis=1, dtype=dtype)
-        # a last row sum at most this breaks the bound; clipped into the dtype
-        short = np.clip(bound - 1 - head_rows.sum(axis=1, dtype=np.int64), -1, side * cap)
-        viol_marginal = last_over | (head_rows > cap).any(axis=1)[:, None]
-        for column, free in zip(last_columns, room.T):
-            viol_marginal |= column > free[:, None]
-        viol_total = last_sums <= short.astype(dtype)[:, None]
-        c1 += int(np.count_nonzero(viol_marginal))
-        c2 += int(np.count_nonzero(viol_total))
-        c12 += int(np.count_nonzero(viol_marginal & viol_total))
+    table, sums = _rows(side, p, dtype)
+    columns = np.ascontiguousarray(table.T)
+    sums_over = sums > cap
+    base = (side - 1) * cap + 1  # a head column sums to at most (n-2)(p-1)
+    radix = base ** np.arange(side, dtype=np.int64)
+    row_keys = 2 * (table @ radix)  # a class key: 2 x column sums in ``base``, + 1 if over
+    step = max(1, _PASS_CANDIDATES // len(table))
+    keys, mult = np.zeros(1, np.int64), np.ones(1, np.int64)
+    for _ in range(side - 1):
+        grown = [_merge((keys[lo:lo + step, None] + row_keys) | sums_over,
+                        mult[lo:lo + step, None]) for lo in range(0, len(keys), step)]
+        keys, mult = _merge(*(np.concatenate(part) for part in zip(*grown)))
+    cols = (keys[:, None] >> 1) // radix % base
+    room, over = (cap - cols).astype(dtype), (keys & 1).astype(bool)
+    short = np.maximum(bound - cols.sum(axis=1), 0).astype(dtype)  # row sums are >= 0
+    c1, c2, c12 = sum(mult[lo:lo + step] @ _census(room[lo:lo + step], over[lo:lo + step],
+                                                   short[lo:lo + step], columns, sums, sums_over)
+                      for lo in range(0, len(keys), step)).tolist()
     total = p**k
     f = total - c1 - c2 + c12
     reference = count_brute(n, p)

@@ -5,9 +5,13 @@ exactly one (each row and column is a unit vector), so Q from a QR
 factorization yields a doubly stochastic matrix for free.  Q is computed by
 modified Gram-Schmidt; the diagonal of R is a column norm and therefore
 already non-negative, which fixes the sign convention.  Rank-deficient input
-is handled by perturbing the original matrix with small seeded Gaussian noise
-and restarting.  Both functions take one matrix or a (B, n, n) stack, and
-each matrix of a stack comes out bit for bit as it would alone.
+is handled by perturbing the matrix with small seeded Gaussian noise and
+restarting.  Each matrix is first scaled by a power of two to a largest
+|entry| in [1, 2), which leaves Q unchanged and is exact unless an entry
+turns subnormal, so the pivot floor and the noise act at the input's own
+scale and no pivot overflows.  Both functions take one matrix or a
+(B, n, n) stack, and each matrix of a stack comes out bit for bit as it
+would alone.
 """
 
 from __future__ import annotations
@@ -53,7 +57,7 @@ def qr_orthonormalize(m, noise_seed: int | None = None) -> np.ndarray:
     """Orthogonal Q of a QR factorization with positive diagonal of R.
 
     When a pivot falls below the rank-deficiency floor, entrywise Gaussian
-    noise (std 1e-7) drawn from ``noise_seed`` is added to the original
+    noise (std 1e-7) drawn from ``noise_seed`` is added to the scaled
     matrix and the sweep restarts, at most five times.  A seed is required as
     soon as that path is taken, so deficiency-free inputs stay exactly
     reproducible without one.  In a stack, every deficient matrix restarts
@@ -61,6 +65,8 @@ def qr_orthonormalize(m, noise_seed: int | None = None) -> np.ndarray:
     """
     m = as_square(m, stack=True)
     ms = m.reshape(-1, *m.shape[-2:])
+    _, exponent = np.frexp(np.abs(ms).max(axis=(1, 2)))  # an all-zero matrix stays zero
+    ms = np.ldexp(ms, (1 - exponent)[:, None, None])
     q, deficient = _mgs(ms)
     if deficient.any():
         if noise_seed is None:

@@ -5,10 +5,11 @@ unitaries from Kronecker products, Sinkhorn is redone in mpmath arbitrary
 precision, the polytope projections solve KKT systems with lstsq, QR comes
 from LAPACK's Householder factorization, grid matrices are decoded one
 Python-int ``divmod`` at a time, counting candidates are walked with
-``itertools.product`` and classified one by one, and f(3, p) is the literal
-quadruple sum and MacMahon's closed polynomial.  Agreement between these and
-the streaming / iterative / hand-rolled / vectorized implementations is the
-point of the tests that import this module.
+``itertools.product`` and classified one by one, f(3, p) is the literal
+quadruple sum and MacMahon's closed polynomial, and f(n, 3) follows the
+integer recurrence for semi-magic squares of line sum 2.  Agreement between
+these and the streaming / iterative / hand-rolled / vectorized
+implementations is the point of the tests that import this module.
 """
 
 from __future__ import annotations
@@ -227,6 +228,19 @@ def f3_ehrhart(p: int) -> int:
     """
     t = p - 1
     return (t + 1) * (t + 2) * (t * t + 3 * t + 4) // 8
+
+
+def f_line_sum_two(n: int) -> int:
+    """f(n, 3): n x n non-negative integer matrices with every line summing to 2.
+
+    These are the semi-magic squares of line sum 2 (OEIS A000681), counted
+    by the recurrence a(n) = n^2 a(n-1) - n (n-1)^2 / 2 a(n-2) with
+    a(0) = a(1) = 1; n (n-1)^2 is always even.
+    """
+    before, count = 1, 1
+    for m in range(2, n + 1):
+        before, count = count, m * m * count - m * (m - 1) ** 2 // 2 * before
+    return count
 
 
 # --- arbitrary precision Sinkhorn ------------------------------------------

@@ -93,6 +93,15 @@ class TestAsDsmStack:
             as_dsm(stack)
         assert str(stacked.value) == str(alone.value)
 
+    def test_a_failing_matrix_is_reported_before_a_later_non_finite_one(self):
+        stack = np.array([np.eye(2), np.full((2, 2), 0.6), [[np.nan, 0.0], [0.0, 1.0]]])
+        with pytest.raises(ValueError) as alone:
+            as_dsm(stack[1])
+        with pytest.raises(ValueError) as stacked:
+            as_dsm(stack)
+        assert str(alone.value).startswith("row/col sums deviate from 1 by")
+        assert str(stacked.value) == str(alone.value)
+
     def test_a_passing_stack_comes_back_as_it_is(self):
         stack = np.array([np.eye(3), np.full((3, 3), 1 / 3)])
         assert as_dsm(stack) is stack

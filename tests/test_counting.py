@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 from birkhoff_attn import c2_closed, count_brute, counting, decomposition_check, f3_analytic
-from oracles import c2_brute, decomposition_brute, f3_ehrhart, f3_quadruple_sum
+from oracles import (c2_brute, decomposition_brute, f3_ehrhart, f3_quadruple_sum,
+                     f_line_sum_two)
 
 
 def census_by_completion(n: int, p: int) -> int:
@@ -81,11 +82,11 @@ class TestCountBrute:
 
 
 class TestCountBrutePasses:
-    """count_brute's count does not depend on how many children one pass classifies."""
+    """count_brute's count does not depend on how many prefixes one pass takes."""
 
     @staticmethod
     def spy(monkeypatch) -> tuple[list[int], list[tuple[int, int]]]:
-        """Record each decoded range's size, and each pass's (children, last rows)."""
+        """Record each decoded range's size, and each pass's (heads, last rows)."""
         decoded, passes = [], []
         odometer, completions = counting._odometer, counting._completions
 
@@ -106,8 +107,7 @@ class TestCountBrutePasses:
     def test_counts_identical_for_any_pass_size(self, n, p, budget, monkeypatch):
         decoded, passes = self.spy(monkeypatch)
         want = count_brute(n, p)
-        children = sum(heads for heads, _ in passes)
-        widest = max(heads for heads, _ in passes)  # one pass per head by default
+        heads = sum(size for size, _ in passes)
         table = comb(p - 1 + n - 1, n - 1)  # rows of n-1 cells summing to at most p-1
         candidates = 1 if budget == "one" else 5 * table
         decoded.clear()
@@ -116,10 +116,10 @@ class TestCountBrutePasses:
         assert count_brute(n, p) == want
         assert decoded == [p ** (n - 1)]  # the one table of last rows
         assert {rows for _, rows in passes} == {table}
-        assert sum(heads for heads, _ in passes) == children
-        # a pass classifies at most the budget, or a single child when one is more
-        assert max(heads for heads, _ in passes) == (1 if budget == "one" else min(5, widest))
-        assert all(heads * table <= max(candidates, table) for heads, _ in passes)
+        assert sum(size for size, _ in passes) == heads
+        # a pass classifies at most the budget, or a single head when one is more
+        assert max(size for size, _ in passes) == (1 if budget == "one" else 5)
+        assert all(size * table <= max(candidates, table) for size, _ in passes)
 
     def test_a_pass_covers_at_most_the_candidate_budget(self, monkeypatch):
         decoded, passes = self.spy(monkeypatch)
@@ -127,6 +127,15 @@ class TestCountBrutePasses:
         assert decoded == [97**2]
         assert len(passes) > 1
         assert max(heads * rows for heads, rows in passes) <= counting._PASS_CANDIDATES
+
+    def test_heads_of_different_prefixes_share_a_pass(self, monkeypatch):
+        # one pass per kept prefix would make thousands of calls here
+        _, passes = self.spy(monkeypatch)
+        assert count_brute(6, 3) == 202410
+        heads = sum(size for size, _ in passes)
+        table = comb(2 + 5, 5)
+        levels = 4  # head rows of a 6 x 6 matrix
+        assert len(passes) <= -(-heads * table // counting._PASS_CANDIDATES) + levels
 
 
 class TestF3Analytic:
@@ -216,35 +225,80 @@ class TestDecomposition:
         assert decomposition_check(n, p) == decomposition_brute(n, p)
 
 
+class TestLineSumTwoOracle:
+    """f(n, 3) against the semi-magic-square recurrence, at every n up to 6."""
+
+    @pytest.mark.parametrize("n", range(2, 7))
+    def test_count_brute(self, n):
+        assert count_brute(n, 3) == f_line_sum_two(n)
+
+    @pytest.mark.parametrize("n", range(2, 7))
+    def test_decomposition_check(self, n):
+        assert decomposition_check(n, 3)["f"] == f_line_sum_two(n)
+
+
 class TestDecompositionPasses:
-    """Counts do not depend on how many heads one pass classifies."""
+    """Counts do not depend on how many head classes one pass takes."""
 
     @staticmethod
-    def passes(monkeypatch) -> list[int]:
-        sizes = []
+    def spy(monkeypatch) -> tuple[list[int], list[tuple[int, int]], list[int]]:
+        """Record decoded range sizes, growth passes' (classes, rows) and census passes' sizes."""
+        decoded, grown, classified = [], [], []
+        odometer, merge, census = counting._odometer, counting._merge, counting._census
 
-        def spy(lo, hi, base, width):
-            sizes.append(hi - lo)
+        def decode(lo, hi, base, width):
+            decoded.append(hi - lo)
             return odometer(lo, hi, base, width)
 
-        odometer = counting._odometer
-        monkeypatch.setattr(counting, "_odometer", spy)
-        return sizes
+        def merge_spy(keys, weights):
+            if keys.ndim == 2:  # a growth pass; a 1-D merge joins a level's passes
+                grown.append(keys.shape)
+            return merge(keys, weights)
 
-    @pytest.mark.parametrize("n,p", [(4, 4), (3, 7)])
-    @pytest.mark.parametrize("heads", [1, 5])  # 5 divides neither 4^6 nor 7^2 heads
-    def test_counts_identical_for_any_pass_size(self, n, p, heads, monkeypatch):
+        def census_spy(room, *rest):
+            classified.append(len(room))
+            return census(room, *rest)
+
+        monkeypatch.setattr(counting, "_odometer", decode)
+        monkeypatch.setattr(counting, "_merge", merge_spy)
+        monkeypatch.setattr(counting, "_census", census_spy)
+        return decoded, grown, classified
+
+    @pytest.mark.parametrize("n,p", [(4, 4), (3, 7), (5, 2)])
+    @pytest.mark.parametrize("classes", [1, 5])  # per pass, at most
+    def test_counts_identical_for_any_pass_size(self, n, p, classes, monkeypatch):
+        decoded, grown, classified = self.spy(monkeypatch)
         want = decomposition_check(n, p)
-        sizes = self.passes(monkeypatch)
-        monkeypatch.setattr(counting, "_PASS_CANDIDATES", heads * p ** (n - 1))
+        fed, total = sum(size for size, _ in grown), sum(classified)
+        table = p ** (n - 1)
+        decoded.clear()
+        grown.clear()
+        classified.clear()
+        monkeypatch.setattr(counting, "_PASS_CANDIDATES", classes * table)
         assert decomposition_check(n, p) == want
-        # the first decode is the table of last rows, the last is count_brute's
-        head_passes = sizes[1:-1]
-        full, rest = divmod(p ** ((n - 1) * (n - 2)), heads)
-        assert head_passes == [heads] * full + ([rest] if rest else [])
+        # decomposition_check's table of every row, then count_brute's
+        assert decoded == [table, table]
+        assert {rows for _, rows in grown} == {table}
+        assert sum(size for size, _ in grown) == fed
+        assert sum(classified) == total
+        assert all(size <= classes for size, _ in grown)
+        assert max(classified) == classes
+
+    def test_one_candidate_budget_still_takes_a_class_a_pass(self, monkeypatch):
+        _, grown, classified = self.spy(monkeypatch)
+        want = decomposition_check(4, 4)
+        monkeypatch.setattr(counting, "_PASS_CANDIDATES", 1)
+        grown.clear()
+        classified.clear()
+        assert decomposition_check(4, 4) == want
+        assert {size for size, _ in grown} == set(classified) == {1}
 
     def test_a_pass_covers_at_most_the_candidate_budget(self, monkeypatch):
-        sizes = self.passes(monkeypatch)
+        decoded, grown, classified = self.spy(monkeypatch)
         decomposition_check(4, 6)
-        assert sizes[0] == 6**3
-        assert max(sizes[1:-1]) * 6**3 <= counting._PASS_CANDIDATES
+        assert decoded[0] == 6**3
+        assert max(size * rows for size, rows in grown) <= counting._PASS_CANDIDATES
+        assert max(classified) * 6**3 <= counting._PASS_CANDIDATES
+        # 46,656 heads of two rows fall into 1,546 classes
+        assert [size for size, _ in grown] == [1, 216]
+        assert sum(classified) == 1546

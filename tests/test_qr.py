@@ -95,6 +95,18 @@ class TestQrDsm:
         m = np.random.default_rng(5).standard_normal((4, 4))
         assert np.array_equal(qr_dsm(m).matrix, qr_dsm(2.0 * m).matrix)
 
+    def test_tiny_input_is_not_taken_for_rank_deficient(self):
+        # the pivot floor acts at the input's own scale, so no restart noise
+        # is drawn for a full-rank matrix of entries near 1e-12
+        m = np.random.default_rng(8).standard_normal((4, 4))
+        assert_allclose(qr_dsm(1e-12 * m, noise_seed=0).matrix, qr_dsm(m).matrix, atol=1e-14)
+        assert_allclose(qr_dsm(1e-12 * m).matrix, qr_dsm(m).matrix, atol=1e-14)
+
+    def test_huge_input_does_not_overflow(self):
+        m = np.ones((2, 2)) + 0.5 * np.eye(2)
+        assert_allclose(qr_dsm(1e154 * m, noise_seed=0).matrix, qr_dsm(m).matrix, atol=1e-15)
+        assert_allclose(qr_dsm(1e300 * m).matrix, [[9 / 13, 4 / 13], [4 / 13, 9 / 13]], atol=1e-15)
+
 
 def with_zero_column(m, j):
     out = m.copy()
@@ -132,27 +144,16 @@ class TestStack:
         with pytest.raises(ValueError, match="a noise_seed is required"):
             qr_orthonormalize(stack)
 
-    def test_non_finite_output_fails_alike_alone_and_in_a_stack(self):
-        # the second column's projection onto the first overflows, and the
-        # residual becomes NaN; the validation names it as as_dsm does
+    def test_parallel_columns_at_the_top_of_the_float_range_are_rank_deficient(self):
+        # scaled to a largest entry in [1, 2), the first column sinks below the
+        # pivot floor: a noise seed is required, alone and in a stack, and
+        # nothing overflows on the way
         m = np.array([[1.0, 1.7e308], [1.0, 1.7e308]])
-        with np.errstate(all="ignore"):
-            for x in (m, np.array([np.eye(2), m])):
-                with pytest.raises(ValueError, match="^matrix contains non-finite entries$"):
-                    qr_dsm(x, noise_seed=0)
-
-    def test_stack_raises_the_first_failing_matrix_error_before_a_later_non_finite_one(self):
-        # matrix 0's pivots overflow, so its columns divide to zero and its sums
-        # miss 1; matrix 1's output is NaN, which must not be reported first
-        big = 1e154 * (np.ones((2, 2)) + 0.5 * np.eye(2))
-        stack = np.array([big, [[1.0, 1.7e308], [1.0, 1.7e308]]])
-        with np.errstate(all="ignore"):
-            with pytest.raises(ValueError) as alone:
-                qr_dsm(big, noise_seed=0)
-            with pytest.raises(ValueError) as stacked:
-                qr_dsm(stack, noise_seed=0)
-        assert str(alone.value).startswith("row/col sums deviate from 1 by (1.0, 1.0)")
-        assert str(stacked.value) == str(alone.value)
+        for x in (m, np.array([np.eye(2), m])):
+            with pytest.raises(ValueError, match="a noise_seed is required"):
+                qr_dsm(x)
+        stacked = qr_dsm(np.array([np.eye(2), m]), noise_seed=0)
+        assert stacked[1].tobytes() == qr_dsm(m, noise_seed=0).matrix.tobytes()
 
     def test_all_restarts_exhausted_raises_on_a_stack(self, monkeypatch):
         monkeypatch.setattr(qr_module, "_NOISE_STD", 1e-300)
@@ -160,17 +161,28 @@ class TestStack:
             qr_dsm(np.array([np.eye(3), np.ones((3, 3))]), noise_seed=0)
 
 
+CUBE_4_3 = grid_matrices(GridSpec(n=4, d=3), 0, 512)  # the first 512 inputs: many restarts
+UNIT_PEAK = np.abs(CUBE_4_3).max(axis=(1, 2)) != 0.5    # left unscaled
+
+
 @pytest.mark.parametrize("stack, noise_seed, digest", [
-    # the first 512 inputs of the n=4, d=3 cube: many restarts
-    (grid_matrices(GridSpec(n=4, d=3), 0, 512), 0,
-     "696a1eda7d303948ca18305d6f1e1de42d0f0a07250600f7f1476639e420060b"),
+    (CUBE_4_3[UNIT_PEAK], 0, "63b66d14f0b0da5b47a7ce76240dc5cf9b3608ae1df9df19d95217c8ec841868"),
     (np.random.default_rng(0).standard_normal((2, 64, 64)), None,
      "cf13287770dc7dfdbdaab7c7eda278f0f41234fe1f3b19fe3a0bb39522d4d538"),
-], ids=["cube-4-3", "normal-64"])
+], ids=["cube-4-3-unit-peak", "normal-64"])
 def test_output_bits_are_pinned(stack, noise_seed, digest):
     # digests of each matrix's qr_dsm output, computed one matrix at a time
     # by the scalar Gram-Schmidt this kernel replaced
     assert hashlib.sha256(qr_dsm(stack, noise_seed).tobytes()).hexdigest() == digest
+
+
+def test_half_peak_restarts_draw_their_noise_at_the_scaled_size():
+    # a matrix of the cube whose largest entry is 0.5 is doubled before the
+    # sweep, so its restart noise is that of the doubled matrix
+    half = CUBE_4_3[~UNIT_PEAK]
+    assert qr_dsm(half, 0).tobytes() == qr_dsm(2.0 * half, 0).tobytes()
+    assert hashlib.sha256(qr_dsm(CUBE_4_3, 0).tobytes()).hexdigest() == \
+        "8f4cb2fedc2fa52c73d29fec279d6d5d68a50237d73c750c2aa889d0cb754709"
 
 
 @given(st.integers(0, 2**32 - 1), st.integers(2, 7))
@@ -182,3 +194,14 @@ def test_q_is_orthogonal_and_squares_to_dsm(seed, n):
     p = q * q
     assert_allclose(p.sum(axis=0), np.ones(n), atol=1e-12)
     assert_allclose(p.sum(axis=1), np.ones(n), atol=1e-12)
+
+
+@given(st.integers(0, 2**32 - 1), st.integers(2, 6), st.integers(-40, 500), st.booleans())
+@settings(max_examples=40, deadline=None)
+def test_power_of_two_scaling_changes_no_output_bit(seed, n, k, deficient):
+    # the deficient case draws its restart noise at the scaled matrix's scale
+    m = np.random.default_rng(seed).standard_normal((n, n))
+    if deficient:
+        m = with_zero_column(m, seed % n)
+    assert qr_dsm(2.0**k * m, noise_seed=3).matrix.tobytes() == \
+        qr_dsm(m, noise_seed=3).matrix.tobytes()
