@@ -8,7 +8,10 @@ success; 1 on a usage error (a bad flag, config value, input or setting),
 reported as ``error: ...``; 2 on a failure during computation, which echoes
 the failing input matrix as JSON on stderr.  Handlers build their inputs
 and operator specs, and check every other setting, inside ``_inputs``
-before any work starts; :func:`main` picks every exit code.
+before any work starts; :func:`main` picks every exit code.  Size flags
+have ceilings, checked with the settings: --n 256, --trials 1000 and
+--reps 1000 (``_SIZE_CEILINGS``), and --layers 1024 (the circuit's own).
+count's --n and --p are bounded by the counting budget instead.
 
 The parser holds each flag's type, choices and default.  A flat key=value
 file given by --config supplies the subcommand's defaults, checked as the
@@ -53,6 +56,10 @@ from .sinkhorn import _check_tau, exp_scale
 
 _FULL_GATE = 1 << 20  # sweep windows of more inputs than this need --full
 _MAX_TOTAL = 1 << 48  # sweep-unique's runaway guard on the grid size
+# ceilings of the size flags, checked before any work: --n (a gradcheck trial
+# steps n^3 floats; 256 is the widest size the benchmark runs), --trials and
+# bench's --reps; qontot caps --layers itself
+_SIZE_CEILINGS = {"n": 256, "trials": 1000, "reps": 1000}
 
 
 class _Usage(Exception):
@@ -167,10 +174,13 @@ def _req(args, name: str):
     return value
 
 
-def _at_least_one(args, *names) -> None:
+def _sizes(args, *names) -> None:
+    """Check that each named size flag is set, at least 1 and at most its ceiling."""
     for name in names:
-        if (value := getattr(args, name)) < 1:
+        if (value := _req(args, name)) < 1:
             raise _Usage(f"{name} must be >= 1, got {value}")
+        if value > _SIZE_CEILINGS[name]:
+            raise _Usage(f"{name} must be <= {_SIZE_CEILINGS[name]}, got {value}")
 
 
 def _workers(args) -> int:
@@ -282,8 +292,9 @@ def _cmd_apply_attn(args) -> int:
 
 
 def _cmd_sweep_unique(args) -> int:
+    _sizes(args, "n")
     with _inputs():
-        spec = GridSpec(n=_req(args, "n"), d=_req(args, "d"), domain=args.domain,
+        spec = GridSpec(n=args.n, d=_req(args, "d"), domain=args.domain,
                         rounding_decimals=args.rounding_decimals)
         start, stop = _index_range(spec, args.start, args.stop, _MAX_TOTAL)
         if stop - start > _FULL_GATE and not args.full:
@@ -298,7 +309,7 @@ def _cmd_sweep_unique(args) -> int:
 
 def _cmd_sweep_tradeoff(args) -> int:
     name = _req(args, "op")
-    _at_least_one(args, "n", "trials")
+    _sizes(args, "n", "trials")
     with _inputs():
         rng = np.random.default_rng(_req(args, "seed"))
         op = _operator(args, name, args.n, reads_seed=True, scales=True)
@@ -312,7 +323,7 @@ def _cmd_sweep_tradeoff(args) -> int:
 
 def _cmd_props(args) -> int:
     name = _req(args, "op")
-    _at_least_one(args, "n", "trials")
+    _sizes(args, "n", "trials")
     with _inputs():
         op = _operator(args, name, args.n, reads_seed=True)
     _emit(probe_invariances(op, trials=args.trials, seed=_req(args, "seed"), n=args.n))
@@ -356,7 +367,7 @@ def _cmd_shots(args) -> int:
 
 
 def _cmd_bench(args) -> int:
-    _at_least_one(args, "reps")
+    _sizes(args, "reps")
     with _inputs():
         configs = [
             CircuitConfig(dsm_dim=args.dsm_dim, aux_qubits=a, layers=l, ansatz=args.ansatz)
@@ -372,7 +383,7 @@ def _cmd_bench(args) -> int:
 
 def _cmd_gradcheck(args) -> int:
     name = _req(args, "normalizer")
-    _at_least_one(args, "n", "trials")
+    _sizes(args, "n", "trials")
     with _inputs():
         _operator(args, name, args.n, reads_seed=True)  # checks the settings given
         rng = np.random.default_rng(_req(args, "seed"))

@@ -19,8 +19,10 @@ rows, and its last row, drawn from a table decoded once; a pass pairs the
 table with ``_PASS_CANDIDATES // table`` prefixes or head classes, at least
 one.  count_brute walks the head one level per row, pruning as it goes.
 decomposition_check prunes nothing: it builds the histogram of head classes
-one row at a time and classifies each class once, weighted by its
-multiplicity.  f3_analytic is a separate closed sum for n = 3, broadcast
+one row at a time, a class being the head's column sums up to their order
+and whether a head row is over the cap, and classifies each class once,
+weighted by its multiplicity.  The histogram is a dense int64 array over
+the class keys.  f3_analytic is a separate closed sum for n = 3, broadcast
 over one (j, k) grid per outer index.
 """
 
@@ -163,12 +165,25 @@ def f3_analytic(p: int) -> int:
     return count
 
 
-def _merge(keys: np.ndarray, weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Each distinct key once, ascending, with the int64 sum of its weights."""
-    order = np.argsort(keys, axis=None)
-    keys, weights = keys.ravel()[order], np.broadcast_to(weights, keys.shape).ravel()[order]
-    first = np.flatnonzero(np.r_[True, keys[1:] != keys[:-1]])
-    return keys[first], np.add.reduceat(weights, first)
+def _key_space(side: int, cap: int) -> tuple[int, int]:
+    """The base of a class key's column sums, and the key range 2 x base^side.
+
+    A head column sums to at most (side-1) x cap.  For every (n, p) that
+    ``_check_args`` admits the range is at most max(2 p^(n-1), 2^20) entries.
+    """
+    base = (side - 1) * cap + 1
+    return base, 2 * base**side
+
+
+def _merge(hist: np.ndarray, keys: np.ndarray, weights: np.ndarray) -> None:
+    """Add each weight, broadcast to ``keys``, into the dense int64 ``hist`` at its key."""
+    np.add.at(hist, keys, weights)
+
+
+def _sort_columns(keys: np.ndarray, radix: np.ndarray, base: int) -> np.ndarray:
+    """Each class key with its column sums in ascending order, its over bit kept."""
+    cols = np.sort((keys[:, None] >> 1) // radix % base, axis=1)
+    return 2 * (cols @ radix) | (keys & 1)
 
 
 def _census(room: np.ndarray, over: np.ndarray, short: np.ndarray, columns: np.ndarray,
@@ -177,13 +192,19 @@ def _census(room: np.ndarray, over: np.ndarray, short: np.ndarray, columns: np.n
 
     The cap breaks when a head row (``over``) or the last row (``sums_over``)
     is over it, or a column overfills its ``room``, cap - head column sum;
-    the bound breaks when the last row sums to less than ``short``.
+    the bound breaks when the last row sums to less than ``short``.  A class
+    with a head row over the cap or a negative room breaks the cap on every
+    last row, so only the classes open to some last row scan the columns.
     """
-    marginal = over[:, None] | sums_over
-    for column, free in zip(columns, room.T):
-        marginal |= column > free[:, None]
-    total = sums < short[:, None]
-    return np.stack([np.count_nonzero(v, axis=1) for v in (marginal, total, marginal & total)], 1)
+    below = sums < short[:, None]
+    open_ = ~over & (room >= 0).all(axis=1)
+    fits = np.repeat(~sums_over[None], np.count_nonzero(open_), axis=0)
+    for column, free in zip(columns, room[open_].T):
+        fits &= column <= free[:, None]
+    within = np.zeros((len(room), 2), np.int64)  # last rows within the cap: all, and short
+    within[open_] = np.stack([np.count_nonzero(v, axis=1) for v in (fits, fits & below[open_])], 1)
+    short_rows = np.count_nonzero(below, axis=1)
+    return np.stack([len(sums) - within[:, 0], short_rows, short_rows - within[:, 1]], 1)
 
 
 def decomposition_check(n: int, p: int) -> dict:
@@ -193,12 +214,19 @@ def decomposition_check(n: int, p: int) -> dict:
     asserting f = total - c1 - c2 + c12 equals the independently pruned
     count_brute.
 
-    A head's verdicts depend only on its class: its column sums and whether
-    a head row is over the cap.  The class histogram grows one head row at a
-    time: every row of the table of all p^(n-1) rows joins every class, and
-    equal classes merge, multiplicities added.  Each class is classified
-    against the table once, weighted by its multiplicity, ``_PASS_CANDIDATES
-    // p^(n-1)`` classes a pass, at least one.  int64 holds every count.
+    A head's verdicts depend only on its class: the multiset of its column
+    sums and whether a head row is over the cap.  The table of all p^(n-1)
+    last rows is closed under column permutations and they keep its row
+    sums, so sorting a head's column sums changes no verdict.  The class
+    histogram grows one head row at a time: every row of the table joins
+    every class, ``_PASS_CANDIDATES // p^(n-1)`` classes a pass, at least
+    one, and every pass of a level adds its multiplicities into one dense
+    int64 array over the key range 2 x ((n-2)(p-1)+1)^(n-1) (at most
+    max(2 p^(n-1), 2^20) entries at every admitted size).  The level's
+    classes then merge again with their column sums sorted.  Each class is
+    classified against the table once, weighted by its multiplicity, in
+    passes of the same size; a class already over the cap skips the column
+    tests and needs only the bound test.  int64 holds every count.
     """
     k = _check_args(n, p)
     side = n - 1
@@ -208,15 +236,21 @@ def decomposition_check(n: int, p: int) -> dict:
     table, sums = _rows(side, p, dtype)
     columns = np.ascontiguousarray(table.T)
     sums_over = sums > cap
-    base = (side - 1) * cap + 1  # a head column sums to at most (n-2)(p-1)
+    base, size = _key_space(side, cap)
     radix = base ** np.arange(side, dtype=np.int64)
     row_keys = 2 * (table @ radix)  # a class key: 2 x column sums in ``base``, + 1 if over
     step = max(1, _PASS_CANDIDATES // len(table))
     keys, mult = np.zeros(1, np.int64), np.ones(1, np.int64)
     for _ in range(side - 1):
-        grown = [_merge((keys[lo:lo + step, None] + row_keys) | sums_over,
-                        mult[lo:lo + step, None]) for lo in range(0, len(keys), step)]
-        keys, mult = _merge(*(np.concatenate(part) for part in zip(*grown)))
+        grown = np.zeros(size, np.int64)
+        for lo in range(0, len(keys), step):
+            _merge(grown, (keys[lo:lo + step, None] + row_keys) | sums_over,
+                   mult[lo:lo + step, None])
+        keys = np.flatnonzero(grown)
+        hist = np.zeros(size, np.int64)
+        _merge(hist, _sort_columns(keys, radix, base), grown[keys])
+        keys = np.flatnonzero(hist)
+        mult = hist[keys]
     cols = (keys[:, None] >> 1) // radix % base
     room, over = (cap - cols).astype(dtype), (keys & 1).astype(bool)
     short = np.maximum(bound - cols.sum(axis=1), 0).astype(dtype)  # row sums are >= 0

@@ -54,6 +54,7 @@ import numpy as np
 from .core import Dsm, as_dsm, as_square
 
 _MAX_QUBITS = 24
+_MAX_LAYERS = 1024  # a layer is a pass over the statevector and up to 2q-1 angles
 _AMPLITUDE_BUDGET = 1 << 15  # amplitudes one pass holds: 512 KiB of complex128
 _VALIDATION = 1e-9  # as_dsm tolerance of the output
 _MIN_SAMPLE_SECONDS = 0.02  # bench_circuit repeats a call until one sample lasts this long
@@ -82,8 +83,8 @@ class CircuitConfig:
             raise ValueError(f"dsm_dim must be a power of two >= 2, got {t}")
         if self.aux_qubits < 0:
             raise ValueError("aux_qubits must be >= 0")
-        if self.layers < 1:
-            raise ValueError("layers must be >= 1")
+        if not 1 <= self.layers <= _MAX_LAYERS:
+            raise ValueError(f"layers must be in [1, {_MAX_LAYERS}], got {self.layers}")
         if self.ansatz not in (SIMPLE, TROTTER):
             raise ValueError(f"unknown ansatz {self.ansatz!r}")
         if self.total_qubits > _MAX_QUBITS:

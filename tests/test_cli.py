@@ -423,6 +423,21 @@ class TestOperatorFlags:
         (["sweep-tradeoff", "--op", "softmax", "--trials", "0", "--seed", "0"],
          "trials must be >= 1, got 0"),
         (["bench", "--reps", "0"], "reps must be >= 1, got 0"),
+        # every size flag has a ceiling; these five once ran out of memory or ran unbounded
+        (["gradcheck", "--normalizer", "softmax", "--n", "2147483648", "--seed", "0"],
+         "n must be <= 256, got 2147483648"),
+        (["gradcheck", "--normalizer", "softmax", "--trials", "2147483648", "--seed", "0"],
+         "trials must be <= 1000, got 2147483648"),
+        (["shots", "--layers", "2147483648", "--theta-seed", "0", "--shots", "10", "--seed", "0"],
+         "layers must be in [1, 1024], got 2147483648"),
+        (["bench", "--reps", "2147483648"], "reps must be <= 1000, got 2147483648"),
+        (["bench", "--layers", "2147483648"], "layers must be in [1, 1024], got 2147483648"),
+        (["sweep-unique", "--op", "softmax", "--n", "2147483648", "--d", "2"],
+         "n must be <= 256, got 2147483648"),
+        (["props", "--op", "softmax", "--trials", "1001", "--seed", "0"],
+         "trials must be <= 1000, got 1001"),
+        (["sweep-tradeoff", "--op", "softmax", "--n", "257", "--seed", "0"],
+         "n must be <= 256, got 257"),
         *((argv, message) for argv, _, message in KERNEL_SETTING_CASES),
     ])
     def test_invalid_count_or_setting_fails_before_any_work(self, argv, message, capsys,

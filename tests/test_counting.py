@@ -198,6 +198,15 @@ class TestDecomposition:
             (3, 3, {"total": 81, "c1": 55, "c2": 5, "c12": 0, "f": 21}),
             (3, 4, {"total": 256, "c1": 186, "c2": 15, "c12": 0, "f": 55}),
             (4, 2, {"total": 512, "c1": 478, "c2": 10, "c12": 0, "f": 24}),
+            (4, 6, {"total": 10077696, "c1": 10007230, "c2": 46640, "c12": 16350, "f": 40176}),
+            (4, 8, {"total": 134217728, "c1": 133538006, "c2": 479402, "c12": 181104,
+                    "f": 381424}),
+            (5, 3, {"total": 43046721, "c1": 43033770, "c2": 17901, "c12": 11160, "f": 6210}),
+            (5, 4, {"total": 4294967296, "c1": 4294623017, "c2": 658071, "c12": 466832,
+                    "f": 153040}),
+            (6, 2, {"total": 33554432, "c1": 33552886, "c2": 2626, "c12": 1800, "f": 720}),
+            (6, 3, {"total": 847288609443, "c1": 847288057762, "c2": 2779881, "c12": 2430610,
+                    "f": 202410}),
         ],
     )
     def test_frozen_census(self, n, p, want):
@@ -250,10 +259,10 @@ class TestDecompositionPasses:
             decoded.append(hi - lo)
             return odometer(lo, hi, base, width)
 
-        def merge_spy(keys, weights):
-            if keys.ndim == 2:  # a growth pass; a 1-D merge joins a level's passes
+        def merge_spy(hist, keys, weights):
+            if keys.ndim == 2:  # a growth pass; a 1-D merge sorts a level's columns
                 grown.append(keys.shape)
-            return merge(keys, weights)
+            return merge(hist, keys, weights)
 
         def census_spy(room, *rest):
             classified.append(len(room))
@@ -299,6 +308,49 @@ class TestDecompositionPasses:
         assert decoded[0] == 6**3
         assert max(size * rows for size, rows in grown) <= counting._PASS_CANDIDATES
         assert max(classified) * 6**3 <= counting._PASS_CANDIDATES
-        # 46,656 heads of two rows fall into 1,546 classes
-        assert [size for size, _ in grown] == [1, 216]
-        assert sum(classified) == 1546
+        # the 216 one-row heads are 56 classes up to column order, and the
+        # 46,656 heads of two rows 332
+        assert [size for size, _ in grown] == [1, 56]
+        assert sum(classified) == 332
+
+    @pytest.mark.parametrize("n,p,grown_classes,classes", [
+        (4, 8, [1, 120], 789),
+        (5, 3, [1, 15, 76], 229),
+        (5, 4, [1, 35, 227], 773),
+    ])
+    def test_classes_are_counted_up_to_column_order(self, n, p, grown_classes, classes,
+                                                    monkeypatch):
+        _, grown, classified = self.spy(monkeypatch)
+        decomposition_check(n, p)
+        assert [size for size, _ in grown] == grown_classes
+        assert sum(classified) == classes
+
+
+class TestClassKeySpace:
+    """The dense class histogram stays within a fixed size at every admitted (n, p)."""
+
+    @staticmethod
+    def admitted(n: int):
+        p = 2
+        while True:
+            try:
+                counting._check_args(n, p)
+            except ValueError:
+                return
+            yield p
+            p += 1
+
+    def test_key_range_is_bounded_at_every_admitted_size(self):
+        # n = 2 has no head row: every key is 0 or 1, whatever p
+        for p in (2, 3, 40000, 1 << 48):
+            counting._check_args(2, p)
+            assert counting._key_space(1, p - 1) == (1, 2)
+        largest = {}
+        for n in range(3, 9):
+            for p in self.admitted(n):
+                _, size = counting._key_space(n - 1, p - 1)
+                assert size <= max(2 * p ** (n - 1), 1 << 20)
+                largest[n] = p, size
+        # n = 8 is never admitted
+        assert largest == {3: (4096, 2 * 4096**2), 4: (40, 986078), 5: (8, 468512),
+                           6: (3, 118098), 7: (2, 93312)}

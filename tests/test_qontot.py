@@ -55,6 +55,9 @@ class TestConfig:
             CircuitConfig(dsm_dim=4, aux_qubits=-1)
         with pytest.raises(ValueError, match="layers"):
             CircuitConfig(dsm_dim=4, layers=0)
+        with pytest.raises(ValueError, match=r"layers must be in \[1, 1024\], got 1025"):
+            CircuitConfig(dsm_dim=4, layers=1025)
+        assert CircuitConfig(dsm_dim=4, layers=1024).layers == 1024
         with pytest.raises(ValueError, match="ansatz"):
             CircuitConfig(dsm_dim=4, ansatz="deep")
 

@@ -123,3 +123,39 @@ def test_the_check_finds_package_imports():
             f"    from {PACKAGE}.qontot import _run\n"
             "    return _run\n")
     assert package_imports(text) == sorted([f"{PACKAGE}.core", PACKAGE, ".", f"{PACKAGE}.qontot"])
+
+
+# decomposition_check's own helpers: the dense merge, the census, the column sort, the key range
+DECOMPOSITION_HELPERS = {"_merge", "_census", "_sort_columns", "_key_space"}
+
+
+def reached(text: str, roots: list[str]) -> set[str]:
+    """Module-level functions that ``roots`` read, directly or through one another."""
+    functions = {node.name: node for node in ast.parse(text).body
+                 if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))}
+    seen, todo = set(), list(roots)
+    while todo:
+        name = todo.pop()
+        if name not in seen:
+            seen.add(name)
+            todo.extend(used_names(functions[name]) & functions.keys())
+    return seen - set(roots)
+
+
+def test_the_pruned_count_reaches_no_decomposition_helper():
+    # count_brute is the reference decomposition_check asserts against, so the
+    # two routes share no classification code
+    text = (SRC / "counting.py").read_text()
+    assert DECOMPOSITION_HELPERS <= reached(text, ["decomposition_check"])
+    assert reached(text, ["count_brute", "_completions"]) & DECOMPOSITION_HELPERS == set()
+
+
+def test_the_check_finds_a_helper_reached_through_another():
+    text = ("def _merge(hist): pass\n"
+            "def _step(x): return _merge(x)\n"
+            "def count_brute(): return [_step]\n"
+            "def _completions(): return _rows()\n"
+            "def _rows(): pass\n"
+            "def decomposition_check(): return _census()\n"
+            "def _census(): pass\n")
+    assert reached(text, ["count_brute", "_completions"]) == {"_step", "_merge", "_rows"}
