@@ -5,11 +5,12 @@ with the non-negative orthant.  Projection onto the affine part alone has a
 closed form (the equality system has rank 2n-1; the redundant constraint is
 resolved by gauging the column multipliers to sum to zero).  The full
 projection is computed either by Dykstra's alternating projections between
-the two sets, or by an operator-splitting solver on the explicit quadratic
-program min 0.5 x'x - q'x, A x = 1, x >= 0 with x the row-major flattening.
-Two genuinely different routes make cross-validation meaningful.  Both step
-a (B, n, n) stack in one loop that retires each matrix as it converges, so a
-stack is projected in one call, each matrix to the same bits as alone.
+the two sets, or by ADMM on the quadratic program min 0.5|X|^2 - <M, X>
+subject to unit marginals and X >= 0, whose x-step is the same closed-form
+affine projection (no explicit constraint matrix).  Two genuinely different
+routes make cross-validation meaningful.  Both step a (B, n, n) stack in one
+loop that retires each matrix as it converges, so a stack is projected in
+one call, each matrix to the same bits as alone.
 """
 
 from __future__ import annotations
@@ -132,45 +133,24 @@ def _dykstra(x, p, q, w):
     return x_new, (p, q, x), _frobenius_norms(np.subtract(x_new, x, out=x))
 
 
-def _constraint_matrix(n: int) -> np.ndarray:
-    """Equality matrix for row-major x: n row-sum rows then n-1 column-sum rows.
-
-    One column constraint is dropped; with the row constraints it is implied,
-    which keeps the system full rank (2n-1).
-    """
-    a = np.zeros((2 * n - 1, n * n))
-    for i in range(n):
-        a[i, i * n:(i + 1) * n] = 1.0
-    for j in range(n - 1):
-        a[n + j, j::n] = 1.0
-    return a
-
-
 def _splitting_qp(m: np.ndarray):
-    """ADMM on the explicit QP, splitting the affine-feasible and non-negative parts.
+    """ADMM on the QP, splitting the affine-feasible and non-negative parts.
 
-    The iterates are the rows of a (B, n*n) stack.  One Cholesky solve takes
-    them all as right-hand sides; the products with the constraint matrix stay
-    one matvec per matrix, which keeps each matrix's bits.
+    The x-step is the closed-form :func:`_affine` projection, so the
+    equality constraints are never built as a matrix; the z- and u-steps
+    clip and accumulate the residual entrywise on the same (B, n, n) stack
+    as Dykstra, each matrix to the same bits as alone.
     """
-    from scipy.linalg import cho_factor, cho_solve  # only this route needs scipy
-
-    n = m.shape[-1]
-    a = _constraint_matrix(n)
-    b = np.ones(2 * n - 1)
-    gram = cho_factor(a @ a.T)
     rho = 1.0
 
     def step(z, q, u):
-        w = (q + rho * (z - u)) / (1.0 + rho)
-        y = cho_solve(gram, ((a @ w[..., None])[..., 0] - b).T, check_finite=False).T
-        x = w - (a.T @ y[..., None])[..., 0]
+        x = _affine((q + rho * (z - u)) / (1.0 + rho))
         z_new = np.maximum(x + u, 0.0)
-        gap = np.maximum(np.abs(x - z_new).max(axis=-1), np.abs(z_new - z).max(axis=-1))
+        gap = np.maximum(np.abs(x - z_new).max(axis=(-2, -1)),
+                         np.abs(z_new - z).max(axis=(-2, -1)))
         return z_new, (q, u + (x - z_new)), gap
 
-    q = m.reshape(len(m), n * n)
-    return step, np.clip(q, 0.0, None), (q, np.zeros_like(q))
+    return step, np.clip(m, 0.0, None), (m, np.zeros_like(m))
 
 
 # each route's (step, start, state) for _iterate.  A step may overwrite its

@@ -11,7 +11,9 @@ and operator specs, and check every other setting, inside ``_inputs``
 before any work starts; :func:`main` picks every exit code.  Size flags
 have ceilings, checked with the settings: --n 256, --trials 1000 and
 --reps 1000 (``_SIZE_CEILINGS``), and --layers 1024 (the circuit's own).
-count's --n and --p are bounded by the counting budget instead.
+count's --n and --p are bounded by the counting budget instead.  The
+iteration flags have ceilings on every subcommand that takes them, gradcheck
+included: --k 10000 and --max-iterations 1000000 (``_ITERATION_CEILINGS``).
 
 The parser holds each flag's type, choices and default.  A flat key=value
 file given by --config supplies the subcommand's defaults, checked as the
@@ -60,6 +62,10 @@ _MAX_TOTAL = 1 << 48  # sweep-unique's runaway guard on the grid size
 # steps n^3 floats; 256 is the widest size the benchmark runs), --trials and
 # bench's --reps; qontot caps --layers itself
 _SIZE_CEILINGS = {"n": 256, "trials": 1000, "reps": 1000}
+# ceilings of the iteration flags, checked with the operator's settings: a
+# sinkhorn pass count --k, and the projection budget --max-iterations, ten
+# times its default, spent in full on an input that never converges
+_ITERATION_CEILINGS = {"k": 10_000, "max_iterations": 1_000_000}
 
 
 class _Usage(Exception):
@@ -242,6 +248,9 @@ def _operator(args, name: str, dsm_dim: int, reads_seed: bool = False,
              if flag not in taken and getattr(args, flag, None) is not None]
     if stray:
         raise _Usage(f"operator {name!r} takes no {', '.join(stray)}")
+    for flag, ceiling in _ITERATION_CEILINGS.items():
+        if (value := getattr(args, flag, None)) is not None and value > ceiling:
+            raise _Usage(f"{flag} must be <= {ceiling}, got {value}")
     settings = {key: value for key in keys
                 if (value := getattr(args, _SETTING_FLAGS.get(key, key), None)) is not None}
     theta = None

@@ -186,15 +186,19 @@ def test_stacked_projection_matches_each_matrix_alone(kind, batch, n, method):
 
 @pytest.mark.parametrize("stack, digest", [
     (grid_matrices(GridSpec(n=4, d=2), 0, 512),
-     "44b824661d5fcdbd1445eff6222fb50610d91f0d8ce4ea4f30c6f6fcc92844b5"),
+     "cbe57ca9c09ecb03ed4a62a8acaaf8fb4525cdbabae53c67f5d119f20ebd405d"),
     (np.random.default_rng(0).standard_normal((4, 8, 8)),
-     "7802abe1333044df55d231e0be031e9a561b18b213fe24e973634437aefc32d8"),
+     "3ad552411a790f39598da1fe5ebdbddd7ddd6093399f630aa972222771fb7606"),
 ], ids=["cube-4-2", "normal-8"])
 def test_splitting_qp_output_bits_are_pinned(stack, digest):
-    # digests of each matrix's splitting-qp projection, computed one matrix at
-    # a time by the unstacked ADMM this route replaced
+    # digests of the ADMM whose x-step is the closed-form affine projection;
+    # the outputs stay within 1e-10 of the independent Dykstra oracle (6.4e-11
+    # measured on normal-8), checked on at most 32 spread-out matrices
     out = project(stack, QP)
     assert hashlib.sha256(out.tobytes()).hexdigest() == digest
+    step = max(1, len(stack) // 32)
+    for m, got in zip(stack[::step], out[::step]):
+        assert np.abs(got - oracles.birkhoff_projection_oracle(m)).max() < 1e-10
 
 
 @pytest.mark.parametrize("stack, digest", [

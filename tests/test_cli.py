@@ -439,6 +439,19 @@ class TestOperatorFlags:
         (["sweep-tradeoff", "--op", "softmax", "--n", "257", "--seed", "0"],
          "n must be <= 256, got 257"),
         *((argv, message) for argv, _, message in KERNEL_SETTING_CASES),
+        # the iteration flags have ceilings too; the first once ran 2^31 sinkhorn passes
+        (["apply", "--op", "sinkhorn-naive", "--k", "2147483647"],
+         "k must be <= 10000, got 2147483647"),
+        (["sweep-unique", "--op", "sinkhorn-ot", "--k", "10001", "--n", "2", "--d", "2"],
+         "k must be <= 10000, got 10001"),
+        (["gradcheck", "--normalizer", "sinkhorn-naive", "--k", "10001", "--seed", "0"],
+         "k must be <= 10000, got 10001"),
+        (["apply", "--op", "birkhoff-project", "--max-iterations", "1000001"],
+         "max_iterations must be <= 1000000, got 1000001"),
+        (["apply-attn", "--normalizer", "birkhoff-project", "--max-iterations", "2147483648",
+          *QKV_FLAGS], "max_iterations must be <= 1000000, got 2147483648"),
+        (["props", "--op", "birkhoff-project", "--max-iterations", "1000001", "--seed", "0"],
+         "max_iterations must be <= 1000000, got 1000001"),
     ])
     def test_invalid_count_or_setting_fails_before_any_work(self, argv, message, capsys,
                                                              monkeypatch, tmp_path):
@@ -449,6 +462,15 @@ class TestOperatorFlags:
         code, out, err = invoke(argv, capsys, monkeypatch, stdin_text=CSV_POS4)
         assert (code, out) == (1, "")
         assert err.startswith("error: ") and message in err and err.count("\n") == 1
+
+    @pytest.mark.parametrize("argv", [
+        ["apply", "--op", "sinkhorn-naive", "--k", "9999"],
+        ["apply", "--op", "birkhoff-project", "--max-iterations", "1000000"],
+    ], ids=["k", "max-iterations"])
+    def test_iteration_flags_at_their_ceiling_run(self, argv, capsys, monkeypatch):
+        code, out, err = invoke(argv, capsys, monkeypatch, stdin_text=CSV_POS4)
+        assert code == 0, err
+        assert out
 
 
 # flags that set an operator other than softmax
