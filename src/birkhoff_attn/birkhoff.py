@@ -33,6 +33,7 @@ from .core import (
 
 DYKSTRA = "dykstra"
 SPLITTING_QP = "splitting-qp"
+METHODS = (DYKSTRA, SPLITTING_QP)
 _VALIDATION = 1e-8  # as_dsm tolerance every projection must pass
 
 
@@ -43,7 +44,7 @@ class ProjectionSettings:
     max_iterations: int = 100_000
 
     def __post_init__(self):
-        if self.method not in (DYKSTRA, SPLITTING_QP):
+        if self.method not in METHODS:
             raise ValueError(f"unknown projection method {self.method!r}")
         if not self.tolerance > 0.0:
             raise ValueError("tolerance must be positive")

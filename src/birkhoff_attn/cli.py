@@ -8,12 +8,11 @@ success; 1 on a usage error (a bad flag, config value, input or setting),
 reported as ``error: ...``; 2 on a failure during computation, which echoes
 the failing input matrix as JSON on stderr.  Handlers build their inputs
 and operator specs, and check every other setting, inside ``_inputs``
-before any work starts; :func:`main` picks every exit code.  Size flags
-have ceilings, checked with the settings: --n 256, --trials 1000 and
---reps 1000 (``_SIZE_CEILINGS``), and --layers 1024 (the circuit's own).
-count's --n and --p are bounded by the counting budget instead.  The
-iteration flags have ceilings on every subcommand that takes them, gradcheck
-included: --k 10000 and --max-iterations 1000000 (``_ITERATION_CEILINGS``).
+before any work starts; :func:`main` picks every exit code.  Size and
+iteration flags have ceilings (``_CEILINGS``), checked with the settings on
+every subcommand that takes them: --n 256, --trials 1000, --reps 1000, --k
+10000 and --max-iterations 1000000.  --layers has the circuit's own, 1024,
+and count's --n and --p the counting budget.
 
 The parser holds each flag's type, choices and default.  A flat key=value
 file given by --config supplies the subcommand's defaults, checked as the
@@ -37,7 +36,7 @@ import numpy as np
 
 from .attention import (VJP_NORMALIZERS, AttentionConfig, _check_shapes, attention_forward,
                         vjp_check)
-from .birkhoff import ProjectionError, project
+from .birkhoff import METHODS, ProjectionError, project
 from .core import (
     as_square,
     check_stochasticity,
@@ -53,19 +52,17 @@ from .counting import _check_sizes, count_brute, decomposition_check, f3_analyti
 from .expressivity import (GridSpec, _index_range, probe_invariances, tradeoff_sweep,
                            uniqueness_sweep)
 from .operators import OPERATOR_NAMES, SPECS, Normalizer, make_operator
-from .qontot import CircuitConfig, _check_shots, bench_circuit, sample_shots
+from .qontot import ANSATZES, SIMPLE, CircuitConfig, _check_shots, bench_circuit, sample_shots
 from .sinkhorn import _check_tau, exp_scale
 
 _FULL_GATE = 1 << 20  # sweep windows of more inputs than this need --full
 _MAX_TOTAL = 1 << 48  # sweep-unique's runaway guard on the grid size
-# ceilings of the size flags, checked before any work: --n (a gradcheck trial
-# steps n^3 floats; 256 is the widest size the benchmark runs), --trials and
-# bench's --reps; qontot caps --layers itself
-_SIZE_CEILINGS = {"n": 256, "trials": 1000, "reps": 1000}
-# ceilings of the iteration flags, checked with the operator's settings: a
-# sinkhorn pass count --k, and the projection budget --max-iterations, ten
+# ceilings checked before any work: the sizes --n (a gradcheck trial steps
+# n^3 floats; 256 is the widest size the benchmark runs), --trials and bench's
+# --reps (qontot caps --layers itself), and, with the operator's settings, a
+# sinkhorn pass count --k and the projection budget --max-iterations, ten
 # times its default, spent in full on an input that never converges
-_ITERATION_CEILINGS = {"k": 10_000, "max_iterations": 1_000_000}
+_CEILINGS = {"n": 256, "trials": 1000, "reps": 1000, "k": 10_000, "max_iterations": 1_000_000}
 
 
 class _Usage(Exception):
@@ -185,8 +182,14 @@ def _sizes(args, *names) -> None:
     for name in names:
         if (value := _req(args, name)) < 1:
             raise _Usage(f"{name} must be >= 1, got {value}")
-        if value > _SIZE_CEILINGS[name]:
-            raise _Usage(f"{name} must be <= {_SIZE_CEILINGS[name]}, got {value}")
+        _ceiling(args, name)
+
+
+def _ceiling(args, name: str) -> None:
+    """Reject flag ``name`` when it is set above its ceiling, if it has one."""
+    value = getattr(args, name, None)
+    if name in _CEILINGS and value is not None and value > _CEILINGS[name]:
+        raise _Usage(f"{name} must be <= {_CEILINGS[name]}, got {value}")
 
 
 def _workers(args) -> int:
@@ -207,11 +210,26 @@ def _workers(args) -> int:
 
 # --- the operator spec of every subcommand that names an operator -----------
 
-# make_operator settings whose flag destination has another name
-_SETTING_FLAGS = {"iterations": "k", "noise_seed": "seed"}
-# destinations of the flags that set an operator or how it is applied
-_OPERATOR_FLAGS = ("k", "power", "tau", "method", "tolerance", "max_iterations", "seed",
-                   "layers", "aux_qubits", "ansatz", "theta_seed", "theta_file", "exp_scale")
+# the flags that set an operator or how it is applied, by destination: the
+# spec field each sets (None: how it is applied) and its add_argument
+# keywords.  Settings default to None, so the spec's own default applies.
+_OPERATOR_FLAGS = {
+    "k": ("iterations", {"type": int, "help": "sinkhorn iteration count (odd)"}),
+    "power": ("power", {"type": int}),
+    "tau": ("tau", {"type": float,
+                    "help": "softmax temperature, or the sinkhorn family's exp-scale one"}),
+    "method": ("method", {"choices": METHODS}),
+    "tolerance": ("tolerance", {"type": float}),
+    "max_iterations": ("max_iterations", {"type": int}),
+    "seed": ("noise_seed", {"type": int}),
+    "layers": ("layers", {"type": int}),
+    "aux_qubits": ("aux_qubits", {"type": int}),
+    "ansatz": ("ansatz", {"choices": ANSATZES}),
+    "theta_seed": ("theta_seed", {"type": int}),
+    "theta_file": ("theta", {}),
+    "exp_scale": (None, {"action": "store_true", "default": None,
+                         "help": "pre-apply exp_scale (for the sinkhorn family on raw scores)"}),
+}
 
 
 def _tau(args) -> float:
@@ -223,45 +241,41 @@ def _operator(args, name: str, dsm_dim: int, reads_seed: bool = False,
               scales: bool = False) -> Normalizer:
     """The spec of operator ``name`` from the flags; settings not given keep its defaults.
 
-    A spec field the subcommand has no flag for (apply-attn has no --tau)
-    keeps its default too.  A flag the operator does not read is a usage
-    error.  ``reads_seed`` marks a handler that takes --seed for its own
-    draws, ``scales`` one that feeds a positive-domain operator (the only
-    kind that takes --exp-scale) exp_scale(m, --tau), whose temperature is
-    checked here.  qontot takes its size from ``dsm_dim`` and its parameters
-    from exactly one of --theta-seed / --theta-file.  Call it inside
-    ``_inputs``, so bad settings are usage errors.
+    The operator takes the flags that set its spec's fields; a field the
+    subcommand has no flag for (apply-attn has no --tau) keeps its default,
+    and any other operator flag is a usage error.  ``reads_seed`` marks a
+    handler that takes --seed for its own draws, ``scales`` one that feeds a
+    positive-domain operator (the only kind that takes --exp-scale)
+    exp_scale(m, --tau), whose temperature is checked here.  qontot takes its
+    size from ``dsm_dim`` and its parameters from exactly one of --theta-seed
+    / --theta-file.  Call it inside ``_inputs``, so bad settings are usage
+    errors.
     """
     if name not in SPECS:
         raise _Usage(f"unknown operator {name!r} (choose from {', '.join(OPERATOR_NAMES)})")
-    if name == "qontot":
-        keys = ("aux_qubits", "layers", "ansatz")
-        taken = {*keys, "theta_seed", "theta_file"}
-    else:
-        keys = [f.name for f in fields(SPECS[name])]
-        taken = {_SETTING_FLAGS.get(key, key) for key in keys}
-    if SPECS[name].needs_positive:
+    spec = SPECS[name]
+    init = {f.name for f in fields(spec) if f.init}
+    taken = {dest for dest, (key, _) in _OPERATOR_FLAGS.items() if key in init}
+    if spec.needs_positive:
         taken.update(("exp_scale", "tau") if scales else ("exp_scale",))
     if reads_seed:
         taken.add("seed")
-    stray = [f"--{flag.replace('_', '-')}" for flag in _OPERATOR_FLAGS
-             if flag not in taken and getattr(args, flag, None) is not None]
+    stray = [f"--{dest.replace('_', '-')}" for dest in _OPERATOR_FLAGS
+             if dest not in taken and getattr(args, dest, None) is not None]
     if stray:
         raise _Usage(f"operator {name!r} takes no {', '.join(stray)}")
-    for flag, ceiling in _ITERATION_CEILINGS.items():
-        if (value := getattr(args, flag, None)) is not None and value > ceiling:
-            raise _Usage(f"{flag} must be <= {ceiling}, got {value}")
-    settings = {key: value for key in keys
-                if (value := getattr(args, _SETTING_FLAGS.get(key, key), None)) is not None}
-    theta = None
-    if name == "qr":
+    for dest in _OPERATOR_FLAGS:
+        _ceiling(args, dest)
+    settings = {key: value for dest, (key, _) in _OPERATOR_FLAGS.items()
+                if key in init and (value := getattr(args, dest, None)) is not None}
+    if "noise_seed" in init:
         settings["noise_seed"] = _req(args, "seed")
-    elif name == "qontot":
+    if "theta" in init:
         if (args.theta_file is None) == (args.theta_seed is None):
-            raise _Usage("qontot needs exactly one of --theta-seed / --theta-file")
+            raise _Usage(f"{name} needs exactly one of --theta-seed / --theta-file")
         if args.theta_file is not None:
-            theta = _load_table(args.theta_file).ravel()
-        settings.update(dsm_dim=dsm_dim, theta=theta, theta_seed=args.theta_seed)
+            settings["theta"] = _load_table(args.theta_file).ravel()
+        settings["dsm_dim"] = dsm_dim
     op = make_operator(name, **settings)
     if scales and op.needs_positive:
         _check_tau(_tau(args))
@@ -403,31 +417,11 @@ def _cmd_gradcheck(args) -> int:
 
 
 # --- parser ---------------------------------------------------------------
-# Operator settings default to None: the spec's own default applies.
 
-def _add_circuit_flags(sub) -> None:
-    sub.add_argument("--seed", type=int)
-    sub.add_argument("--layers", type=int)
-    sub.add_argument("--aux-qubits", type=int)
-    sub.add_argument("--ansatz", choices=("simple", "trotter"))
-    sub.add_argument("--theta-seed", type=int)
-    sub.add_argument("--theta-file")
-
-
-def _add_setting_flags(sub) -> None:
-    sub.add_argument("--k", type=int, help="sinkhorn iteration count (odd)")
-    sub.add_argument("--power", type=int)
-    sub.add_argument("--method", choices=("dykstra", "splitting-qp"))
-    sub.add_argument("--tolerance", type=float)
-    sub.add_argument("--max-iterations", type=int)
-    _add_circuit_flags(sub)
-
-
-def _add_operator_flags(sub) -> None:
-    sub.add_argument("--op")
-    sub.add_argument("--tau", type=float,
-                     help="softmax temperature, or the sinkhorn family's exp-scale one")
-    _add_setting_flags(sub)
+def _add_flags(sub, *dests, **override) -> None:
+    """Declare the operator flags ``dests`` with their table keywords, ``override`` on top."""
+    for dest in dests:
+        sub.add_argument(f"--{dest.replace('_', '-')}", **_OPERATOR_FLAGS[dest][1] | override)
 
 
 def _build_parser() -> tuple[argparse.ArgumentParser, argparse.Action]:
@@ -437,6 +431,9 @@ def _build_parser() -> tuple[argparse.ArgumentParser, argparse.Action]:
         description="Doubly stochastic attention normalizers and their analysis tools",
     )
     commands = parser.add_subparsers(dest="command", required=True)
+    # the settings flags of every subcommand that builds any operator; shots
+    # takes --seed and the circuit's
+    settings = [dest for dest in _OPERATOR_FLAGS if dest not in ("tau", "exp_scale")]
 
     def command(name: str, func, help_text: str) -> argparse.ArgumentParser:
         sub = commands.add_parser(name, help=help_text)
@@ -444,16 +441,20 @@ def _build_parser() -> tuple[argparse.ArgumentParser, argparse.Action]:
         sub.set_defaults(func=func)
         return sub
 
-    sub = command("apply", _cmd_apply, "apply a normalizer to one matrix")
-    _add_operator_flags(sub)
+    def operator_command(name: str, func, help_text: str) -> argparse.ArgumentParser:
+        sub = command(name, func, help_text)
+        sub.add_argument("--op")
+        _add_flags(sub, "tau", *settings)
+        return sub
+
+    sub = operator_command("apply", _cmd_apply, "apply a normalizer to one matrix")
     sub.add_argument("--input", default="-", help="matrix file (CSV or JSON); default stdin")
-    sub.add_argument("--exp-scale", action="store_true", default=None,
-                     help="pre-apply exp_scale (for the sinkhorn family on raw scores)")
+    _add_flags(sub, "exp_scale")
     sub.add_argument("--format", choices=("csv", "json"), default="csv")
 
     sub = command("apply-attn", _cmd_apply_attn, "attention forward pass from Q/K/V files")
     sub.add_argument("--normalizer")
-    _add_setting_flags(sub)
+    _add_flags(sub, *settings)
     sub.add_argument("--q-file")
     sub.add_argument("--key-file")
     sub.add_argument("--value-file")
@@ -461,8 +462,7 @@ def _build_parser() -> tuple[argparse.ArgumentParser, argparse.Action]:
     sub.add_argument("--emit", choices=("output", "attn"), default="output")
     sub.add_argument("--format", choices=("csv", "json"), default="csv")
 
-    sub = command("sweep-unique", _cmd_sweep_unique, "count distinct outputs over a grid")
-    _add_operator_flags(sub)
+    sub = operator_command("sweep-unique", _cmd_sweep_unique, "count distinct outputs over a grid")
     sub.add_argument("--n", type=int)
     sub.add_argument("--d", type=int)
     sub.add_argument("--domain", choices=("cube", "sphere"), default="cube")
@@ -473,14 +473,12 @@ def _build_parser() -> tuple[argparse.ArgumentParser, argparse.Action]:
                      help="confirm a sweep window above 2^20 inputs")
     sub.add_argument("--workers", type=int)
 
-    sub = command("sweep-tradeoff", _cmd_sweep_tradeoff,
-                  "entropy/residual rows on random inputs")
-    _add_operator_flags(sub)
+    sub = operator_command("sweep-tradeoff", _cmd_sweep_tradeoff,
+                           "entropy/residual rows on random inputs")
     sub.add_argument("--n", type=int, default=8)
     sub.add_argument("--trials", type=int, default=100)
 
-    sub = command("props", _cmd_props, "probe scale/permutation invariances")
-    _add_operator_flags(sub)
+    sub = operator_command("props", _cmd_props, "probe scale/permutation invariances")
     sub.add_argument("--n", type=int, default=4)
     sub.add_argument("--trials", type=int, default=10)
 
@@ -490,7 +488,7 @@ def _build_parser() -> tuple[argparse.ArgumentParser, argparse.Action]:
     sub.add_argument("--mode", choices=("brute", "analytic", "decompose"), default="brute")
 
     sub = command("shots", _cmd_shots, "finite-shot sampled circuit DSM")
-    _add_circuit_flags(sub)
+    _add_flags(sub, *settings[settings.index("seed"):])
     sub.add_argument("--input", default="-", help="matrix file (CSV or JSON); default stdin")
     sub.add_argument("--shots", type=int)
     sub.add_argument("--project", action="store_true",
@@ -503,18 +501,18 @@ def _build_parser() -> tuple[argparse.ArgumentParser, argparse.Action]:
                      help="comma-separated layer counts")
     sub.add_argument("--aux-qubits", type=_int_list, default=[0],
                      help="comma-separated aux qubit counts")
-    sub.add_argument("--ansatz", choices=("simple", "trotter"), default="simple")
+    _add_flags(sub, "ansatz", default=SIMPLE)
     sub.add_argument("--reps", type=int, default=5)
-    sub.add_argument("--theta-seed", type=int, default=0)
+    _add_flags(sub, "theta_seed", default=0)
 
     sub = command("gradcheck", _cmd_gradcheck,
                   "compare analytic VJPs with finite differences")
     sub.add_argument("--normalizer", choices=VJP_NORMALIZERS)
-    sub.add_argument("--k", type=int, help="sinkhorn-naive iteration count (odd; default 3)")
-    sub.add_argument("--tau", type=float, help="softmax temperature (default 1.0)")
+    _add_flags(sub, "k", help="sinkhorn-naive iteration count (odd; default 3)")
+    _add_flags(sub, "tau", help="softmax temperature (default 1.0)")
     sub.add_argument("--n", type=int, default=8)
     sub.add_argument("--trials", type=int, default=10)
-    sub.add_argument("--seed", type=int)
+    _add_flags(sub, "seed")
 
     return parser, commands
 

@@ -28,13 +28,16 @@ over one (j, k) grid per outer index.
 
 from __future__ import annotations
 
-from math import comb
+from math import comb, log2
 
 import numpy as np
 
 from .core import _odometer
 
 _FEASIBILITY_BITS = 48
+# rows of the last-row table, p^(n-1): n = 3 needs at most 2^24 within the
+# feasibility budget, and only n = 2 comes near this bound
+_TABLE_BITS = 27
 # candidates (head classes or prefixes x table rows, or f3_analytic cells) per
 # array pass; a pass takes at least one class or prefix
 _PASS_CANDIDATES = 1 << 20
@@ -51,7 +54,9 @@ def _check_args(n: int, p: int) -> int:
     """Validate and return the number of free cells (n-1)^2."""
     _check_sizes(n, p)
     k = (n - 1) ** 2
-    if k * np.log2(p) > _FEASIBILITY_BITS:
+    # as p >= 2, a k above the budget exceeds it alone; testing k first keeps a
+    # huge k out of float arithmetic, and math.log2 takes an int of any size
+    if k > _FEASIBILITY_BITS or k * log2(p) > _FEASIBILITY_BITS:
         raise ValueError(
             f"enumeration over p^((n-1)^2) = {p}^{k} exceeds the 2^{_FEASIBILITY_BITS} budget"
         )
@@ -65,6 +70,10 @@ def _sum_dtype(side: int, cap: int) -> np.dtype:
 
 def _rows(side: int, p: int, dtype: np.dtype) -> tuple[np.ndarray, np.ndarray]:
     """Every row of ``side`` cells in {0..p-1} in odometer order, and each row's sum."""
+    if p**side > 1 << _TABLE_BITS:
+        raise ValueError(
+            f"last-row table of p^(n-1) = {p}^{side} rows exceeds the 2^{_TABLE_BITS} budget"
+        )
     rows = _odometer(0, p**side, p, side).astype(dtype)
     return rows, rows.sum(axis=1, dtype=dtype)
 
@@ -149,9 +158,10 @@ def f3_analytic(p: int) -> int:
     over l is taken in closed form, the count of l from max(1, p+3-i-j-k)
     up to its top.  For each i the (j, k) grid is summed by broadcast in
     passes of at most ``_PASS_CANDIDATES`` cells, each pass an exact int64
-    sum added to a Python integer.
+    sum added to a Python integer.  The cells number about p^3 / 3, so p is
+    held to the enumeration budget of n = 3.
     """
-    _check_sizes(3, p)
+    _check_args(3, p)
     count = 0
     for i in range(1, p + 1):
         width = p - i + 1

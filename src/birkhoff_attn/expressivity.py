@@ -20,7 +20,8 @@ import hashlib
 import pickle
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import islice, product
+from itertools import islice
+from math import log2
 
 import numpy as np
 
@@ -29,6 +30,11 @@ from .operators import Normalizer
 from .sinkhorn import exp_scale
 
 _SWEEP_CHUNK = 512  # fixed regardless of worker count
+# candidate columns sphere_columns tests, in passes of _SPHERE_PASS; the
+# largest sphere grid in use, (n, d) = (6, 9), has 531,441
+_SPHERE_CANDIDATES = 1 << 24
+_SPHERE_PASS = 1 << 16
+_MAX_DECIMALS = 308  # 10.0**309 overflows, so np.round would return NaN
 
 CUBE = "cube"
 SPHERE = "sphere"
@@ -50,6 +56,9 @@ class GridSpec:
             raise ValueError(f"unknown grid domain {self.domain!r}")
         if self.rounding_decimals < 0:
             raise ValueError("rounding_decimals must be >= 0")
+        if self.rounding_decimals > _MAX_DECIMALS:
+            raise ValueError(f"rounding_decimals must be <= {_MAX_DECIMALS}, "
+                             f"got {self.rounding_decimals}")
 
 
 @lru_cache(maxsize=32)
@@ -57,26 +66,36 @@ def sphere_columns(n: int, d: int) -> np.ndarray:
     """Grid columns with exactly unit 2-norm, lexicographic by digit tuple.
 
     A column (i_1/(d-1), ..., i_n/(d-1)) has unit norm iff sum of i^2 equals
-    (d-1)^2, an exact integer test.  The table is built once per (n, d) and
-    shared by every later call, so it is read-only.
+    (d-1)^2, an exact integer test, run over the d^n candidates in odometer
+    passes; more than ``_SPHERE_CANDIDATES`` of them raise ValueError.  The
+    table is built once per (n, d) and shared by every later call, so it is
+    read-only.
     """
+    if n * log2(d) > log2(_SPHERE_CANDIDATES) + 1 or (total := d**n) > _SPHERE_CANDIDATES:
+        raise ValueError(f"sphere grid has {d}^{n} candidate columns, above the "
+                         f"{_SPHERE_CANDIDATES} budget")
     scale = d - 1
-    cols = [
-        digits
-        for digits in product(range(d), repeat=n)
-        if sum(v * v for v in digits) == scale * scale
-    ]
-    if not cols:
+    cols = []
+    for lo in range(0, total, _SPHERE_PASS):
+        digits = _odometer(lo, min(lo + _SPHERE_PASS, total), d, n).astype(np.int64)
+        cols.append(digits[(digits * digits).sum(axis=1) == scale * scale])
+    out = np.concatenate(cols).astype(np.float64) / scale
+    if not len(out):
         raise ValueError(f"no unit-norm columns on the (n={n}, d={d}) grid")
-    out = np.array(cols, dtype=np.float64) / scale
     out.setflags(write=False)
     return out
 
 
-def grid_total(spec: GridSpec) -> int:
+def _grid_power(spec: GridSpec) -> tuple[int, int]:
+    """The grid size as base^exponent: values per cell and cells (cube), or columns and n."""
     if spec.domain == CUBE:
-        return spec.d ** (spec.n * spec.n)
-    return len(sphere_columns(spec.n, spec.d)) ** spec.n
+        return spec.d, spec.n * spec.n
+    return len(sphere_columns(spec.n, spec.d)), spec.n
+
+
+def grid_total(spec: GridSpec) -> int:
+    base, exponent = _grid_power(spec)
+    return base**exponent
 
 
 def grid_matrices(spec: GridSpec, lo: int, hi: int) -> np.ndarray:
@@ -96,9 +115,10 @@ def grid_matrix(spec: GridSpec, index: int) -> np.ndarray:
 
 def _index_range(spec: GridSpec, start: int, stop: int | None, max_total: int) -> tuple[int, int]:
     """The sweep window [start, stop) with stop clipped to the grid; guards runaway sizes."""
-    total = grid_total(spec)
-    if total > max_total:
-        raise ValueError(f"grid has {total} matrices, above the {max_total} guard")
+    base, exponent = _grid_power(spec)
+    # a runaway size fails the log test before it is raised to its power
+    if exponent * log2(base) > log2(max_total) + 1 or (total := base**exponent) > max_total:
+        raise ValueError(f"grid has {base}^{exponent} matrices, above the {max_total} guard")
     stop = total if stop is None else min(stop, total)
     if not 0 <= start <= stop:
         raise ValueError(f"bad index range [{start}, {stop})")

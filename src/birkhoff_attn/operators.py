@@ -17,19 +17,21 @@ worker processes as they are.
 :func:`make_operator` returns the callable, picklable spec for a name and
 its settings; sweeps, invariance probes, attention and the command line
 all use it.  :class:`BirkhoffNormalizer` takes the
-:class:`~birkhoff_attn.birkhoff.ProjectionSettings` fields as its own.
+:class:`~birkhoff_attn.birkhoff.ProjectionSettings` fields as its own, and
+:class:`QontotNormalizer` the :class:`~birkhoff_attn.qontot.CircuitConfig`
+fields with theta or its seed.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 from typing import ClassVar
 
 import numpy as np
 
 from .birkhoff import ProjectionSettings, project
 from .core import Dsm, as_square
-from .qontot import CircuitConfig, param_count, simulate_dsm
+from .qontot import SIMPLE, CircuitConfig, param_count, simulate_dsm
 from .qr import qr_dsm
 from .sinkhorn import _check_iterations, _check_tau, exp_scale, sinkhorn_naive, sinkhorn_ot
 
@@ -44,7 +46,8 @@ def softmax_rows(m, tau: float = 1.0) -> np.ndarray:
 
 
 def _softmax(m: np.ndarray, tau) -> np.ndarray:
-    z = (m - m.max(axis=-1, keepdims=True)) / tau
+    with np.errstate(over="ignore"):  # a tiny tau sends z to -inf, whose exp is the limit 0
+        z = (m - m.max(axis=-1, keepdims=True)) / tau
     e = np.exp(z)
     return e / e.sum(axis=-1, keepdims=True)
 
@@ -95,7 +98,9 @@ class Normalizer:
 
     def attend(self, scores: np.ndarray, tau: float) -> np.ndarray:
         """Attention weights from the score matrix at temperature tau."""
-        return self(scores / tau)
+        with np.errstate(over="ignore"):  # the operator rejects scores sent to inf
+            scaled = scores / tau
+        return self(scaled)
 
     def check_temperature(self, tau: float) -> None:
         """Raise ValueError unless ``attend`` takes temperature tau: by default any nonzero number."""
@@ -197,20 +202,43 @@ class QrNormalizer(Normalizer):
         return _array(qr_dsm(m, self.noise_seed))
 
 
+def qontot_theta(config: CircuitConfig, theta_seed: int) -> np.ndarray:
+    """The uniform(-1, 1) parameter draw used whenever theta comes from a seed."""
+    return np.random.default_rng(theta_seed).uniform(-1.0, 1.0, param_count(config))
+
+
 @dataclass(frozen=True)
 class QontotNormalizer(Normalizer):
-    """Simulated circuit with parameter vector theta, one angle per circuit parameter."""
+    """Simulated circuit: the CircuitConfig fields, and theta, one angle per circuit parameter.
+
+    ``config`` is built from the circuit fields.  A missing theta is drawn by
+    :func:`qontot_theta` from ``theta_seed``; an explicit theta wins.
+    """
 
     name = "qontot"
-    config: CircuitConfig
-    theta: np.ndarray
+    dsm_dim: int
+    aux_qubits: int = 0
+    layers: int = 1
+    ansatz: str = SIMPLE
+    theta: np.ndarray | None = None
+    theta_seed: int | None = None
+    config: CircuitConfig = field(init=False, repr=False)
 
     def __post_init__(self):
-        need = param_count(self.config)
-        if np.shape(self.theta) != (need,):
-            raise ValueError(f"theta has {np.size(self.theta)} values, config needs {need}"
-                             if np.ndim(self.theta) == 1 else
-                             f"theta must be a flat vector, got shape {np.shape(self.theta)}")
+        config = CircuitConfig(int(self.dsm_dim), self.aux_qubits, self.layers, self.ansatz)
+        if self.theta is not None:
+            theta = np.asarray(self.theta, dtype=np.float64)
+        elif self.theta_seed is not None:
+            theta = qontot_theta(config, int(self.theta_seed))
+        else:
+            raise ValueError("qontot needs theta or a theta_seed")
+        need = param_count(config)
+        if theta.shape != (need,):
+            raise ValueError(f"theta has {theta.size} values, config needs {need}"
+                             if theta.ndim == 1 else
+                             f"theta must be a flat vector, got shape {theta.shape}")
+        object.__setattr__(self, "config", config)
+        object.__setattr__(self, "theta", theta)
 
     def __call__(self, m) -> np.ndarray:
         return _array(simulate_dsm(self.config, self.theta, m))
@@ -224,37 +252,10 @@ SPECS = {
 OPERATOR_NAMES = tuple(SPECS)
 
 
-def qontot_theta(config: CircuitConfig, theta_seed: int) -> np.ndarray:
-    """The uniform(-1, 1) parameter draw used whenever theta comes from a seed."""
-    return np.random.default_rng(theta_seed).uniform(-1.0, 1.0, param_count(config))
-
-
 def make_operator(name: str, **kw) -> Normalizer:
-    """The spec of operator ``name``; settings not given keep the spec's defaults.
-
-    The settings are the spec's fields, except for qontot, which takes the
-    CircuitConfig fields flat (``dsm_dim`` required; ``aux_qubits``,
-    ``layers``, ``ansatz``) and either ``theta`` or a ``theta_seed`` for
-    :func:`qontot_theta`; an explicit theta wins.
-    """
+    """The spec of operator ``name``; settings are its fields, and those not given keep defaults."""
     if name not in SPECS:
         raise ValueError(f"unknown operator {name!r}")
-    if name == "qontot":
-        circuit = {key: kw.pop(key) for key in ("aux_qubits", "layers", "ansatz") if key in kw}
-        config = CircuitConfig(dsm_dim=int(kw.pop("dsm_dim")), **circuit)
-        theta = kw.pop("theta", None)
-        if theta is None:
-            theta = qontot_theta(config, int(kw.pop("theta_seed")))
-        else:
-            theta = np.asarray(theta, dtype=np.float64)
-            kw.pop("theta_seed", None)
-        _reject_extras(name, kw.keys())
-        return QontotNormalizer(config, theta)
-    cls = SPECS[name]
-    _reject_extras(name, kw.keys() - {f.name for f in fields(cls)})
-    return cls(**kw)
-
-
-def _reject_extras(name: str, extras) -> None:
-    if extras:
+    if extras := kw.keys() - {f.name for f in fields(SPECS[name]) if f.init}:
         raise ValueError(f"unexpected settings for operator {name!r}: {sorted(extras)}")
+    return SPECS[name](**kw)

@@ -61,6 +61,7 @@ _MIN_SAMPLE_SECONDS = 0.02  # bench_circuit repeats a call until one sample last
 
 SIMPLE = "simple"
 TROTTER = "trotter"
+ANSATZES = (SIMPLE, TROTTER)
 
 
 @dataclass(frozen=True)
@@ -85,7 +86,7 @@ class CircuitConfig:
             raise ValueError("aux_qubits must be >= 0")
         if not 1 <= self.layers <= _MAX_LAYERS:
             raise ValueError(f"layers must be in [1, {_MAX_LAYERS}], got {self.layers}")
-        if self.ansatz not in (SIMPLE, TROTTER):
+        if self.ansatz not in ANSATZES:
             raise ValueError(f"unknown ansatz {self.ansatz!r}")
         if self.total_qubits > _MAX_QUBITS:
             raise ValueError(
@@ -362,6 +363,8 @@ def simulate_dsm(config: CircuitConfig, theta, m) -> Dsm | np.ndarray:
 def _check_shots(shots: int, t: int) -> None:
     if shots < t:
         raise ValueError(f"need at least one shot per column: shots={shots} < T={t}")
+    if shots >= 1 << 63:  # each column's draw count is an int64
+        raise ValueError(f"shots must be < 2^63, got {shots}")
 
 
 def sample_shots(config: CircuitConfig, theta, m, shots: int, seed: int) -> np.ndarray:

@@ -34,7 +34,8 @@ def exp_scale(m, tau: float = 1.0) -> np.ndarray:
     """
     m = as_square(m, stack=True)
     _check_tau(tau)
-    out = np.exp((m - m.max(axis=(-2, -1), keepdims=True)) / tau)
+    with np.errstate(over="ignore"):  # a tiny tau sends entries to -inf, whose exp is 0
+        out = np.exp((m - m.max(axis=(-2, -1), keepdims=True)) / tau)
     return np.maximum(out, _TINY)
 
 

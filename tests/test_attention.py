@@ -141,7 +141,7 @@ class TestAttentionForward:
 
     def test_qontot_zero_theta_passes_values_through(self):
         c = CircuitConfig(dsm_dim=4, layers=2)
-        normalizer = QontotNormalizer(config=c, theta=np.zeros(param_count(c)))
+        normalizer = QontotNormalizer(dsm_dim=4, layers=2, theta=np.zeros(param_count(c)))
         rng = np.random.default_rng(8)
         qm, km = rng.standard_normal((2, 4, 4))
         vm = rng.standard_normal((4, 3))

@@ -69,6 +69,19 @@ class TestCountBrute:
         with pytest.raises(ValueError, match="budget"):
             count_brute(8, 10)  # 10^49 candidates is far beyond 2^48
 
+    @pytest.mark.parametrize("n, p", [(3, 10**30), (10**30, 3), (10**200, 2)])
+    def test_budget_guard_takes_any_int(self, n, p):
+        with pytest.raises(ValueError, match="budget"):
+            count_brute(n, p)
+
+    def test_last_row_table_budget(self):
+        # n = 2 is within the candidate budget up to p = 2^48, but its table holds p rows
+        with pytest.raises(ValueError, match="last-row table .* 2\\^27 budget"):
+            count_brute(2, 10**12)
+        with pytest.raises(ValueError, match="last-row table"):
+            decomposition_check(2, (1 << 27) + 1)
+        assert counting._rows(1, 1 << 10, np.int64)[0].shape == (1 << 10, 1)
+
     # n = 3 sums are int8 up to p = 64 and int16 from p = 65; p = 129 is the
     # first whose digits alone overflow int8
     @pytest.mark.parametrize("p", [44, 64, 65, 97, 129])
@@ -164,6 +177,11 @@ class TestF3Analytic:
     def test_validation(self):
         with pytest.raises(ValueError, match="p must be"):
             f3_analytic(1)
+
+    def test_enumeration_budget_guard(self):
+        # its cost grows with p^3, so it keeps count_brute(3, p)'s budget: p <= 2^12
+        with pytest.raises(ValueError, match="budget"):
+            f3_analytic(4097)
 
 
 class TestC2:

@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from birkhoff_attn import (
     tradeoff_sweep,
     uniqueness_sweep,
 )
+from birkhoff_attn import expressivity
 from birkhoff_attn.expressivity import _SWEEP_CHUNK, SweepReport, grid_matrices
 
 import oracles
@@ -106,6 +108,10 @@ class TestGridSpec:
             GridSpec(n=2, d=2, domain="torus")
         with pytest.raises(ValueError, match="rounding"):
             GridSpec(n=2, d=2, rounding_decimals=-1)
+        # np.round at 309 decimals overflows 10.0**309 and returns NaN
+        with pytest.raises(ValueError, match="rounding_decimals must be <= 308, got 309"):
+            GridSpec(n=2, d=2, rounding_decimals=309)
+        assert GridSpec(n=2, d=2, rounding_decimals=308).rounding_decimals == 308
 
 
 class TestSphereColumns:
@@ -128,6 +134,23 @@ class TestSphereColumns:
         for n, d in ((2, 3), (3, 4), (4, 3), (4, 5)):
             cols = sphere_columns(n, d)
             assert_allclose((cols ** 2).sum(axis=1), np.ones(len(cols)), atol=0)
+
+    @pytest.mark.parametrize("n, d", [(1, 2), (2, 2), (3, 3), (4, 3), (4, 5), (4, 6), (5, 7),
+                                      (8, 3), (6, 9)])
+    def test_matches_the_digit_tuple_filter(self, n, d, monkeypatch):
+        # the same table whatever the pass size, a pass of 7 candidates included
+        monkeypatch.setattr(expressivity, "_SPHERE_PASS", 7 if d**n < 10**4 else 1 << 16)
+        sphere_columns.cache_clear()
+        scale = d - 1
+        want = np.array([c for c in itertools.product(range(d), repeat=n)
+                         if sum(v * v for v in c) == scale * scale], dtype=np.float64) / scale
+        assert sphere_columns(n, d).tobytes() == want.tobytes()
+        sphere_columns.cache_clear()
+
+    @pytest.mark.parametrize("n, d", [(64, 2), (2, 10**8), (25, 2), (2, 10**4000)])
+    def test_candidate_budget(self, n, d):
+        with pytest.raises(ValueError, match="candidate columns, above the 16777216 budget"):
+            sphere_columns(n, d)
 
     def test_binary_grid_gives_axis_vectors(self):
         assert_allclose(sphere_columns(3, 2), np.eye(3)[::-1], atol=0)
@@ -199,6 +222,9 @@ class TestGridMatrix:
         spec = GridSpec(n=4, d=20)  # 20^16 matrices
         with pytest.raises(ValueError, match="guard"):
             list(enumerate_grid(spec, max_total=10**6))
+        # a base far past the guard is refused before it is raised to its power
+        with pytest.raises(ValueError, match=r"grid has 1000\d*\^65536 matrices"):
+            list(enumerate_grid(GridSpec(n=256, d=10**4000)))
 
 
 class TestUniquenessSweep:

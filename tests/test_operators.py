@@ -1,4 +1,5 @@
 import pickle
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -55,8 +56,20 @@ class TestMakeOperator:
             make_operator("qr", seed=3)  # the knob is called noise_seed
 
     def test_qontot_requires_dsm_dim(self):
-        with pytest.raises(KeyError):
+        with pytest.raises(TypeError, match="dsm_dim"):
             make_operator("qontot", theta_seed=0)
+
+    def test_qontot_fields_are_its_settings(self):
+        op = make_operator("qontot", dsm_dim=4, aux_qubits=1, layers=2, ansatz="trotter",
+                           theta_seed=3)
+        assert [f.name for f in fields(op) if f.init] == [
+            "dsm_dim", "aux_qubits", "layers", "ansatz", "theta", "theta_seed"]
+        assert op.config == CircuitConfig(dsm_dim=4, aux_qubits=1, layers=2, ansatz="trotter")
+        assert np.array_equal(op.theta, qontot_theta(op.config, 3))
+        with pytest.raises(ValueError, match=r"unexpected settings .*\['config'\]"):
+            make_operator("qontot", dsm_dim=4, theta_seed=0, config=op.config)
+        with pytest.raises(ValueError, match="theta or a theta_seed"):
+            make_operator("qontot", dsm_dim=4)
 
     def test_qontot_explicit_theta_wins_over_seed(self):
         theta = np.zeros(param_count(CircuitConfig(dsm_dim=4)))
