@@ -10,14 +10,7 @@ distinct outputs each route can produce, invariance probes, and hand-derived
 VJPs for the differentiable routes.
 """
 
-from .attention import (
-    VJP_NORMALIZERS,
-    AttentionConfig,
-    attention_forward,
-    sinkhorn_naive_vjp,
-    softmax_vjp,
-    vjp_check,
-)
+from .attention import VJP_NORMALIZERS, AttentionConfig, attention_forward, vjp_check
 from .birkhoff import (
     DYKSTRA,
     SPLITTING_QP,
@@ -73,6 +66,7 @@ from .operators import (
     norm_softmax,
     qontot_theta,
     softmax_rows,
+    softmax_vjp,
 )
 from .qontot import (
     SIMPLE,
@@ -86,7 +80,7 @@ from .qontot import (
     simulate_dsm,
 )
 from .qr import qr_dsm, qr_orthonormalize
-from .sinkhorn import exp_scale, sinkhorn_naive, sinkhorn_ot
+from .sinkhorn import exp_scale, sinkhorn_naive, sinkhorn_naive_vjp, sinkhorn_ot
 
 __version__ = "0.1.0"
 

@@ -12,7 +12,8 @@ before any work starts; :func:`main` picks every exit code.  Size and
 iteration flags have ceilings (``_CEILINGS``), checked with the settings on
 every subcommand that takes them: --n 256, --trials 1000, --reps 1000, --k
 10000 and --max-iterations 1000000.  --layers has the circuit's own, 1024,
-and count's --n and --p the counting budget.
+and count's --n and --p the counting budget.  --seed and --theta-seed must
+not be negative.
 
 The parser holds each flag's type, choices and default.  A flat key=value
 file given by --config supplies the subcommand's defaults, checked as the
@@ -30,7 +31,7 @@ import json
 import os
 import sys
 from contextlib import contextmanager
-from dataclasses import asdict, fields
+from dataclasses import asdict, fields, replace
 
 import numpy as np
 
@@ -51,8 +52,8 @@ from .core import (
 from .counting import _check_sizes, count_brute, decomposition_check, f3_analytic
 from .expressivity import (GridSpec, _index_range, probe_invariances, tradeoff_sweep,
                            uniqueness_sweep)
-from .operators import OPERATOR_NAMES, SPECS, Normalizer, make_operator
-from .qontot import ANSATZES, SIMPLE, CircuitConfig, _check_shots, bench_circuit, sample_shots
+from .operators import OPERATOR_NAMES, SPECS, Normalizer, QontotNormalizer, make_operator
+from .qontot import ANSATZES, SIMPLE, CircuitConfig, _check_shots, _sample_columns, bench_circuit
 from .sinkhorn import _check_tau, exp_scale
 
 _FULL_GATE = 1 << 20  # sweep windows of more inputs than this need --full
@@ -182,14 +183,16 @@ def _sizes(args, *names) -> None:
     for name in names:
         if (value := _req(args, name)) < 1:
             raise _Usage(f"{name} must be >= 1, got {value}")
-        _ceiling(args, name)
+        _limit(args, name)
 
 
-def _ceiling(args, name: str) -> None:
-    """Reject flag ``name`` when it is set above its ceiling, if it has one."""
+def _limit(args, name: str) -> None:
+    """Reject flag ``name`` set above its ceiling, or a negative seed, which default_rng refuses."""
     value = getattr(args, name, None)
     if name in _CEILINGS and value is not None and value > _CEILINGS[name]:
         raise _Usage(f"{name} must be <= {_CEILINGS[name]}, got {value}")
+    if name in ("seed", "theta_seed") and value is not None and value < 0:
+        raise _Usage(f"{name} must be >= 0, got {value}")
 
 
 def _workers(args) -> int:
@@ -265,7 +268,7 @@ def _operator(args, name: str, dsm_dim: int, reads_seed: bool = False,
     if stray:
         raise _Usage(f"operator {name!r} takes no {', '.join(stray)}")
     for dest in _OPERATOR_FLAGS:
-        _ceiling(args, dest)
+        _limit(args, dest)
     settings = {key: value for dest, (key, _) in _OPERATOR_FLAGS.items()
                 if key in init and (value := getattr(args, dest, None)) is not None}
     if "noise_seed" in init:
@@ -333,6 +336,7 @@ def _cmd_sweep_unique(args) -> int:
 def _cmd_sweep_tradeoff(args) -> int:
     name = _req(args, "op")
     _sizes(args, "n", "trials")
+    _limit(args, "seed")
     with _inputs():
         rng = np.random.default_rng(_req(args, "seed"))
         op = _operator(args, name, args.n, reads_seed=True, scales=True)
@@ -371,13 +375,13 @@ def _cmd_count(args) -> int:
 def _cmd_shots(args) -> int:
     m = _read_matrix(args.input)
     with _inputs():
-        circuit = _operator(args, "qontot", m.shape[0], reads_seed=True)
+        circuit = _operator(args, QontotNormalizer.name, m.shape[0], reads_seed=True)
         shots = _req(args, "shots")
         seed = _req(args, "seed")
         _check_shots(shots, circuit.config.dsm_dim)
     args.echo = m
-    sampled = sample_shots(circuit.config, circuit.theta, m, shots, seed)
     exact = circuit(m)
+    sampled = _sample_columns(exact, shots, seed)
     out = project(sampled).matrix if args.project else sampled
     metrics = {
         "shots": shots,
@@ -391,6 +395,7 @@ def _cmd_shots(args) -> int:
 
 def _cmd_bench(args) -> int:
     _sizes(args, "reps")
+    _limit(args, "theta_seed")
     with _inputs():
         configs = [
             CircuitConfig(dsm_dim=args.dsm_dim, aux_qubits=a, layers=l, ansatz=args.ansatz)
@@ -408,10 +413,10 @@ def _cmd_gradcheck(args) -> int:
     name = _req(args, "normalizer")
     _sizes(args, "n", "trials")
     with _inputs():
-        _operator(args, name, args.n, reads_seed=True)  # checks the settings given
-        rng = np.random.default_rng(_req(args, "seed"))
-    error = vjp_check(name, k=3 if args.k is None else args.k, tau=_tau(args), n=args.n,
-                      trials=args.trials, seed=rng)
+        op = _operator(args, name, args.n, reads_seed=True)
+    if args.k is None and hasattr(op, "iterations"):
+        op = replace(op, iterations=3)  # gradcheck's own default pass count
+    error = vjp_check(op, n=args.n, trials=args.trials, seed=_req(args, "seed"))
     _emit({"normalizer": name, "trials": args.trials, "max_relative_error": error})
     return 0
 

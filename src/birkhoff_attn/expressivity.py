@@ -35,6 +35,7 @@ _SWEEP_CHUNK = 512  # fixed regardless of worker count
 _SPHERE_CANDIDATES = 1 << 24
 _SPHERE_PASS = 1 << 16
 _MAX_DECIMALS = 308  # 10.0**309 overflows, so np.round would return NaN
+_PROBE_TOLERANCE = 1e-8  # probe_invariances' largest deviation that still counts as equal
 
 CUBE = "cube"
 SPHERE = "sphere"
@@ -145,13 +146,11 @@ class SweepReport:
 def _chunk_metrics(op, ms: np.ndarray, tau: float):
     """Outputs, entropies and residuals of a (B, n, n) input stack.
 
-    Positive-domain operators get one exp_scale call on the stack first.  A
-    spec takes the whole stack in one call; a bare callable takes one matrix
-    at a time, so it is mapped over the stack.
+    Positive-domain operators get one exp_scale call on the stack first.
+    The operator, a spec or a bare callable, takes the whole stack in one call.
     """
     x = exp_scale(ms, tau) if getattr(op, "needs_positive", False) else ms
-    outs = (op(x) if isinstance(op, Normalizer)
-            else np.array([op(m) for m in x], dtype=np.float64).reshape(x.shape))
+    outs = op(x)
     return outs, shannon_entropy(outs), frobenius_distance(ms, outs)
 
 
@@ -180,7 +179,8 @@ def uniqueness_sweep(spec: GridSpec, operator, *, exp_scale_tau: float = 1.0,
     """Count distinct rounded outputs over the grid.
 
     ``operator`` is an operator spec (see :func:`make_operator`) or a bare
-    callable; ``workers > 1`` needs it to pickle, which every spec does.
+    callable that, like a spec, maps a (B, n, n) stack to one of the same
+    shape; ``workers > 1`` needs it to pickle, which every spec does.
     Positive-domain operators receive exp_scale(m, exp_scale_tau).
     """
     start, stop = _index_range(spec, start, stop, max_total)
@@ -228,12 +228,12 @@ def tradeoff_sweep(inputs, operator, *, exp_scale_tau: float = 1.0) -> list[dict
     return rows
 
 
-def probe_invariances(operator: Normalizer, trials: int = 10, seed: int = 0, n: int = 4,
-                      tolerance: float = 1e-8) -> dict:
+def probe_invariances(operator: Normalizer, trials: int = 10, seed: int = 0, n: int = 4) -> dict:
     """Empirically test scale invariance and permutation equivariance.
 
     Scale: f(lam m) = f(m) for lam in {0.5, 2, 10}.  Permutation:
-    f(P1 m P2) = P1 f(m) P2 for random permutations.  ``operator`` is an
+    f(P1 m P2) = P1 f(m) P2 for random permutations; no entry may deviate by
+    more than 1e-8, reported as ``tolerance``.  ``operator`` is an
     operator spec (see :func:`make_operator`).  Each trial draws its input
     from the spec's domain (uniform [0.1, 10] when it needs positivity,
     standard normal otherwise), then its row and its column permutation.
@@ -258,11 +258,11 @@ def probe_invariances(operator: Normalizer, trials: int = 10, seed: int = 0, n: 
     permuted = np.arange(trials)[:, None, None], rows[:, :, None], cols[:, None, :]
     perm_devs = np.abs(operator(ms[permuted]) - base[permuted]).max(axis=(-2, -1))
     scale_witness = perm_witness = None
-    if (failing := np.flatnonzero(scale_devs > tolerance)).size:
+    if (failing := np.flatnonzero(scale_devs > _PROBE_TOLERANCE)).size:
         t, k = divmod(failing[0], len(scales))
         scale_witness = {"matrix": ms[t].tolist(), "lam": scales[k],
                          "max_abs_deviation": float(scale_devs[t, k])}
-    if (failing := np.flatnonzero(perm_devs > tolerance)).size:
+    if (failing := np.flatnonzero(perm_devs > _PROBE_TOLERANCE)).size:
         t = failing[0]
         perm_witness = {"matrix": ms[t].tolist(), "row_permutation": rows[t].tolist(),
                         "col_permutation": cols[t].tolist(),
@@ -270,7 +270,7 @@ def probe_invariances(operator: Normalizer, trials: int = 10, seed: int = 0, n: 
     return {
         "operator": operator.name,
         "trials": trials,
-        "tolerance": tolerance,
+        "tolerance": _PROBE_TOLERANCE,
         "scale_invariant": scale_witness is None,
         "permutation_equivariant": perm_witness is None,
         "scale_witness": scale_witness,

@@ -6,6 +6,8 @@ their defaults, checked when the spec is built with the kernel's own
 check; calling a spec applies the operator to one square matrix or
 to each matrix of a (B, n, n) stack, returning the input's shape, and
 ``attend(scores, tau)`` applies it to attention scores at temperature tau.
+:class:`Softmax` and :class:`SinkhornNaive` also have ``vjp(m, upstream)``,
+the gradient of sum(upstream * spec(m)) in one matrix m at their settings.
 A stack is one kernel call for every operator, each matrix to the same
 bits as alone.
 ``needs_positive`` marks operators whose domain is strictly positive
@@ -32,8 +34,9 @@ import numpy as np
 from .birkhoff import ProjectionSettings, project
 from .core import Dsm, as_square
 from .qontot import SIMPLE, CircuitConfig, param_count, simulate_dsm
-from .qr import qr_dsm
-from .sinkhorn import _check_iterations, _check_tau, exp_scale, sinkhorn_naive, sinkhorn_ot
+from .qr import _check_noise_seed, qr_dsm
+from .sinkhorn import (_check_iterations, _check_tau, exp_scale, sinkhorn_naive,
+                       sinkhorn_naive_vjp, sinkhorn_ot)
 
 _DENOM_FLOOR = 1e-6
 
@@ -50,6 +53,16 @@ def _softmax(m: np.ndarray, tau) -> np.ndarray:
         z = (m - m.max(axis=-1, keepdims=True)) / tau
     e = np.exp(z)
     return e / e.sum(axis=-1, keepdims=True)
+
+
+def softmax_vjp(m, tau: float, upstream) -> np.ndarray:
+    """Gradient of sum(upstream * softmax_rows(m, tau)) with respect to m."""
+    upstream = as_square(upstream, "upstream")
+    y = softmax_rows(m, tau)
+    if upstream.shape != y.shape:
+        raise ValueError("upstream must match m in shape")
+    inner = (upstream * y).sum(axis=1, keepdims=True)
+    return y * (upstream - inner) / tau
 
 
 def norm_softmax(m, tau: float = 1.0, power: int = 1) -> np.ndarray:
@@ -87,7 +100,8 @@ class Normalizer:
     settings; it sets the class attributes ``name`` and ``needs_positive``
     and defines ``__call__`` on a matrix or a (B, n, n) stack.  By default
     ``attend`` normalizes the temperature-scaled scores ``scores / tau``, and
-    ``check_temperature`` rejects the temperatures ``attend`` cannot take.
+    ``check_temperature`` rejects the temperatures ``attend`` cannot take.  A
+    differentiable operator also defines ``vjp(m, upstream)``.
     """
 
     name: ClassVar[str]
@@ -123,6 +137,9 @@ class Softmax(Normalizer):
 
     def attend(self, scores, tau):
         return softmax_rows(scores, tau)
+
+    def vjp(self, m, upstream) -> np.ndarray:
+        return softmax_vjp(m, self.tau, upstream)
 
     def check_temperature(self, tau):
         _check_tau(tau)
@@ -173,6 +190,9 @@ class SinkhornNaive(_Sinkhorn):
     def __call__(self, m) -> np.ndarray:
         return sinkhorn_naive(m, self.iterations)
 
+    def vjp(self, m, upstream) -> np.ndarray:
+        return sinkhorn_naive_vjp(m, self.iterations, upstream)
+
 
 @dataclass(frozen=True)
 class SinkhornOT(_Sinkhorn):
@@ -197,6 +217,9 @@ class BirkhoffNormalizer(ProjectionSettings, Normalizer):
 class QrNormalizer(Normalizer):
     name = "qr"
     noise_seed: int | None = None
+
+    def __post_init__(self):
+        _check_noise_seed(self.noise_seed)
 
     def __call__(self, m) -> np.ndarray:
         return _array(qr_dsm(m, self.noise_seed))

@@ -374,9 +374,13 @@ def sample_shots(config: CircuitConfig, theta, m, shots: int, seed: int) -> np.n
     result is left-stochastic (columns sum to one) and deterministic given
     the seed.  Requires shots >= T.
     """
-    t = config.dsm_dim
-    _check_shots(shots, t)
-    exact = simulate_dsm(config, theta, as_square(m)).matrix
+    _check_shots(shots, config.dsm_dim)
+    return _sample_columns(simulate_dsm(config, theta, as_square(m)).matrix, shots, seed)
+
+
+def _sample_columns(exact: np.ndarray, shots: int, seed: int) -> np.ndarray:
+    """:func:`sample_shots`' draws from the exact T x T matrix, shots >= T checked already."""
+    t = len(exact)
     per_col = shots // t
     rng = np.random.default_rng(seed)
     out = np.empty_like(exact)

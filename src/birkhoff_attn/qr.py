@@ -53,6 +53,11 @@ def _mgs(ms: np.ndarray):
     return q, deficient
 
 
+def _check_noise_seed(noise_seed: int | None) -> None:
+    if noise_seed is not None and noise_seed < 0:
+        raise ValueError(f"noise_seed must be >= 0, got {noise_seed}")
+
+
 def qr_orthonormalize(m, noise_seed: int | None = None) -> np.ndarray:
     """Orthogonal Q of a QR factorization with positive diagonal of R.
 
@@ -60,10 +65,12 @@ def qr_orthonormalize(m, noise_seed: int | None = None) -> np.ndarray:
     noise (std 1e-7) drawn from ``noise_seed`` is added to the scaled
     matrix and the sweep restarts, at most five times.  A seed is required as
     soon as that path is taken, so deficiency-free inputs stay exactly
-    reproducible without one.  In a stack, every deficient matrix restarts
-    from its own ``default_rng(noise_seed)``, as it would alone.
+    reproducible without one; a negative seed is rejected up front.  In a
+    stack, every deficient matrix restarts from its own
+    ``default_rng(noise_seed)``, as it would alone.
     """
     m = as_square(m, stack=True)
+    _check_noise_seed(noise_seed)
     ms = m.reshape(-1, *m.shape[-2:])
     _, exponent = np.frexp(np.abs(ms).max(axis=(1, 2)))  # an all-zero matrix stays zero
     ms = np.ldexp(ms, (1 - exponent)[:, None, None])

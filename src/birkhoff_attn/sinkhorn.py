@@ -11,7 +11,8 @@ for kernels spanning hundreds of orders of magnitude.
 
 Every kernel here takes one square matrix or a (B, n, n) stack of them and
 returns an array of the same shape; each matrix of a stack comes out bit for
-bit as it would alone.
+bit as it would alone.  The backward pass, :func:`sinkhorn_naive_vjp`, takes
+one matrix.
 """
 
 from __future__ import annotations
@@ -69,6 +70,29 @@ def sinkhorn_naive(m, k: int) -> np.ndarray:
     for t in range(k):
         out /= out.sum(axis=-2 if t % 2 == 0 else -1, keepdims=True)
     return out
+
+
+def sinkhorn_naive_vjp(m, k: int, upstream) -> np.ndarray:
+    """Gradient of sum(upstream * sinkhorn_naive(m, k)) with respect to m.
+
+    Replays the forward normalizations, then walks them backward: for a
+    column pass with sums s and normalized result p, the pullback of g is
+    (g - sum(g * p, rows)) / s per column, and symmetrically for row passes.
+    """
+    m = as_square(m)
+    upstream = as_square(upstream, "upstream")
+    if upstream.shape != m.shape:
+        raise ValueError("upstream must match m in shape")
+    _check_sinkhorn_args(m, k)
+    steps, out = [], m
+    for t in range(k):  # axis t % 2: columns at even t, rows at odd t
+        sums = out.sum(axis=t % 2, keepdims=True)
+        out = out / sums
+        steps.append((t % 2, sums, out))
+    g = upstream
+    for axis, sums, normalized in reversed(steps):
+        g = (g - (g * normalized).sum(axis=axis, keepdims=True)) / sums
+    return g
 
 
 def _logsumexp(a: np.ndarray, axis: int) -> np.ndarray:

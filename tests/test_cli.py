@@ -18,9 +18,11 @@ from birkhoff_attn import (
     exp_scale,
     grid_total,
     load_matrix_json,
+    sample_shots,
     sinkhorn_naive,
     softmax_rows,
 )
+from birkhoff_attn import qontot
 from birkhoff_attn.cli import _OPERATOR_FLAGS, _build_parser, main
 from birkhoff_attn.expressivity import _SWEEP_CHUNK
 from birkhoff_attn.operators import SPECS, make_operator
@@ -315,7 +317,7 @@ KERNEL_SETTING_CASES = [
 # the CLI's names for the calls that start work; a usage error must come before any
 WORK_ENTRY_POINTS = ("vjp_check", "probe_invariances", "tradeoff_sweep", "bench_circuit",
                      "uniqueness_sweep", "count_brute", "f3_analytic", "decomposition_check",
-                     "sample_shots", "attention_forward", "project", "exp_scale")
+                     "_sample_columns", "attention_forward", "project", "exp_scale")
 
 
 def forbid_work(monkeypatch):
@@ -452,6 +454,20 @@ class TestOperatorFlags:
           *QKV_FLAGS], "max_iterations must be <= 1000000, got 2147483648"),
         (["props", "--op", "birkhoff-project", "--max-iterations", "1000001", "--seed", "0"],
          "max_iterations must be <= 1000000, got 1000001"),
+        # a negative seed is a setting too: props, bench, shots and sweep-unique once failed
+        # in the work, apply and apply-attn passed on a full-rank input, which never reads
+        # qr's seed, and sweep-tradeoff and gradcheck gave numpy's message
+        (["props", "--op", "softmax", "--seed", "-1"], "seed must be >= 0, got -1"),
+        (["bench", "--theta-seed", "-1"], "theta_seed must be >= 0, got -1"),
+        (["shots", "--theta-seed", "0", "--shots", "10", "--seed", "-1"],
+         "seed must be >= 0, got -1"),
+        (["sweep-unique", "--op", "qr", "--seed", "-1", "--n", "2", "--d", "2"],
+         "seed must be >= 0, got -1"),
+        (["apply", "--op", "qr", "--seed", "-1"], "seed must be >= 0, got -1"),
+        (["apply-attn", "--normalizer", "qr", "--seed", "-1", *QKV_FLAGS],
+         "seed must be >= 0, got -1"),
+        (["sweep-tradeoff", "--op", "softmax", "--seed", "-1"], "seed must be >= 0, got -1"),
+        (["gradcheck", "--normalizer", "softmax", "--seed", "-1"], "seed must be >= 0, got -1"),
     ])
     def test_invalid_count_or_setting_fails_before_any_work(self, argv, message, capsys,
                                                              monkeypatch, tmp_path):
@@ -723,6 +739,23 @@ class TestShots:
         sampled = parse_csv(out)
         assert_allclose(sampled.sum(axis=0), np.ones(4), atol=1e-7)
         assert_allclose(sampled.sum(axis=1), np.ones(4), atol=1e-7)
+
+    def test_simulates_the_circuit_once(self, capsys, monkeypatch):
+        # the exact matrix is both the sampling distribution and the metrics' reference
+        calls = []
+        simulate = qontot._simulate
+
+        def spy(config, phi):
+            calls.append(len(phi))
+            return simulate(config, phi)
+
+        monkeypatch.setattr(qontot, "_simulate", spy)
+        code, out, _ = invoke(["shots", "--shots", "400", "--seed", "3", "--theta-seed", "5"],
+                              capsys, monkeypatch, stdin_text=CSV_ID4)
+        assert (code, calls) == (0, [1])
+        circuit = make_operator("qontot", dsm_dim=4, theta_seed=5)
+        want = sample_shots(circuit.config, circuit.theta, np.eye(4), shots=400, seed=3)
+        assert np.array_equal(parse_csv(out), want)
 
     def test_seed_required(self, capsys, monkeypatch):
         code, _, err = invoke(

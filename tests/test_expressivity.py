@@ -237,7 +237,7 @@ class TestUniquenessSweep:
 
     def test_constant_operator_collapses_everything(self):
         spec = GridSpec(n=2, d=2)
-        report = uniqueness_sweep(spec, lambda m: np.eye(2))
+        report = uniqueness_sweep(spec, lambda ms: np.zeros_like(ms) + np.eye(2))
         assert report.unique_outputs == 1
         assert report.count_multiset == [16]
         assert report.residual_stats["min"] >= 0.0
@@ -301,7 +301,7 @@ class TestUniquenessSweep:
 
     def test_entropy_stats_of_known_operator(self):
         spec = GridSpec(n=2, d=2)
-        report = uniqueness_sweep(spec, lambda m: np.full((2, 2), 0.5))
+        report = uniqueness_sweep(spec, lambda ms: np.full(ms.shape, 0.5))
         for key in ("min", "median", "mean", "max"):
             assert report.entropy_stats[key] == pytest.approx(np.log(2))
 
@@ -327,9 +327,17 @@ class TestTradeoffSweep:
                          "residual": float(np.linalg.norm(m - out))})
         assert tradeoff_sweep(inputs, op, exp_scale_tau=0.7) == want
 
-    def test_bare_callable_maps_each_input(self):
+    def test_bare_callable_takes_the_whole_stack(self):
+        # a bare callable is called as a spec is: once per chunk, on its (B, n, n) stack
         inputs = [np.arange(4.0).reshape(2, 2) + k for k in range(3)]
-        rows = tradeoff_sweep(inputs, lambda m: m.T)
+        seen = []
+
+        def transpose(ms):
+            seen.append(ms.shape)
+            return ms.swapaxes(-2, -1)
+
+        rows = tradeoff_sweep(inputs, transpose)
+        assert seen == [(3, 2, 2)]
         assert [r["residual"] for r in rows] == [float(np.linalg.norm(m - m.T)) for m in inputs]
 
     def test_identity_operator_has_zero_residual(self):

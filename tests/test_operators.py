@@ -55,6 +55,11 @@ class TestMakeOperator:
         with pytest.raises(ValueError, match="unexpected settings"):
             make_operator("qr", seed=3)  # the knob is called noise_seed
 
+    def test_qr_rejects_a_negative_seed_when_built(self):
+        with pytest.raises(ValueError, match="noise_seed must be >= 0, got -1"):
+            make_operator("qr", noise_seed=-1)
+        assert make_operator("qr", noise_seed=0).noise_seed == 0
+
     def test_qontot_requires_dsm_dim(self):
         with pytest.raises(TypeError, match="dsm_dim"):
             make_operator("qontot", theta_seed=0)

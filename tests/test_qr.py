@@ -76,6 +76,11 @@ class TestOrthonormalize:
         m = np.random.default_rng(3).standard_normal((4, 4))
         assert np.array_equal(qr_orthonormalize(m), qr_orthonormalize(m, noise_seed=123))
 
+    def test_negative_seed_is_rejected_even_on_the_full_rank_path(self):
+        m = np.random.default_rng(3).standard_normal((4, 4))
+        with pytest.raises(ValueError, match="noise_seed must be >= 0, got -1"):
+            qr_orthonormalize(m, noise_seed=-1)
+
 
 class TestQrDsm:
     def test_output_is_doubly_stochastic(self):

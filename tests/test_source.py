@@ -1,8 +1,11 @@
 """Static checks on the source: no dead module-level private name, no scipy import,
-and test oracles that share no code with the package."""
+test oracles that share no code with the package, and operator names spelled only in
+the operator table."""
 
 import ast
 from pathlib import Path
+
+from birkhoff_attn import OPERATOR_NAMES
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "birkhoff_attn"
 ORACLES = Path(__file__).resolve().parent / "oracles.py"
@@ -156,3 +159,40 @@ def test_the_check_finds_a_helper_reached_through_another():
             "def decomposition_check(): return _census()\n"
             "def _census(): pass\n")
     assert reached(text, ["count_brute", "_completions"]) == {"_step", "_merge", "_rows"}
+
+
+def name_literals(sources: dict[str, str], names) -> list[str]:
+    """``module: literal`` of each string constant in a source equal to one of ``names``.
+
+    Docstrings (bare string statements) and pieces of f-strings do not count,
+    nor do longer strings that merely mention a name.
+    """
+    found = []
+    for module, text in sources.items():
+        tree = ast.parse(text)
+        skip = {id(node.value) for node in ast.walk(tree) if isinstance(node, ast.Expr)}
+        skip |= {id(part) for node in ast.walk(tree) if isinstance(node, ast.JoinedStr)
+                 for part in node.values}
+        found += [f"{module}: {node.value}" for node in ast.walk(tree)
+                  if isinstance(node, ast.Constant) and id(node) not in skip
+                  and isinstance(node.value, str) and node.value in names]
+    return sorted(found)
+
+
+def test_only_the_operator_table_spells_an_operator_name():
+    # every other module names an operator through its spec (or SPECS), so a
+    # renamed or added operator is edited in operators.py alone
+    sources = {path.stem: path.read_text() for path in sorted(SRC.glob("*.py"))
+               if path.stem != "operators"}
+    assert len(sources) > 1
+    assert name_literals(sources, OPERATOR_NAMES) == []
+
+
+def test_the_check_finds_operator_name_literals():
+    sources = {
+        "a": '"""Uses qr."""\nNAMES = ("qr", "softmax")\nHELP = "the qr operator"\n',
+        "b": 'def f(name):\n    """qr"""\n    return name == "qr" or {"qr": 1}\n',
+        "c": 'x = f"{1}qr"\n"qr"\nclass C:\n    name = "softmax"\n',
+    }
+    assert name_literals(sources, ("qr", "softmax")) == [
+        "a: qr", "a: softmax", "b: qr", "b: qr", "c: softmax"]
