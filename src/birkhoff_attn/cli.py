@@ -8,17 +8,16 @@ success; 1 on a usage error (a bad flag, config value, input or setting),
 reported as ``error: ...``; 2 on a failure during computation, which echoes
 the failing input matrix as JSON on stderr.  Handlers build their inputs
 and operator specs, and check every other setting, inside ``_inputs``
-before any work starts; :func:`main` picks every exit code.  Size and
-iteration flags have ceilings (``_CEILINGS``), checked with the settings on
-every subcommand that takes them: --n 256, --trials 1000, --reps 1000, --k
-10000 and --max-iterations 1000000.  --layers has the circuit's own, 1024,
-and count's --n and --p the counting budget.  --seed and --theta-seed must
-not be negative.
+before any work starts; :func:`main` picks every exit code.  The size,
+iteration, seed and worker flags have the bounds of ``_BOUNDS``, checked
+with the settings on every subcommand that takes them.  --layers has the
+circuit's own, and count's --n and --p the counting budget.
 
 The parser holds each flag's type, choices and default.  A flat key=value
 file given by --config supplies the subcommand's defaults, checked as the
-flags are; explicit flags win, and a key no subcommand declares is a usage
-error.  sweep-unique's --workers falls back to the BIRKHOFF_ATTN_WORKERS
+flags are; explicit flags win, and a key that names no flag of any
+subcommand (``help`` and ``config`` among them) is a usage error.
+sweep-unique's --workers falls back to the BIRKHOFF_ATTN_WORKERS
 environment variable and then the CPU count.  Every randomized code path
 requires an explicit seed, so identical invocations produce byte-identical
 output regardless of worker count (bench wall-times excepted).
@@ -46,7 +45,6 @@ from .core import (
     load_table_csv,
     matrix_record,
     save_matrix_csv,
-    save_matrix_json,
     spearman_rho,
 )
 from .counting import _check_sizes, count_brute, decomposition_check, f3_analytic
@@ -54,16 +52,21 @@ from .expressivity import (GridSpec, _index_range, probe_invariances, tradeoff_s
                            uniqueness_sweep)
 from .operators import OPERATOR_NAMES, SPECS, Normalizer, QontotNormalizer, make_operator
 from .qontot import ANSATZES, SIMPLE, CircuitConfig, _check_shots, _sample_columns, bench_circuit
-from .sinkhorn import _check_tau, exp_scale
+from .sinkhorn import exp_scale
 
 _FULL_GATE = 1 << 20  # sweep windows of more inputs than this need --full
 _MAX_TOTAL = 1 << 48  # sweep-unique's runaway guard on the grid size
-# ceilings checked before any work: the sizes --n (a gradcheck trial steps
-# n^3 floats; 256 is the widest size the benchmark runs), --trials and bench's
-# --reps (qontot caps --layers itself), and, with the operator's settings, a
-# sinkhorn pass count --k and the projection budget --max-iterations, ten
-# times its default, spent in full on an input that never converges
-_CEILINGS = {"n": 256, "trials": 1000, "reps": 1000, "k": 10_000, "max_iterations": 1_000_000}
+# (least, greatest) of each bounded flag, None for an open side, checked before
+# any work: the sizes --n (a gradcheck trial steps n^3 floats; 256 is the widest
+# size the benchmark runs), --trials and bench's --reps (qontot caps --layers);
+# a sinkhorn pass count --k and the projection budget --max-iterations, ten
+# times its default (their specs check both floors); the seeds, as default_rng
+# takes no negative one; and the worker count
+_BOUNDS = {
+    "n": (1, 256), "trials": (1, 1000), "reps": (1, 1000),
+    "k": (None, 10_000), "max_iterations": (None, 1_000_000),
+    "seed": (0, None), "theta_seed": (0, None), "workers": (1, None),
+}
 
 
 class _Usage(Exception):
@@ -77,8 +80,7 @@ def _print_matrix(m: np.ndarray, fmt: str) -> None:
     if m.shape[0] != m.shape[1]:
         raise _Usage(f"JSON output holds square matrices only; the {m.shape[0]}x{m.shape[1]} "
                      "result needs --format csv")
-    save_matrix_json(sys.stdout, m)
-    sys.stdout.write("\n")
+    _emit(matrix_record(as_square(m)))
 
 
 def _emit(record: dict, stream=None) -> None:
@@ -125,6 +127,7 @@ def _config_defaults(commands: argparse.Action, command: str, path: str) -> dict
     """
     actions = {action.dest: action for action in commands.choices[command]._actions}
     known = {action.dest for sub in commands.choices.values() for action in sub._actions}
+    known -= {"help", "config"}  # the help action and --config itself are no keys
     with _inputs(path), open(path) as fh:
         lines = [line.strip() for line in fh]
     out = {}
@@ -135,10 +138,9 @@ def _config_defaults(commands: argparse.Action, command: str, path: str) -> dict
             raise _Usage(f"bad config line (want key=value): {line!r}")
         key, _, text = line.partition("=")
         key, text = key.strip().replace("-", "_"), text.strip()
-        action = actions.get(key)
-        if action is None:
-            if key not in known:
-                raise _Usage(f"config key {key!r} names no flag of any subcommand")
+        if key not in known:
+            raise _Usage(f"config key {key!r} names no flag of any subcommand")
+        if (action := actions.get(key)) is None:  # another subcommand's flag
             continue
         try:
             if action.const is True:  # a store_true switch; false counts as unset
@@ -171,44 +173,33 @@ def _int_list(text: str) -> list[int]:
     return values
 
 
-def _req(args, name: str):
-    value = getattr(args, name)
-    if value is None:
-        raise _Usage(f"--{name.replace('_', '-')} is required here")
-    return value
-
-
-def _sizes(args, *names) -> None:
-    """Check that each named size flag is set, at least 1 and at most its ceiling."""
-    for name in names:
-        if (value := _req(args, name)) < 1:
-            raise _Usage(f"{name} must be >= 1, got {value}")
-        _limit(args, name)
-
-
-def _limit(args, name: str) -> None:
-    """Reject flag ``name`` set above its ceiling, or a negative seed, which default_rng refuses."""
+def _flag(args, name: str, required: bool = True, bounded: bool = True):
+    """Flag ``name``, in its ``_BOUNDS`` if ``bounded``; unset: None, or an error if required."""
     value = getattr(args, name, None)
-    if name in _CEILINGS and value is not None and value > _CEILINGS[name]:
-        raise _Usage(f"{name} must be <= {_CEILINGS[name]}, got {value}")
-    if name in ("seed", "theta_seed") and value is not None and value < 0:
-        raise _Usage(f"{name} must be >= 0, got {value}")
+    if value is None:
+        if required:
+            raise _Usage(f"--{name.replace('_', '-')} is required here")
+        return None
+    least, greatest = _BOUNDS.get(name, (None, None)) if bounded else (None, None)
+    if least is not None and value < least:
+        raise _Usage(f"{name} must be >= {least}, got {value}")
+    if greatest is not None and value > greatest:
+        raise _Usage(f"{name} must be <= {greatest}, got {value}")
+    return value
 
 
 def _workers(args) -> int:
-    value = args.workers
-    if value is None:
+    """--workers, else BIRKHOFF_ATTN_WORKERS, else the CPU count; bounded as the flag is."""
+    if args.workers is None:
         env = os.environ.get("BIRKHOFF_ATTN_WORKERS")
         if env is not None:
             try:
-                value = int(env)
+                args.workers = int(env)
             except ValueError as exc:
                 raise _Usage(f"bad BIRKHOFF_ATTN_WORKERS value {env!r}") from exc
         else:
-            value = os.cpu_count() or 1
-    if value < 1:
-        raise _Usage(f"workers must be >= 1, got {value}")
-    return value
+            args.workers = os.cpu_count() or 1
+    return _flag(args, "workers")
 
 
 # --- the operator spec of every subcommand that names an operator -----------
@@ -249,10 +240,10 @@ def _operator(args, name: str, dsm_dim: int, reads_seed: bool = False,
     and any other operator flag is a usage error.  ``reads_seed`` marks a
     handler that takes --seed for its own draws, ``scales`` one that feeds a
     positive-domain operator (the only kind that takes --exp-scale)
-    exp_scale(m, --tau), whose temperature is checked here.  qontot takes its
-    size from ``dsm_dim`` and its parameters from exactly one of --theta-seed
-    / --theta-file.  Call it inside ``_inputs``, so bad settings are usage
-    errors.
+    exp_scale(m, --tau), whose temperature the spec's ``check_temperature``
+    checks here.  qontot takes its size from ``dsm_dim`` and its parameters
+    from exactly one of --theta-seed / --theta-file.  Call it inside
+    ``_inputs``, so bad settings are usage errors.
     """
     if name not in SPECS:
         raise _Usage(f"unknown operator {name!r} (choose from {', '.join(OPERATOR_NAMES)})")
@@ -268,11 +259,11 @@ def _operator(args, name: str, dsm_dim: int, reads_seed: bool = False,
     if stray:
         raise _Usage(f"operator {name!r} takes no {', '.join(stray)}")
     for dest in _OPERATOR_FLAGS:
-        _limit(args, dest)
+        _flag(args, dest, required=False)
     settings = {key: value for dest, (key, _) in _OPERATOR_FLAGS.items()
                 if key in init and (value := getattr(args, dest, None)) is not None}
     if "noise_seed" in init:
-        settings["noise_seed"] = _req(args, "seed")
+        settings["noise_seed"] = _flag(args, "seed")
     if "theta" in init:
         if (args.theta_file is None) == (args.theta_seed is None):
             raise _Usage(f"{name} needs exactly one of --theta-seed / --theta-file")
@@ -281,7 +272,7 @@ def _operator(args, name: str, dsm_dim: int, reads_seed: bool = False,
         settings["dsm_dim"] = dsm_dim
     op = make_operator(name, **settings)
     if scales and op.needs_positive:
-        _check_tau(_tau(args))
+        op.check_temperature(_tau(args))
     return op
 
 
@@ -289,7 +280,7 @@ def _operator(args, name: str, dsm_dim: int, reads_seed: bool = False,
 # A handler with an input matrix records it as args.echo, for main to echo on a numerical failure.
 
 def _cmd_apply(args) -> int:
-    name = _req(args, "op")
+    name = _flag(args, "op")
     m = _read_matrix(args.input)
     with _inputs():
         op = _operator(args, name, m.shape[0], scales=args.exp_scale)
@@ -303,10 +294,10 @@ def _cmd_apply(args) -> int:
 
 
 def _cmd_apply_attn(args) -> int:
-    name = _req(args, "normalizer")
-    qm = _load_table(_req(args, "q_file"))
-    km = _load_table(_req(args, "key_file"))
-    vm = _load_table(_req(args, "value_file"))
+    name = _flag(args, "normalizer")
+    qm = _load_table(_flag(args, "q_file"))
+    km = _load_table(_flag(args, "key_file"))
+    vm = _load_table(_flag(args, "value_file"))
     with _inputs():
         config = AttentionConfig(normalizer=_operator(args, name, qm.shape[0]),
                                  temperature=args.temperature)
@@ -318,14 +309,13 @@ def _cmd_apply_attn(args) -> int:
 
 
 def _cmd_sweep_unique(args) -> int:
-    _sizes(args, "n")
     with _inputs():
-        spec = GridSpec(n=args.n, d=_req(args, "d"), domain=args.domain,
+        spec = GridSpec(n=_flag(args, "n"), d=_flag(args, "d"), domain=args.domain,
                         rounding_decimals=args.rounding_decimals)
         start, stop = _index_range(spec, args.start, args.stop, _MAX_TOTAL)
         if stop - start > _FULL_GATE and not args.full:
             raise _Usage(f"sweep covers {stop - start} inputs; pass --full to confirm")
-        name = _req(args, "op")
+        name = _flag(args, "op")
         op = _operator(args, name, spec.n, scales=True)
     report = uniqueness_sweep(spec, op, exp_scale_tau=_tau(args), workers=_workers(args),
                               start=start, stop=stop, max_total=_MAX_TOTAL)
@@ -334,13 +324,12 @@ def _cmd_sweep_unique(args) -> int:
 
 
 def _cmd_sweep_tradeoff(args) -> int:
-    name = _req(args, "op")
-    _sizes(args, "n", "trials")
-    _limit(args, "seed")
+    name = _flag(args, "op")
+    n, trials = _flag(args, "n"), _flag(args, "trials")
     with _inputs():
-        rng = np.random.default_rng(_req(args, "seed"))
-        op = _operator(args, name, args.n, reads_seed=True, scales=True)
-        inputs = rng.standard_normal((args.trials, args.n, args.n))
+        rng = np.random.default_rng(_flag(args, "seed"))
+        op = _operator(args, name, n, reads_seed=True, scales=True)
+        inputs = rng.standard_normal((trials, n, n))
     rows = tradeoff_sweep(inputs, op, exp_scale_tau=_tau(args))
     sys.stdout.write("index,entropy,residual\n")
     for i, row in enumerate(rows):
@@ -349,17 +338,17 @@ def _cmd_sweep_tradeoff(args) -> int:
 
 
 def _cmd_props(args) -> int:
-    name = _req(args, "op")
-    _sizes(args, "n", "trials")
+    name = _flag(args, "op")
+    n, trials = _flag(args, "n"), _flag(args, "trials")
     with _inputs():
-        op = _operator(args, name, args.n, reads_seed=True)
-    _emit(probe_invariances(op, trials=args.trials, seed=_req(args, "seed"), n=args.n))
+        op = _operator(args, name, n, reads_seed=True)
+    _emit(probe_invariances(op, trials=trials, seed=_flag(args, "seed"), n=n))
     return 0
 
 
 def _cmd_count(args) -> int:
-    n = _req(args, "n")
-    p = _req(args, "p")
+    n = _flag(args, "n", bounded=False)  # the counting budget bounds it
+    p = _flag(args, "p")
     if args.mode == "analytic" and n != 3:
         raise _Usage("--mode analytic is only available for n = 3")
     with _inputs():
@@ -376,8 +365,8 @@ def _cmd_shots(args) -> int:
     m = _read_matrix(args.input)
     with _inputs():
         circuit = _operator(args, QontotNormalizer.name, m.shape[0], reads_seed=True)
-        shots = _req(args, "shots")
-        seed = _req(args, "seed")
+        shots = _flag(args, "shots")
+        seed = _flag(args, "seed")
         _check_shots(shots, circuit.config.dsm_dim)
     args.echo = m
     exact = circuit(m)
@@ -394,15 +383,14 @@ def _cmd_shots(args) -> int:
 
 
 def _cmd_bench(args) -> int:
-    _sizes(args, "reps")
-    _limit(args, "theta_seed")
+    reps, theta_seed = _flag(args, "reps"), _flag(args, "theta_seed")
     with _inputs():
         configs = [
             CircuitConfig(dsm_dim=args.dsm_dim, aux_qubits=a, layers=l, ansatz=args.ansatz)
             for l in args.layers
             for a in args.aux_qubits
         ]
-    rows = bench_circuit(configs, reps=args.reps, theta_seed=args.theta_seed)
+    rows = bench_circuit(configs, reps=reps, theta_seed=theta_seed)
     sys.stdout.write("layers,qubits,median_seconds\n")
     for row in rows:
         sys.stdout.write(f"{row['layers']},{row['qubits']},{row['median_seconds']:.9f}\n")
@@ -410,14 +398,14 @@ def _cmd_bench(args) -> int:
 
 
 def _cmd_gradcheck(args) -> int:
-    name = _req(args, "normalizer")
-    _sizes(args, "n", "trials")
+    name = _flag(args, "normalizer")
+    n, trials = _flag(args, "n"), _flag(args, "trials")
     with _inputs():
-        op = _operator(args, name, args.n, reads_seed=True)
+        op = _operator(args, name, n, reads_seed=True)
     if args.k is None and hasattr(op, "iterations"):
         op = replace(op, iterations=3)  # gradcheck's own default pass count
-    error = vjp_check(op, n=args.n, trials=args.trials, seed=_req(args, "seed"))
-    _emit({"normalizer": name, "trials": args.trials, "max_relative_error": error})
+    error = vjp_check(op, n=n, trials=trials, seed=_flag(args, "seed"))
+    _emit({"normalizer": name, "trials": trials, "max_relative_error": error})
     return 0
 
 

@@ -23,7 +23,7 @@ from birkhoff_attn import (
     softmax_rows,
 )
 from birkhoff_attn import qontot
-from birkhoff_attn.cli import _OPERATOR_FLAGS, _build_parser, main
+from birkhoff_attn.cli import _BOUNDS, _OPERATOR_FLAGS, _build_parser, main
 from birkhoff_attn.expressivity import _SWEEP_CHUNK
 from birkhoff_attn.operators import SPECS, make_operator
 
@@ -1155,6 +1155,50 @@ def test_config_key_naming_no_flag_of_any_subcommand_is_usage_error(capsys, monk
     forbid_work(monkeypatch)
     assert invoke(["props", "--op", "qr", "--seed", "0", "--config", str(config)], capsys) == (
         1, "", "error: config key 'trails' names no flag of any subcommand\n")
+
+
+@pytest.mark.parametrize("key", ["help", "config"])
+def test_help_and_config_are_no_config_keys(key, capsys, monkeypatch, tmp_path):
+    config = tmp_path / "self.cfg"
+    config.write_text(f"{key}={'true' if key == 'help' else 'other.cfg'}\n")
+    forbid_work(monkeypatch)
+    assert invoke(["apply", "--op", "softmax", "--config", str(config)], capsys, monkeypatch,
+                  stdin_text=CSV_2X2) == (
+        1, "", f"error: config key {key!r} names no flag of any subcommand\n")
+
+
+# per bounded flag, a run of a subcommand that reads it, with the stdin it reads
+BOUNDED_RUNS = {
+    "n": (["props", "--op", "softmax", "--seed", "0"], None),
+    "trials": (["gradcheck", "--normalizer", "softmax", "--seed", "0"], None),
+    "reps": (["bench", "--layers", "1"], None),
+    "k": (["apply", "--op", "sinkhorn-naive"], CSV_POS4),
+    "max_iterations": (["apply-attn", "--normalizer", "birkhoff-project", *QKV_FLAGS], None),
+    "seed": (["sweep-tradeoff", "--op", "softmax"], None),
+    "theta_seed": (["shots", "--shots", "10", "--seed", "0"], CSV_ID4),
+    "workers": (["sweep-unique", "--op", "softmax", "--n", "2", "--d", "2"], None),
+}
+
+
+@pytest.mark.parametrize("name, value", [
+    (name, bound + step) for name, bounds in _BOUNDS.items()
+    for step, bound in zip((-1, 1), bounds) if bound is not None])
+def test_config_value_past_a_bound_fails_as_the_flag_does(name, value, capsys, monkeypatch,
+                                                          tmp_path):
+    monkeypatch.chdir(tmp_path)
+    write_qkv(tmp_path)
+    forbid_work(monkeypatch)
+    argv, stdin_text = BOUNDED_RUNS[name]
+    config = tmp_path / "bounds.cfg"
+    config.write_text(f"{name}={value}\n")
+    by_flag = invoke([*argv, f"--{name.replace('_', '-')}", str(value)], capsys, monkeypatch,
+                     stdin_text=stdin_text or "")
+    by_config = invoke([*argv, "--config", str(config)], capsys, monkeypatch,
+                       stdin_text=stdin_text or "")
+    assert by_config == by_flag
+    code, out, err = by_config
+    assert (code, out) == (1, "")
+    assert err.startswith(f"error: {name} must be ") and err.count("\n") == 1
 
 
 def run_cli(argv, stdin_text="", returncode=0, **env_overrides):
