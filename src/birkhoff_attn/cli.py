@@ -110,10 +110,7 @@ def _read_matrix(path: str) -> np.ndarray:
 def _load_table(path: str) -> np.ndarray:
     # CSV operands (T x d for Q/K/V, a flat theta) need not be square.
     with _inputs(path):
-        out = load_table_csv(path)
-    if not np.all(np.isfinite(out)):
-        raise _Usage(f"{path} contains NaN or inf")
-    return out
+        return load_table_csv(path)
 
 
 # --- --config: file values become the subcommand's defaults -----------------

@@ -249,14 +249,27 @@ def spearman_rho(a, b) -> float:
 # ---------------------------------------------------------------------------
 # matrix serialization: CSV (one row per line) and JSON ({"n": .., "data": ..})
 
+def _read_text(source) -> str:
+    """The whole text of a path or a readable text stream: every loader's one read."""
+    if hasattr(source, "read"):
+        return source.read()
+    with open(source) as fh:
+        return fh.read()
+
+
 def load_table_csv(path) -> np.ndarray:
-    """A float64 2-D table from CSV, one row per line, of any shape; empty input is rejected."""
+    """A finite float64 2-D table of any shape from CSV, one row per line; empty input fails."""
+    text = _read_text(path)
+    if not text.strip():
+        raise ValueError("empty matrix input")
     with warnings.catch_warnings():
-        # an empty input is reported below as an error, not as numpy's warning
+        # input of comments alone is reported below as an error, not as numpy's warning
         warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
-        out = np.loadtxt(path, delimiter=",", ndmin=2, dtype=np.float64)
+        out = np.loadtxt(io.StringIO(text), delimiter=",", ndmin=2, dtype=np.float64)
     if out.size == 0:
         raise ValueError("empty matrix input")
+    if not np.isfinite(out).all():
+        raise ValueError("matrix contains non-finite entries")
     return out
 
 
@@ -273,11 +286,7 @@ def save_matrix_csv(path, m) -> None:
 
 
 def load_matrix_json(path) -> np.ndarray:
-    if hasattr(path, "read"):
-        obj = json.load(path)
-    else:
-        with open(path) as fh:
-            obj = json.load(fh)
+    obj = json.loads(_read_text(path))
     try:
         n = obj["n"]
         data = obj["data"]
@@ -321,16 +330,9 @@ def save_matrix_json(path, m) -> None:
 def load_matrix(path) -> np.ndarray:
     """Load a square matrix from a path or a readable text stream.
 
-    The format is inferred: JSON for a path ending in ".json" or a stream
-    whose first non-blank character is "{", else CSV.  A stream holding only
-    whitespace is rejected.
+    The text is JSON when its first non-blank character is "{", else CSV;
+    blank text is rejected as empty.
     """
-    if hasattr(path, "read"):
-        text = path.read()
-        if not text.strip():
-            raise ValueError("empty matrix input")
-        json_input = text.lstrip().startswith("{")
-        path = io.StringIO(text)
-    else:
-        json_input = str(path).endswith(".json")
-    return load_matrix_json(path) if json_input else load_matrix_csv(path)
+    text = _read_text(path)
+    json_input = text.lstrip().startswith("{")
+    return (load_matrix_json if json_input else load_matrix_csv)(io.StringIO(text))

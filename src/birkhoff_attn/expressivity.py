@@ -197,7 +197,7 @@ def uniqueness_sweep(spec: GridSpec, operator, *, exp_scale_tau: float = 1.0,
     if workers > 1 and len(tasks) > 1:
         import multiprocessing
 
-        with multiprocessing.get_context("fork").Pool(workers) as pool:
+        with multiprocessing.get_context("fork").Pool(min(workers, len(tasks))) as pool:
             results = pool.starmap(_sweep_chunk, tasks)
     else:
         results = [_sweep_chunk(*task) for task in tasks]

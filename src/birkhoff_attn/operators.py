@@ -33,7 +33,7 @@ import numpy as np
 
 from .birkhoff import ProjectionSettings, project
 from .core import Dsm, as_square
-from .qontot import SIMPLE, CircuitConfig, param_count, simulate_dsm
+from .qontot import CircuitConfig, param_count, simulate_dsm
 from .qr import _check_noise_seed, qr_dsm
 from .sinkhorn import (_check_iterations, _check_tau, exp_scale, sinkhorn_naive,
                        sinkhorn_naive_vjp, sinkhorn_ot)
@@ -231,18 +231,15 @@ def qontot_theta(config: CircuitConfig, theta_seed: int) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class QontotNormalizer(Normalizer):
+class QontotNormalizer(CircuitConfig, Normalizer):
     """Simulated circuit: the CircuitConfig fields, and theta, one angle per circuit parameter.
 
-    ``config`` is built from the circuit fields.  A missing theta is drawn by
-    :func:`qontot_theta` from ``theta_seed``; an explicit theta wins.
+    ``config`` is a plain CircuitConfig built from the circuit fields.  A
+    missing theta is drawn by :func:`qontot_theta` from ``theta_seed``; an
+    explicit theta wins.
     """
 
     name = "qontot"
-    dsm_dim: int
-    aux_qubits: int = 0
-    layers: int = 1
-    ansatz: str = SIMPLE
     theta: np.ndarray | None = None
     theta_seed: int | None = None
     config: CircuitConfig = field(init=False, repr=False)

@@ -3,15 +3,15 @@
 Squaring the entries of an orthogonal matrix gives row and column sums of
 exactly one (each row and column is a unit vector), so Q from a QR
 factorization yields a doubly stochastic matrix for free.  Q is computed by
-modified Gram-Schmidt; the diagonal of R is a column norm and therefore
-already non-negative, which fixes the sign convention.  Rank-deficient input
-is handled by perturbing the matrix with small seeded Gaussian noise and
-restarting.  Each matrix is first scaled by a power of two to a largest
-|entry| in [1, 2), which leaves Q unchanged and is exact unless an entry
-turns subnormal, so the pivot floor and the noise act at the input's own
-scale and no pivot overflows.  Both functions take one matrix or a
-(B, n, n) stack, and each matrix of a stack comes out bit for bit as it
-would alone.
+classical Gram-Schmidt with reorthogonalization (CGS2); the diagonal of R
+is a column norm and therefore already non-negative, which fixes the sign
+convention.  Rank-deficient input is handled by perturbing the matrix with
+small seeded Gaussian noise and restarting.  Each matrix is first scaled by
+a power of two to a largest |entry| in [1, 2), which leaves Q unchanged and
+is exact unless an entry turns subnormal, so the pivot floor and the noise
+act at the input's own scale and no pivot overflows.  Both functions take
+one matrix or a (B, n, n) stack, and each matrix of a stack comes out bit
+for bit as it would alone.
 """
 
 from __future__ import annotations
@@ -23,19 +23,19 @@ from .core import Dsm, as_dsm, as_square
 _PIVOT_FLOOR = 1e-10   # residual column norm below this counts as rank deficiency
 _NOISE_STD = 1e-7      # std of the entrywise restart perturbation
 _MAX_RESTARTS = 5
-_VALIDATION = 1e-9     # as_dsm tolerance of qr_dsm's output
 
 
-def _mgs(ms: np.ndarray):
-    """Modified Gram-Schmidt on a (B, n, n) stack: Q and a (B,) flag of collapsed pivots.
+def _gram_schmidt(ms: np.ndarray):
+    """Classical Gram-Schmidt on a (B, n, n) stack: Q and a (B,) flag of collapsed pivots.
 
     A matrix is flagged when any of its pivots fell below the floor (a later
     NaN pivot compares False); its Q is garbage.  Every 8th column the sweep
     stops if all matrices are flagged, as a low-rank score matrix is; a test
     at every column cost about 5% of a full-rank 256 x 256 sweep.  Each
-    column is orthogonalized twice, which keeps Q'Q near machine precision
-    when a residual barely clears the floor.  Columns stay (n, 1) slices and
-    the pivot is sqrt(v'v), so each matrix gets its bits alone.
+    column subtracts its projection on all earlier columns at once, and does
+    so twice (CGS2), which keeps Q'Q near machine precision when a residual
+    barely clears the floor.  Columns stay (n, 1) slices and the pivot is
+    sqrt(v'v), so each matrix gets its bits alone.
     """
     q = np.zeros_like(ms)
     pivots = np.empty(ms.shape[:2])  # pivots[b, j]: the pivot of column j of matrix b
@@ -75,14 +75,15 @@ def qr_orthonormalize(m, noise_seed: int | None = None) -> np.ndarray:
     ms = m.reshape(-1, *m.shape[-2:])
     _, exponent = np.frexp(np.abs(ms).max(axis=(1, 2)))  # an all-zero matrix stays zero
     ms = np.ldexp(ms, (1 - exponent)[:, None, None])
-    q, deficient = _mgs(ms)
+    q, deficient = _gram_schmidt(ms)
     if deficient.any():
         if noise_seed is None:
             raise ValueError("input is rank deficient; a noise_seed is required")
         rng = np.random.default_rng(noise_seed)
         todo = np.flatnonzero(deficient)
         for _ in range(_MAX_RESTARTS):
-            retry, deficient = _mgs(ms[todo] + rng.normal(0.0, _NOISE_STD, size=m.shape[-2:]))
+            noise = rng.normal(0.0, _NOISE_STD, size=m.shape[-2:])
+            retry, deficient = _gram_schmidt(ms[todo] + noise)
             q[todo[~deficient]] = retry[~deficient]
             todo = todo[deficient]
             if not todo.size:
@@ -98,4 +99,4 @@ def qr_dsm(m, noise_seed: int | None = None) -> Dsm | np.ndarray:
     A :class:`Dsm` for one matrix; for a stack, the validated array, or the
     first failing matrix's error.
     """
-    return as_dsm(qr_orthonormalize(m, noise_seed) ** 2, _VALIDATION)
+    return as_dsm(qr_orthonormalize(m, noise_seed) ** 2)

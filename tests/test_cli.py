@@ -105,6 +105,14 @@ class TestApply:
         assert code == 0
         assert_allclose(parse_csv(out), np.array([[2, 1], [1, 2]]) / 3.0, atol=1e-9)
 
+    def test_json_input_sniffed_from_a_file_of_any_name(self, capsys, monkeypatch, tmp_path):
+        payload = json.dumps({"n": 2, "data": [2.0, 1.0, 1.0, 2.0]})
+        (tmp_path / "m.txt").write_text(payload)
+        argv = ["apply", "--op", "sinkhorn-naive"]
+        from_stdin = invoke(argv, capsys, monkeypatch, stdin_text=payload)
+        assert from_stdin[0] == 0
+        assert invoke(argv + ["--input", str(tmp_path / "m.txt")], capsys) == from_stdin
+
     def test_exp_scale_flag(self, capsys, monkeypatch):
         m = np.array([[1.0, -1.0], [0.0, 2.0]])
         code, out, _ = invoke(
@@ -615,7 +623,8 @@ class TestUsageErrors:
         (tmp_path / "theta.csv").write_text("0.5,nan,0.25\n")
         code, out, err = invoke(["apply", "--op", "qontot", "--theta-file", "theta.csv"],
                                 capsys, monkeypatch, stdin_text=CSV_ID4)
-        assert (code, out, err) == (1, "", "error: theta.csv contains NaN or inf\n")
+        assert (code, out, err) == (
+            1, "", "error: theta.csv: matrix contains non-finite entries\n")
 
     @pytest.mark.parametrize("argv, stdin_text, source, message", [
         (["apply", "--op", "softmax"], "1,2\n3,4,5\n", "stdin", "number of columns"),
@@ -627,29 +636,41 @@ class TestUsageErrors:
         (["apply", "--op", "softmax"], '{"n": 1, "data": {"a": 1}}', "stdin",
          "'data' must be a list"),
         (["apply", "--op", "softmax"], " \n", "stdin", "empty matrix input"),
-        (["apply", "--op", "softmax", "--input", "missing.csv"], None, "missing.csv", "not found"),
+        (["apply", "--op", "softmax", "--input", "missing.csv"], None, "missing.csv",
+         "No such file"),
         (["apply-attn", "--normalizer", "softmax", "--q-file", "q.csv", "--key-file",
           "ragged.csv", "--value-file", "v.csv"], None, "ragged.csv", "number of columns"),
         (["apply-attn", "--normalizer", "softmax", "--q-file", "q.csv", "--key-file",
-          "missing.csv", "--value-file", "v.csv"], None, "missing.csv", "not found"),
+          "missing.csv", "--value-file", "v.csv"], None, "missing.csv", "No such file"),
         (["apply", "--op", "qontot", "--theta-file", "missing.csv"], CSV_ID4, "missing.csv",
-         "not found"),
+         "No such file"),
         (["count", "--n", "3", "--p", "2", "--config", "missing.cfg"], None, "missing.cfg",
          "No such file"),
         (["apply", "--op", "softmax", "--input", "empty.csv"], None, "empty.csv",
          "empty matrix input"),
         (["apply-attn", "--normalizer", "softmax", "--q-file", "empty.csv", "--key-file",
           "k.csv", "--value-file", "v.csv"], None, "empty.csv", "empty matrix input"),
+        (["apply", "--op", "softmax", "--input", "blank.csv"], None, "blank.csv",
+         "empty matrix input"),
+        (["apply", "--op", "softmax", "--input", "empty.json"], None, "empty.json",
+         "empty matrix input"),
+        (["apply-attn", "--normalizer", "softmax", "--q-file", "nan.csv", "--key-file",
+          "k.csv", "--value-file", "v.csv"], None, "nan.csv",
+         "matrix contains non-finite entries"),
     ], ids=["ragged-stdin", "non-square-stdin", "json-without-data", "json-int-data",
             "json-null-data", "json-object-data", "empty-stdin",
             "missing-input", "ragged-key-file", "missing-key-file", "missing-theta-file",
-            "missing-config", "empty-input-file", "empty-q-file"])
+            "missing-config", "empty-input-file", "empty-q-file", "blank-input-file",
+            "empty-json-file", "non-finite-q-file"])
     def test_unreadable_input_names_its_source(self, argv, stdin_text, source, message,
                                                 capsys, monkeypatch, tmp_path):
         monkeypatch.chdir(tmp_path)
         write_qkv(tmp_path)
         (tmp_path / "ragged.csv").write_text("1,2,3\n4,5\n1,2,3\n")
         (tmp_path / "empty.csv").write_text("")
+        (tmp_path / "empty.json").write_text("")
+        (tmp_path / "blank.csv").write_text("  \n \n")
+        (tmp_path / "nan.csv").write_text("1,2,3\n4,nan,6\n7,8,9\n")
         code, out, err = invoke(argv, capsys, monkeypatch, stdin_text=stdin_text or "")
         assert code == 1
         assert out == ""

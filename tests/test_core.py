@@ -333,7 +333,7 @@ class TestSerialization:
         save_matrix_json(path, m)
         assert_allclose(load_matrix_json(path), m, rtol=0, atol=0)
 
-    def test_load_matrix_sniffs_suffix(self, tmp_path):
+    def test_load_matrix_reads_both_formats_from_files(self, tmp_path):
         m = np.eye(2)
         save_matrix_json(tmp_path / "a.json", m)
         save_matrix_csv(tmp_path / "a.csv", m)
@@ -346,6 +346,34 @@ class TestSerialization:
         save_matrix_json(stream, m)
         assert_allclose(load_matrix(io.StringIO("\n  " + stream.getvalue())), m, atol=0)
         assert_allclose(load_matrix(io.StringIO("2,1\n1,2\n")), m, atol=0)
+
+    @pytest.mark.parametrize("text, want", [
+        ("2,1\n1,2\n", [[2, 1], [1, 2]]),
+        ('{"n": 2, "data": [2, 1, 1, 2]}', [[2, 1], [1, 2]]),
+        ('\n  \n{"n": 2, "data": [2, 1, 1, 2]}\n', [[2, 1], [1, 2]]),
+        ("", "empty matrix input"),
+        ("  \n \t\n", "empty matrix input"),
+        ("1,2,3\n4,5\n1,2,3\n", "number of columns changed from 3 to 2"),
+        ("1,nan\n2,3\n", "matrix contains non-finite entries"),
+    ], ids=["csv", "json", "json-after-blank-lines", "empty", "whitespace", "ragged-csv",
+            "csv-nan"])
+    def test_load_matrix_reads_every_source_alike(self, text, want, tmp_path):
+        # the format follows the text, never the file name, and a file reads as a stream does
+        def outcome(source):
+            try:
+                return load_matrix(source).tolist()
+            except ValueError as exc:
+                return str(exc)
+
+        paths = [tmp_path / f"m.{suffix}" for suffix in ("csv", "json", "txt")]
+        for path in paths:
+            path.write_text(text)
+        outcomes = [outcome(source) for source in [*paths, io.StringIO(text)]]
+        assert outcomes == [outcomes[0]] * 4
+        if isinstance(want, str):
+            assert want in outcomes[0]
+        else:
+            assert outcomes[0] == want
 
     def test_json_rejects_wrong_length(self, tmp_path):
         path = tmp_path / "bad.json"

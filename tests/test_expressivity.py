@@ -286,6 +286,33 @@ class TestUniquenessSweep:
             for workers in (2, 3):
                 assert base == uniqueness_sweep(spec, op, workers=workers)
 
+    def test_pool_is_no_larger_than_the_chunk_count(self, monkeypatch):
+        # a fake context runs the pool in-process, so no process is started
+        sizes = []
+
+        class InlinePool:
+            def __init__(self, processes):
+                sizes.append(processes)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def starmap(self, func, tasks):
+                return [func(*task) for task in tasks]
+
+        class InlineContext:
+            Pool = InlinePool
+
+        import multiprocessing
+        monkeypatch.setattr(multiprocessing, "get_context", lambda method: InlineContext)
+        spec = GridSpec(n=2, d=5)  # 625 inputs: two fixed-size chunks
+        op = make_operator("softmax")
+        assert uniqueness_sweep(spec, op, workers=10**6) == uniqueness_sweep(spec, op, workers=1)
+        assert sizes == [2]
+
     def test_parallel_needs_picklable_operator(self):
         with pytest.raises(ValueError, match="picklable"):
             uniqueness_sweep(GridSpec(n=2, d=2), lambda m: m, workers=2)

@@ -1,6 +1,6 @@
 """Static checks on the source: no dead module-level private name, no scipy import,
-test oracles that share no code with the package, and operator names spelled only in
-the operator table."""
+test oracles that share no code with the package, operator names spelled only in
+the operator table, and matrix text parsed only in core.py."""
 
 import ast
 from pathlib import Path
@@ -196,3 +196,32 @@ def test_the_check_finds_operator_name_literals():
     }
     assert name_literals(sources, ("qr", "softmax")) == [
         "a: qr", "a: softmax", "b: qr", "b: qr", "c: softmax"]
+
+
+_PARSERS = {("np", "loadtxt"), ("numpy", "loadtxt"), ("json", "load"), ("json", "loads")}
+
+
+def parser_calls(sources: dict[str, str]) -> list[str]:
+    """``module: call`` of each np.loadtxt, json.load or json.loads call in a source."""
+    return sorted(f"{module}: {node.func.value.id}.{node.func.attr}"
+                  for module, text in sources.items() for node in ast.walk(ast.parse(text))
+                  if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                  and isinstance(node.func.value, ast.Name)
+                  and (node.func.value.id, node.func.attr) in _PARSERS)
+
+
+def test_only_core_parses_matrix_input():
+    # files and stdin share core's one read path, so every input reads alike
+    sources = {path.stem: path.read_text() for path in sorted(SRC.glob("*.py"))
+               if path.stem != "core"}
+    assert len(sources) > 1
+    assert parser_calls(sources) == []
+
+
+def test_the_check_finds_parser_calls():
+    sources = {
+        "a": "import numpy as np\ndef f(p):\n    return np.loadtxt(p, delimiter=',')\n",
+        "b": "import json\nx = json.loads('1')\ndef g(fh):\n    return json.load(fh)\n",
+        "c": "import json\njson.dump({}, out)\nnp.savetxt(out, m)\nloads = 1\n",
+    }
+    assert parser_calls(sources) == ["a: np.loadtxt", "b: json.load", "b: json.loads"]
