@@ -13,9 +13,9 @@ iteration, seed and worker flags have the bounds of ``_BOUNDS``, checked
 with the settings on every subcommand that takes them.  --layers has the
 circuit's own, and count's --n and --p the counting budget.
 
-The parser holds each flag's type, choices and default.  A flat key=value
-file given by --config supplies the subcommand's defaults, checked as the
-flags are; explicit flags win, and a key that names no flag of any
+The parser and --config read each flag from one table, ``_FLAGS``.  A flat
+key=value file given by --config supplies the subcommand's defaults, checked
+as the flags are; explicit flags win, and a key that names no flag of any
 subcommand (``help`` and ``config`` among them) is a usage error.
 sweep-unique's --workers falls back to the BIRKHOFF_ATTN_WORKERS
 environment variable and then the CPU count.  Every randomized code path
@@ -45,6 +45,7 @@ from .core import (
     load_table_csv,
     matrix_record,
     save_matrix_csv,
+    save_matrix_json,
     spearman_rho,
 )
 from .counting import _check_sizes, count_brute, decomposition_check, f3_analytic
@@ -74,13 +75,10 @@ class _Usage(Exception):
 
 
 def _print_matrix(m: np.ndarray, fmt: str) -> None:
-    if fmt != "json":
-        save_matrix_csv(sys.stdout, m)
-        return
-    if m.shape[0] != m.shape[1]:
+    if fmt == "json" and m.shape[0] != m.shape[1]:
         raise _Usage(f"JSON output holds square matrices only; the {m.shape[0]}x{m.shape[1]} "
                      "result needs --format csv")
-    _emit(matrix_record(as_square(m)))
+    (save_matrix_json if fmt == "json" else save_matrix_csv)(sys.stdout, m)
 
 
 def _emit(record: dict, stream=None) -> None:
@@ -115,16 +113,14 @@ def _load_table(path: str) -> np.ndarray:
 
 # --- --config: file values become the subcommand's defaults -----------------
 
-def _config_defaults(commands: argparse.Action, command: str, path: str) -> dict:
+def _config_defaults(command: str, path: str) -> dict:
     """The file's values for ``command``'s flags, converted and checked as the flags are.
 
     Keys name flag destinations (``-`` and ``_`` interchangeable); keys that
     name another subcommand's flag are ignored, and any other key is a usage
     error.
     """
-    actions = {action.dest: action for action in commands.choices[command]._actions}
-    known = {action.dest for sub in commands.choices.values() for action in sub._actions}
-    known -= {"help", "config"}  # the help action and --config itself are no keys
+    flags = _declared(command)
     with _inputs(path), open(path) as fh:
         lines = [line.strip() for line in fh]
     out = {}
@@ -135,16 +131,17 @@ def _config_defaults(commands: argparse.Action, command: str, path: str) -> dict
             raise _Usage(f"bad config line (want key=value): {line!r}")
         key, _, text = line.partition("=")
         key, text = key.strip().replace("-", "_"), text.strip()
-        if key not in known:
+        if key not in _FLAGS or key == "config":  # --config itself is no key
             raise _Usage(f"config key {key!r} names no flag of any subcommand")
-        if (action := actions.get(key)) is None:  # another subcommand's flag
+        if (keywords := flags.get(key)) is None:  # another subcommand's flag
             continue
         try:
-            if action.const is True:  # a store_true switch; false counts as unset
+            if keywords.get("action") == "store_true":  # false counts as unset
                 out[key] = _boolean(text) or None
             else:
-                out[key] = action.type(text) if action.type else text
-                if action.choices is not None and out[key] not in action.choices:
+                out[key] = keywords.get("type", str)(text)
+                choices = keywords.get("choices")
+                if choices is not None and out[key] not in choices:
                     raise ValueError(text)
         except (ValueError, argparse.ArgumentTypeError) as exc:
             raise _Usage(f"bad config value for {key}: {text!r}") from exc
@@ -408,10 +405,69 @@ def _cmd_gradcheck(args) -> int:
 
 # --- parser ---------------------------------------------------------------
 
-def _add_flags(sub, *dests, **override) -> None:
-    """Declare the operator flags ``dests`` with their table keywords, ``override`` on top."""
-    for dest in dests:
-        sub.add_argument(f"--{dest.replace('_', '-')}", **_OPERATOR_FLAGS[dest][1] | override)
+# every flag's add_argument keywords, by destination: the operator flags', then
+# the rest; a subcommand overrides a keyword only where it differs
+_FLAGS = {dest: keywords for dest, (_, keywords) in _OPERATOR_FLAGS.items()} | {
+    "config": {"help": "flat key=value defaults file"},
+    "op": {}, "normalizer": {},
+    "input": {"default": "-", "help": "matrix file (CSV or JSON); default stdin"},
+    "format": {"choices": ("csv", "json"), "default": "csv"},
+    "q_file": {}, "key_file": {}, "value_file": {},
+    "temperature": {"type": float},
+    "emit": {"choices": ("output", "attn"), "default": "output"},
+    "n": {"type": int}, "d": {"type": int},
+    "domain": {"choices": ("cube", "sphere"), "default": "cube"},
+    "rounding_decimals": {"type": int, "default": 3},
+    "start": {"type": int, "default": 0}, "stop": {"type": int},
+    "full": {"action": "store_true", "help": "confirm a sweep window above 2^20 inputs"},
+    "workers": {"type": int}, "trials": {"type": int}, "p": {"type": int},
+    "mode": {"choices": ("brute", "analytic", "decompose"), "default": "brute"},
+    "shots": {"type": int},
+    "project": {"action": "store_true",
+                "help": "project the sampled matrix back to doubly stochastic"},
+    "dsm_dim": {"type": int, "default": 4}, "reps": {"type": int, "default": 5},
+}
+# the settings flags of every subcommand that builds any operator; shots takes
+# --seed and the circuit's
+_SETTINGS = [dest for dest in _OPERATOR_FLAGS if dest not in ("tau", "exp_scale")]
+_OPERATOR = ["op", "tau", *_SETTINGS]
+# each subcommand's handler, help and flags in --help order, after --config:
+# a destination, or (destination, keywords over its _FLAGS ones)
+_COMMANDS = {
+    "apply": (_cmd_apply, "apply a normalizer to one matrix",
+              [*_OPERATOR, "input", "exp_scale", "format"]),
+    "apply-attn": (_cmd_apply_attn, "attention forward pass from Q/K/V files",
+                   ["normalizer", *_SETTINGS, "q_file", "key_file", "value_file",
+                    "temperature", "emit", "format"]),
+    "sweep-unique": (_cmd_sweep_unique, "count distinct outputs over a grid",
+                     [*_OPERATOR, "n", "d", "domain", "rounding_decimals", "start", "stop",
+                      "full", "workers"]),
+    "sweep-tradeoff": (_cmd_sweep_tradeoff, "entropy/residual rows on random inputs",
+                       [*_OPERATOR, ("n", {"default": 8}), ("trials", {"default": 100})]),
+    "props": (_cmd_props, "probe scale/permutation invariances",
+              [*_OPERATOR, ("n", {"default": 4}), ("trials", {"default": 10})]),
+    "count": (_cmd_count, "count grid-valued doubly stochastic matrices", ["n", "p", "mode"]),
+    "shots": (_cmd_shots, "finite-shot sampled circuit DSM",
+              [*_SETTINGS[_SETTINGS.index("seed"):], "input", "shots", "project", "format"]),
+    "bench": (_cmd_bench, "wall-time scaling of the circuit simulator", [
+        "dsm_dim",
+        ("layers", {"type": _int_list, "default": [1, 2], "help": "comma-separated layer counts"}),
+        ("aux_qubits", {"type": _int_list, "default": [0],
+                        "help": "comma-separated aux qubit counts"}),
+        ("ansatz", {"default": SIMPLE}), "reps", ("theta_seed", {"default": 0})]),
+    "gradcheck": (_cmd_gradcheck, "compare analytic VJPs with finite differences", [
+        ("normalizer", {"choices": VJP_NORMALIZERS}),
+        ("k", {"help": "sinkhorn-naive iteration count (odd; default 3)"}),
+        ("tau", {"help": "softmax temperature (default 1.0)"}),
+        ("n", {"default": 8}), ("trials", {"default": 10}), "seed"]),
+}
+
+
+def _declared(command: str) -> dict[str, dict]:
+    """``command``'s flags in --help order, each with its add_argument keywords."""
+    flags = (flag if isinstance(flag, tuple) else (flag, {})
+             for flag in ("config", *_COMMANDS[command][2]))
+    return {dest: _FLAGS[dest] | override for dest, override in flags}
 
 
 def _build_parser() -> tuple[argparse.ArgumentParser, argparse.Action]:
@@ -421,89 +477,11 @@ def _build_parser() -> tuple[argparse.ArgumentParser, argparse.Action]:
         description="Doubly stochastic attention normalizers and their analysis tools",
     )
     commands = parser.add_subparsers(dest="command", required=True)
-    # the settings flags of every subcommand that builds any operator; shots
-    # takes --seed and the circuit's
-    settings = [dest for dest in _OPERATOR_FLAGS if dest not in ("tau", "exp_scale")]
-
-    def command(name: str, func, help_text: str) -> argparse.ArgumentParser:
+    for name, (func, help_text, _) in _COMMANDS.items():
         sub = commands.add_parser(name, help=help_text)
-        sub.add_argument("--config", help="flat key=value defaults file")
         sub.set_defaults(func=func)
-        return sub
-
-    def operator_command(name: str, func, help_text: str) -> argparse.ArgumentParser:
-        sub = command(name, func, help_text)
-        sub.add_argument("--op")
-        _add_flags(sub, "tau", *settings)
-        return sub
-
-    sub = operator_command("apply", _cmd_apply, "apply a normalizer to one matrix")
-    sub.add_argument("--input", default="-", help="matrix file (CSV or JSON); default stdin")
-    _add_flags(sub, "exp_scale")
-    sub.add_argument("--format", choices=("csv", "json"), default="csv")
-
-    sub = command("apply-attn", _cmd_apply_attn, "attention forward pass from Q/K/V files")
-    sub.add_argument("--normalizer")
-    _add_flags(sub, *settings)
-    sub.add_argument("--q-file")
-    sub.add_argument("--key-file")
-    sub.add_argument("--value-file")
-    sub.add_argument("--temperature", type=float)
-    sub.add_argument("--emit", choices=("output", "attn"), default="output")
-    sub.add_argument("--format", choices=("csv", "json"), default="csv")
-
-    sub = operator_command("sweep-unique", _cmd_sweep_unique, "count distinct outputs over a grid")
-    sub.add_argument("--n", type=int)
-    sub.add_argument("--d", type=int)
-    sub.add_argument("--domain", choices=("cube", "sphere"), default="cube")
-    sub.add_argument("--rounding-decimals", type=int, default=3)
-    sub.add_argument("--start", type=int, default=0)
-    sub.add_argument("--stop", type=int)
-    sub.add_argument("--full", action="store_true",
-                     help="confirm a sweep window above 2^20 inputs")
-    sub.add_argument("--workers", type=int)
-
-    sub = operator_command("sweep-tradeoff", _cmd_sweep_tradeoff,
-                           "entropy/residual rows on random inputs")
-    sub.add_argument("--n", type=int, default=8)
-    sub.add_argument("--trials", type=int, default=100)
-
-    sub = operator_command("props", _cmd_props, "probe scale/permutation invariances")
-    sub.add_argument("--n", type=int, default=4)
-    sub.add_argument("--trials", type=int, default=10)
-
-    sub = command("count", _cmd_count, "count grid-valued doubly stochastic matrices")
-    sub.add_argument("--n", type=int)
-    sub.add_argument("--p", type=int)
-    sub.add_argument("--mode", choices=("brute", "analytic", "decompose"), default="brute")
-
-    sub = command("shots", _cmd_shots, "finite-shot sampled circuit DSM")
-    _add_flags(sub, *settings[settings.index("seed"):])
-    sub.add_argument("--input", default="-", help="matrix file (CSV or JSON); default stdin")
-    sub.add_argument("--shots", type=int)
-    sub.add_argument("--project", action="store_true",
-                     help="project the sampled matrix back to doubly stochastic")
-    sub.add_argument("--format", choices=("csv", "json"), default="csv")
-
-    sub = command("bench", _cmd_bench, "wall-time scaling of the circuit simulator")
-    sub.add_argument("--dsm-dim", type=int, default=4)
-    sub.add_argument("--layers", type=_int_list, default=[1, 2],
-                     help="comma-separated layer counts")
-    sub.add_argument("--aux-qubits", type=_int_list, default=[0],
-                     help="comma-separated aux qubit counts")
-    _add_flags(sub, "ansatz", default=SIMPLE)
-    sub.add_argument("--reps", type=int, default=5)
-    _add_flags(sub, "theta_seed", default=0)
-
-    sub = command("gradcheck", _cmd_gradcheck,
-                  "compare analytic VJPs with finite differences")
-    sub.add_argument("--normalizer", choices=VJP_NORMALIZERS)
-    _add_flags(sub, "k", help="sinkhorn-naive iteration count (odd; default 3)")
-    _add_flags(sub, "tau", help="softmax temperature (default 1.0)")
-    sub.add_argument("--n", type=int, default=8)
-    sub.add_argument("--trials", type=int, default=10)
-    _add_flags(sub, "seed")
-
+        for dest, keywords in _declared(name).items():
+            sub.add_argument(f"--{dest.replace('_', '-')}", **keywords)
     return parser, commands
 
 
@@ -513,7 +491,7 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
         if args.config:
             commands.choices[args.command].set_defaults(
-                **_config_defaults(commands, args.command, args.config))
+                **_config_defaults(args.command, args.config))
             args = parser.parse_args(argv)
         return args.func(args)
     except SystemExit as exc:  # argparse printed --help or a usage error

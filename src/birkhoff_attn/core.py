@@ -319,12 +319,13 @@ def matrix_record(m) -> dict:
 
 
 def save_matrix_json(path, m) -> None:
-    obj = matrix_record(as_square(m))
+    """Write a square matrix as its :func:`matrix_record`, one JSON line ending in a newline."""
+    text = json.dumps(matrix_record(as_square(m))) + "\n"
     if hasattr(path, "write"):
-        json.dump(obj, path)
+        path.write(text)
     else:
         with open(path, "w") as fh:
-            json.dump(obj, fh)
+            fh.write(text)
 
 
 def load_matrix(path) -> np.ndarray:

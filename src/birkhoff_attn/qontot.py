@@ -144,15 +144,16 @@ def inject(theta, m) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # gates: (..., k, k) stacks, one gate per input of the batch
 
-def _matrix(rows) -> np.ndarray:
-    """(..., k, k) complex stack from k rows of k entries that broadcast together."""
-    rows = [np.broadcast_arrays(*row) for row in rows]
-    return np.stack([np.stack(row, axis=-1) for row in rows], axis=-2).astype(np.complex128)
+def _gate(a, b, c, d) -> np.ndarray:
+    """(..., 2, 2) complex stack [[a, b], [c, d]] from four entry arrays of one shape."""
+    out = np.empty(np.shape(a) + (2, 2), np.complex128)
+    out[..., 0, 0], out[..., 0, 1], out[..., 1, 0], out[..., 1, 1] = a, b, c, d
+    return out
 
 
 def _ry(t) -> np.ndarray:
     c, s = np.cos(t / 2.0), np.sin(t / 2.0)
-    return _matrix([[c, -s], [s, c]])
+    return _gate(c, -s, s, c)
 
 
 def _crz(t) -> np.ndarray:
@@ -163,7 +164,7 @@ def _crz(t) -> np.ndarray:
 
 def _xrot(c) -> np.ndarray:
     # exp(-i c X)
-    return _matrix([[np.cos(c), -1j * np.sin(c)], [-1j * np.sin(c), np.cos(c)]])
+    return _gate(np.cos(c), -1j * np.sin(c), -1j * np.sin(c), np.cos(c))
 
 
 def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -23,7 +23,7 @@ from birkhoff_attn import (
     softmax_rows,
 )
 from birkhoff_attn import qontot
-from birkhoff_attn.cli import _BOUNDS, _OPERATOR_FLAGS, _build_parser, main
+from birkhoff_attn.cli import _BOUNDS, _FLAGS, _OPERATOR_FLAGS, _build_parser, main
 from birkhoff_attn.expressivity import _SWEEP_CHUNK
 from birkhoff_attn.operators import SPECS, make_operator
 
@@ -1119,7 +1119,105 @@ class ReadRecorder(argparse.Namespace):
         return object.__getattribute__(self, name)
 
 
+# the declared parser, pinned: each action's option strings, nargs, default,
+# type name, choices and help, in declaration order
+HELP = (("-h", "--help"), 0, "==SUPPRESS==", None, None, "show this help message and exit")
+CONFIG = (("--config",), None, None, None, None, "flat key=value defaults file")
+OP = (("--op",), None, None, None, None, None)
+TAU = (("--tau",), None, None, "float", None,
+       "softmax temperature, or the sinkhorn family's exp-scale one")
+SETTINGS = [
+    (("--k",), None, None, "int", None, "sinkhorn iteration count (odd)"),
+    (("--power",), None, None, "int", None, None),
+    (("--method",), None, None, None, ("dykstra", "splitting-qp"), None),
+    (("--tolerance",), None, None, "float", None, None),
+    (("--max-iterations",), None, None, "int", None, None),
+    (("--seed",), None, None, "int", None, None),
+    (("--layers",), None, None, "int", None, None),
+    (("--aux-qubits",), None, None, "int", None, None),
+    (("--ansatz",), None, None, None, ("simple", "trotter"), None),
+    (("--theta-seed",), None, None, "int", None, None),
+    (("--theta-file",), None, None, None, None, None),
+]
+INPUT = (("--input",), None, "-", None, None, "matrix file (CSV or JSON); default stdin")
+FORMAT = (("--format",), None, "csv", None, ("csv", "json"), None)
+
+
+def int_flag(flag, default=None):
+    return ((flag,), None, default, "int", None, None)
+
+
+PARSER_ACTIONS = {
+    "apply": [HELP, CONFIG, OP, TAU, *SETTINGS, INPUT,
+              (("--exp-scale",), 0, None, None, None,
+               "pre-apply exp_scale (for the sinkhorn family on raw scores)"), FORMAT],
+    "apply-attn": [HELP, CONFIG, (("--normalizer",), None, None, None, None, None), *SETTINGS,
+                   *(((flag,), None, None, None, None, None)
+                     for flag in ("--q-file", "--key-file", "--value-file")),
+                   (("--temperature",), None, None, "float", None, None),
+                   (("--emit",), None, "output", None, ("output", "attn"), None), FORMAT],
+    "sweep-unique": [HELP, CONFIG, OP, TAU, *SETTINGS, int_flag("--n"), int_flag("--d"),
+                     (("--domain",), None, "cube", None, ("cube", "sphere"), None),
+                     int_flag("--rounding-decimals", 3), int_flag("--start", 0),
+                     int_flag("--stop"),
+                     (("--full",), 0, False, None, None,
+                      "confirm a sweep window above 2^20 inputs"), int_flag("--workers")],
+    "sweep-tradeoff": [HELP, CONFIG, OP, TAU, *SETTINGS, int_flag("--n", 8),
+                       int_flag("--trials", 100)],
+    "props": [HELP, CONFIG, OP, TAU, *SETTINGS, int_flag("--n", 4), int_flag("--trials", 10)],
+    "count": [HELP, CONFIG, int_flag("--n"), int_flag("--p"),
+              (("--mode",), None, "brute", None, ("brute", "analytic", "decompose"), None)],
+    "shots": [HELP, CONFIG, *SETTINGS[5:], INPUT, int_flag("--shots"),
+              (("--project",), 0, False, None, None,
+               "project the sampled matrix back to doubly stochastic"), FORMAT],
+    "bench": [HELP, CONFIG, int_flag("--dsm-dim", 4),
+              (("--layers",), None, [1, 2], "_int_list", None, "comma-separated layer counts"),
+              (("--aux-qubits",), None, [0], "_int_list", None,
+               "comma-separated aux qubit counts"),
+              (("--ansatz",), None, "simple", None, ("simple", "trotter"), None),
+              int_flag("--reps", 5), int_flag("--theta-seed", 0)],
+    "gradcheck": [HELP, CONFIG,
+                  (("--normalizer",), None, None, None, ("sinkhorn-naive", "softmax"), None),
+                  (("--k",), None, None, "int", None,
+                   "sinkhorn-naive iteration count (odd; default 3)"),
+                  (("--tau",), None, None, "float", None, "softmax temperature (default 1.0)"),
+                  int_flag("--n", 8), int_flag("--trials", 10), int_flag("--seed")],
+}
+COMMAND_HELP = {
+    "apply": "apply a normalizer to one matrix",
+    "apply-attn": "attention forward pass from Q/K/V files",
+    "sweep-unique": "count distinct outputs over a grid",
+    "sweep-tradeoff": "entropy/residual rows on random inputs",
+    "props": "probe scale/permutation invariances",
+    "count": "count grid-valued doubly stochastic matrices",
+    "shots": "finite-shot sampled circuit DSM",
+    "bench": "wall-time scaling of the circuit simulator",
+    "gradcheck": "compare analytic VJPs with finite differences",
+}
+
+
+def describe(action):
+    """The pinned fields of a parser action."""
+    choices = None if action.choices is None else tuple(action.choices)
+    return (tuple(action.option_strings), action.nargs, action.default,
+            getattr(action.type, "__name__", None), choices, action.help)
+
+
 class TestDeclaredFlags:
+    def test_the_parser_declares_the_pinned_flags(self):
+        # unlike --help text, independent of the terminal width
+        _, commands = _build_parser()
+        assert {action.dest: action.help for action in commands._choices_actions} == COMMAND_HELP
+        assert list(commands.choices) == list(PARSER_ACTIONS)
+        for name, sub in commands.choices.items():
+            assert [describe(action) for action in sub._actions] == PARSER_ACTIONS[name], name
+
+    def test_every_table_flag_is_declared_by_some_subcommand(self):
+        # so the table has no dead entries, and every declared flag comes from it
+        _, commands = _build_parser()
+        declared = {action.dest for sub in commands.choices.values() for action in sub._actions}
+        assert declared - {"help"} == set(_FLAGS)
+
     @pytest.mark.parametrize("command", list(BASE_RUNS))
     def test_every_declared_flag_is_read(self, command, capsys, monkeypatch, tmp_path):
         monkeypatch.chdir(tmp_path)

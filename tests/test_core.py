@@ -333,6 +333,14 @@ class TestSerialization:
         save_matrix_json(path, m)
         assert_allclose(load_matrix_json(path), m, rtol=0, atol=0)
 
+    def test_json_output_is_one_line_ending_in_a_newline(self, tmp_path):
+        # as each CSV row does, so the CLI prints matrices through these writers
+        stream = io.StringIO()
+        save_matrix_json(stream, np.eye(2))
+        save_matrix_json(tmp_path / "m.json", np.eye(2))
+        assert stream.getvalue() == '{"n": 2, "data": [1.0, 0.0, 0.0, 1.0]}\n'
+        assert (tmp_path / "m.json").read_text() == stream.getvalue()
+
     def test_load_matrix_reads_both_formats_from_files(self, tmp_path):
         m = np.eye(2)
         save_matrix_json(tmp_path / "a.json", m)

@@ -1,6 +1,7 @@
 """Static checks on the source: no dead module-level private name, no scipy import,
 test oracles that share no code with the package, operator names spelled only in
-the operator table, and matrix text parsed only in core.py."""
+the operator table, matrix text parsed only in core.py, and no read of argparse's
+private action list."""
 
 import ast
 from pathlib import Path
@@ -225,3 +226,27 @@ def test_the_check_finds_parser_calls():
         "c": "import json\njson.dump({}, out)\nnp.savetxt(out, m)\nloads = 1\n",
     }
     assert parser_calls(sources) == ["a: np.loadtxt", "b: json.load", "b: json.loads"]
+
+
+def attribute_reads(sources: dict[str, str], attribute: str) -> list[str]:
+    """``module: line`` of each ``x.attribute`` in a source, or of a string naming it."""
+    return sorted(f"{module}: {node.lineno}" for module, text in sources.items()
+                  for node in ast.walk(ast.parse(text))
+                  if isinstance(node, ast.Attribute) and node.attr == attribute
+                  or isinstance(node, ast.Constant) and node.value == attribute)
+
+
+def test_no_module_in_src_reads_argparse_actions():
+    # the CLI's flags are its own table, so nothing rebuilds them from the parser
+    sources = {path.stem: path.read_text() for path in sorted(SRC.glob("*.py"))}
+    assert len(sources) > 1
+    assert attribute_reads(sources, "_actions") == []
+
+
+def test_the_check_finds_actions_reads():
+    sources = {
+        "a": "def f(sub):\n    return [a.dest for a in sub._actions]\n",
+        "b": "x = getattr(p, '_actions')\ny = p._actions_seen\nz = '_actions here'\n"
+             "p._actions = []\n",
+    }
+    assert attribute_reads(sources, "_actions") == ["a: 2", "b: 1", "b: 4"]
