@@ -44,8 +44,7 @@ from .counting import (
 from .expressivity import (
     GridSpec,
     SweepReport,
-    enumerate_grid,
-    grid_matrix,
+    grid_matrices,
     grid_total,
     probe_invariances,
     sphere_columns,
@@ -117,11 +116,10 @@ __all__ = [
     "check_stochasticity",
     "count_brute",
     "decomposition_check",
-    "enumerate_grid",
     "exp_scale",
     "f3_analytic",
     "frobenius_distance",
-    "grid_matrix",
+    "grid_matrices",
     "grid_total",
     "inject",
     "load_matrix",

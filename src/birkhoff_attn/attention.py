@@ -20,6 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .core import _check_trials
 # softmax_rows is unused here, but perfbench's attention.softmax_rows span wraps this name
 from .operators import SPECS, Normalizer, Softmax, softmax_rows  # noqa: F401
 
@@ -53,9 +54,7 @@ def _check_shapes(qm, km, vm) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     if qm.ndim != 2 or km.ndim != 2 or vm.ndim != 2:
         raise ValueError("qm, km, vm must be 2-D")
     if qm.shape != km.shape or vm.shape[0] != qm.shape[0]:
-        raise ValueError(
-            f"incompatible shapes qm{qm.shape} km{km.shape} vm{vm.shape}"
-        )
+        raise ValueError(f"incompatible shapes qm{qm.shape} km{km.shape} vm{vm.shape}")
     return qm, km, vm
 
 
@@ -78,6 +77,7 @@ def vjp_check(op: Normalizer, *, n: int, trials: int, seed) -> float:
     """
     if not hasattr(op, "vjp"):
         raise ValueError(f"no VJP for {op.name!r} (choose from {', '.join(VJP_NORMALIZERS)})")
+    _check_trials(n, trials)
     rng = np.random.default_rng(seed)
     h = 1e-5
     worst = 0.0

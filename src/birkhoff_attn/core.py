@@ -167,6 +167,13 @@ def _odometer(lo: int, hi: int, base: int, width: int) -> np.ndarray:
     return digits
 
 
+def _check_trials(n: int, trials: int) -> None:
+    if n < 1:
+        raise ValueError(f"n must be >= 1, got {n}")
+    if trials < 0:
+        raise ValueError(f"trials must be >= 0, got {trials}")
+
+
 def _per_matrix(values: np.ndarray):
     """A float for a single matrix's 0-d result, else the (B,) array of a stack."""
     return float(values) if values.ndim == 0 else values
@@ -214,17 +221,13 @@ def frobenius_distance(a, b):
 def _average_ranks(x: np.ndarray) -> np.ndarray:
     """1-based ranks of a 1-D array; tied entries share the mean of their positions.
 
-    Each tie group spanning sorted positions start..end-1 gets rank
-    (start + end + 1) / 2, a half-integer and so exact in float64.
+    A tie group of ``count`` entries ends at the 1-based sorted position
+    ``end``, the running count, so it spans end - count + 1..end and its rank
+    is (2 end - count + 1) / 2, a half-integer and so exact in float64.
     """
-    order = np.argsort(x, kind="stable")
-    s = x[order]
-    new = np.r_[True, s[1:] != s[:-1]]
-    starts = np.flatnonzero(new)
-    ends = np.r_[starts[1:], len(s)]
-    ranks = np.empty(len(s))
-    ranks[order] = ((starts + ends + 1) / 2)[np.cumsum(new) - 1]
-    return ranks
+    _, inverse, counts = np.unique(x, return_inverse=True, return_counts=True)
+    ends = np.cumsum(counts)
+    return ((2 * ends - counts + 1) / 2)[inverse]
 
 
 def spearman_rho(a, b) -> float:

@@ -8,10 +8,10 @@ Euclidean norm (checked in integer arithmetic, so no float fuzz decides
 membership).  Outputs are rounded to a fixed number of decimals and counted
 as byte patterns.
 
-Enumeration is index-addressed (matrix j is decodable directly), so sweeps
-can restart from any offset and can be split across worker processes; chunk
-results are merged in index order, which makes reports identical for every
-worker count.
+Enumeration is index-addressed in odometer order, first cell or column most
+significant, and :func:`grid_matrices` decodes any window directly, so sweeps
+can restart from any offset and be split across worker processes; chunk
+results are merged in index order, so reports match for every worker count.
 """
 
 from __future__ import annotations
@@ -20,12 +20,11 @@ import hashlib
 import pickle
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import islice
 from math import log2
 
 import numpy as np
 
-from .core import _odometer, frobenius_distance, shannon_entropy
+from .core import _check_trials, _odometer, frobenius_distance, shannon_entropy
 from .operators import Normalizer
 from .sinkhorn import exp_scale
 
@@ -49,10 +48,7 @@ class GridSpec:
     rounding_decimals: int = 3
 
     def __post_init__(self):
-        if self.n < 1:
-            raise ValueError("n must be >= 1")
-        if self.d < 2:
-            raise ValueError("grid resolution d must be >= 2")
+        _check_grid(self.n, self.d)
         if self.domain not in (CUBE, SPHERE):
             raise ValueError(f"unknown grid domain {self.domain!r}")
         if self.rounding_decimals < 0:
@@ -60,6 +56,13 @@ class GridSpec:
         if self.rounding_decimals > _MAX_DECIMALS:
             raise ValueError(f"rounding_decimals must be <= {_MAX_DECIMALS}, "
                              f"got {self.rounding_decimals}")
+
+
+def _check_grid(n: int, d: int) -> None:
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    if d < 2:
+        raise ValueError("grid resolution d must be >= 2")
 
 
 @lru_cache(maxsize=32)
@@ -72,6 +75,7 @@ def sphere_columns(n: int, d: int) -> np.ndarray:
     table is built once per (n, d) and shared by every later call, so it is
     read-only.
     """
+    _check_grid(n, d)
     if n * log2(d) > log2(_SPHERE_CANDIDATES) + 1 or (total := d**n) > _SPHERE_CANDIDATES:
         raise ValueError(f"sphere grid has {d}^{n} candidate columns, above the "
                          f"{_SPHERE_CANDIDATES} budget")
@@ -81,8 +85,6 @@ def sphere_columns(n: int, d: int) -> np.ndarray:
         digits = _odometer(lo, min(lo + _SPHERE_PASS, total), d, n).astype(np.int64)
         cols.append(digits[(digits * digits).sum(axis=1) == scale * scale])
     out = np.concatenate(cols).astype(np.float64) / scale
-    if not len(out):
-        raise ValueError(f"no unit-norm columns on the (n={n}, d={d}) grid")
     out.setflags(write=False)
     return out
 
@@ -100,18 +102,13 @@ def grid_total(spec: GridSpec) -> int:
 
 
 def grid_matrices(spec: GridSpec, lo: int, hi: int) -> np.ndarray:
-    """Decode grid matrices lo..hi-1 as a (hi-lo, n, n) stack (see :func:`grid_matrix`)."""
+    """Decode grid matrices lo..hi-1 as a (hi-lo, n, n) stack; IndexError outside the grid."""
     n = spec.n
     if spec.domain == CUBE:
         return _odometer(lo, hi, spec.d, n * n).reshape(-1, n, n) / (spec.d - 1)
     cols = sphere_columns(n, spec.d)
     picks = _odometer(lo, hi, len(cols), n)  # picks[b, c]: the column c of matrix b
     return np.ascontiguousarray(cols[picks].transpose(0, 2, 1))
-
-
-def grid_matrix(spec: GridSpec, index: int) -> np.ndarray:
-    """Decode grid matrix ``index`` (odometer order, first cell/column most significant)."""
-    return grid_matrices(spec, index, index + 1)[0]
 
 
 def _index_range(spec: GridSpec, start: int, stop: int | None, max_total: int) -> tuple[int, int]:
@@ -124,14 +121,6 @@ def _index_range(spec: GridSpec, start: int, stop: int | None, max_total: int) -
     if not 0 <= start <= stop:
         raise ValueError(f"bad index range [{start}, {stop})")
     return start, stop
-
-
-def enumerate_grid(spec: GridSpec, start: int = 0, stop: int | None = None,
-                   max_total: int = 2**32):
-    """Yield (index, matrix) over [start, stop); guards against runaway sizes."""
-    start, stop = _index_range(spec, start, stop, max_total)
-    for lo in range(start, stop, _SWEEP_CHUNK):
-        yield from enumerate(grid_matrices(spec, lo, min(lo + _SWEEP_CHUNK, stop)), lo)
 
 
 @dataclass(frozen=True)
@@ -215,17 +204,14 @@ def uniqueness_sweep(spec: GridSpec, operator, *, exp_scale_tau: float = 1.0,
 def tradeoff_sweep(inputs, operator, *, exp_scale_tau: float = 1.0) -> list[dict]:
     """Per-input entropy of the output and Frobenius residual to the input.
 
-    The inputs are square matrices of one size; they are stacked and run in
-    the sweeps' fixed-size chunks, one operator call per chunk.
+    The inputs, a (B, n, n) array or a list of n x n matrices, run as one
+    float64 stack in the sweeps' fixed-size chunks, one operator call each.
     """
-    inputs = iter(inputs)
-    rows = []
-    while chunk := list(islice(inputs, _SWEEP_CHUNK)):
-        _, entropies, residuals = _chunk_metrics(operator, np.array(chunk, dtype=np.float64),
-                                                 exp_scale_tau)
-        rows += [{"entropy": float(h), "residual": float(r)}
-                 for h, r in zip(entropies, residuals)]
-    return rows
+    ms = np.asarray(inputs, dtype=np.float64)
+    chunks = [_chunk_metrics(operator, ms[lo:lo + _SWEEP_CHUNK], exp_scale_tau)[1:]
+              for lo in range(0, len(ms), _SWEEP_CHUNK)]
+    return [{"entropy": float(h), "residual": float(r)}
+            for entropies, residuals in chunks for h, r in zip(entropies, residuals)]
 
 
 def probe_invariances(operator: Normalizer, trials: int = 10, seed: int = 0, n: int = 4) -> dict:
@@ -243,8 +229,7 @@ def probe_invariances(operator: Normalizer, trials: int = 10, seed: int = 0, n: 
     for scale with its first failing lam; everything derives from ``seed``,
     so witnesses are reproducible.
     """
-    if trials < 0:
-        raise ValueError(f"trials must be >= 0, got {trials}")
+    _check_trials(n, trials)
     rng = np.random.default_rng(seed)
     ms, (rows, cols) = np.empty((trials, n, n)), np.empty((2, trials, n), int)
     for t in range(trials):

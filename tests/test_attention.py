@@ -227,6 +227,10 @@ class TestSoftmaxVjp:
         assert_allclose(got[0], want_row0, atol=1e-15)
         assert_allclose(got[1], np.zeros(2), atol=1e-15)
 
+    def test_upstream_of_another_shape_is_rejected(self):
+        with pytest.raises(ValueError, match="upstream must match m in shape"):
+            softmax_vjp(np.zeros((2, 2)), 1.0, np.zeros((3, 3)))
+
 
 class TestVjpCheck:
     @pytest.mark.parametrize("op", [SinkhornNaive(3), Softmax(0.7)], ids=VJP_NORMALIZERS)
@@ -251,6 +255,16 @@ class TestVjpCheck:
     def test_normalizer_without_a_vjp_is_rejected(self):
         with pytest.raises(ValueError, match="no VJP for 'qr'"):
             vjp_check(QrNormalizer(), n=2, trials=1, seed=0)
+
+    @pytest.mark.parametrize("n, trials, message", [
+        (2, -1, "trials must be >= 0, got -1"),
+        (0, 1, "n must be >= 1, got 0"),
+        (-3, 1, "n must be >= 1, got -3"),
+    ])
+    def test_sizes_are_checked_before_any_draw(self, n, trials, message):
+        # trials=-1 returned 0.0, a pass that checked nothing, and n=0 failed inside numpy
+        with pytest.raises(ValueError, match=message):
+            vjp_check(Softmax(), n=n, trials=trials, seed=0)
 
     @pytest.mark.parametrize("n", [1, 2, 3, 5, 8, 16, 32])
     @pytest.mark.parametrize("name, setting", [

@@ -29,7 +29,7 @@ from birkhoff_attn import (
     shannon_entropy,
     spearman_rho,
 )
-from birkhoff_attn.core import _average_ranks, _odometer
+from birkhoff_attn.core import _average_ranks, _odometer, as_square, matrix_record
 
 import oracles
 
@@ -64,6 +64,10 @@ class TestAsDsm:
     def test_rejects_non_square(self):
         with pytest.raises(ValueError, match="square"):
             as_dsm(np.ones((2, 3)))
+
+    def test_rejects_empty_matrix(self):
+        with pytest.raises(ValueError, match="matrix must have n >= 1"):
+            as_square(np.zeros((0, 0)))
 
     def test_rejects_nan(self):
         m = np.eye(2)
@@ -361,10 +365,11 @@ class TestSerialization:
         ('\n  \n{"n": 2, "data": [2, 1, 1, 2]}\n', [[2, 1], [1, 2]]),
         ("", "empty matrix input"),
         ("  \n \t\n", "empty matrix input"),
+        ("# no data\n", "empty matrix input"),
         ("1,2,3\n4,5\n1,2,3\n", "number of columns changed from 3 to 2"),
         ("1,nan\n2,3\n", "matrix contains non-finite entries"),
-    ], ids=["csv", "json", "json-after-blank-lines", "empty", "whitespace", "ragged-csv",
-            "csv-nan"])
+    ], ids=["csv", "json", "json-after-blank-lines", "empty", "whitespace", "comments-only",
+            "ragged-csv", "csv-nan"])
     def test_load_matrix_reads_every_source_alike(self, text, want, tmp_path):
         # the format follows the text, never the file name, and a file reads as a stream does
         def outcome(source):
@@ -382,6 +387,14 @@ class TestSerialization:
             assert want in outcomes[0]
         else:
             assert outcomes[0] == want
+
+    def test_csv_output_rejects_a_3d_array(self):
+        with pytest.raises(ValueError, match=r"holds a 2-D array, got shape \(2, 2, 2\)"):
+            save_matrix_csv(io.StringIO(), np.zeros((2, 2, 2)))
+
+    def test_matrix_record_rejects_a_non_square_matrix(self):
+        with pytest.raises(ValueError, match=r"holds a square matrix, got shape \(2, 3\)"):
+            matrix_record(np.zeros((2, 3)))
 
     def test_json_rejects_wrong_length(self, tmp_path):
         path = tmp_path / "bad.json"

@@ -9,9 +9,8 @@ from birkhoff_attn import (
     OPERATOR_NAMES,
     GridSpec,
     Normalizer,
-    enumerate_grid,
     exp_scale,
-    grid_matrix,
+    grid_matrices,
     grid_total,
     make_operator,
     probe_invariances,
@@ -21,7 +20,7 @@ from birkhoff_attn import (
     uniqueness_sweep,
 )
 from birkhoff_attn import expressivity
-from birkhoff_attn.expressivity import _SWEEP_CHUNK, SweepReport, grid_matrices
+from birkhoff_attn.expressivity import _SWEEP_CHUNK, SweepReport
 
 import oracles
 
@@ -41,7 +40,7 @@ def per_input_sweep(spec: GridSpec, op) -> SweepReport:
     """The sweep computed one input at a time: decode, apply, round, digest, measure."""
     digests, entropies, residuals = [], [], []
     for index in range(grid_total(spec)):
-        m = grid_matrix(spec, index)
+        m = grid_matrices(spec, index, index + 1)[0]
         out = one_input(op, m)
         rounded = np.round(out, spec.rounding_decimals) + 0.0
         digests.append(hashlib.blake2b(rounded.tobytes(), digest_size=16).digest())
@@ -152,6 +151,19 @@ class TestSphereColumns:
         with pytest.raises(ValueError, match="candidate columns, above the 16777216 budget"):
             sphere_columns(n, d)
 
+    @pytest.mark.parametrize("n, d, message", [
+        (3, 1, "grid resolution d must be >= 2"),
+        (3, 0, "grid resolution d must be >= 2"),
+        (0, 3, "n must be >= 1"),
+        (-1, 3, "n must be >= 1"),
+    ])
+    def test_sizes_are_checked_as_grid_spec_checks_them(self, n, d, message):
+        # (3, 1) gave a NaN column and (-1, 3) a TypeError before the check
+        with pytest.raises(ValueError, match=message):
+            sphere_columns(n, d)
+        with pytest.raises(ValueError, match=message):
+            GridSpec(n=n, d=d, domain="sphere")
+
     def test_binary_grid_gives_axis_vectors(self):
         assert_allclose(sphere_columns(3, 2), np.eye(3)[::-1], atol=0)
 
@@ -166,33 +178,35 @@ class TestSphereColumns:
         assert sphere_columns(4, 5)[0, 0] == 0.0
 
 
-class TestGridMatrix:
+class TestGridMatrices:
     def test_cube_first_and_last(self):
         spec = GridSpec(n=2, d=3)
-        assert_allclose(grid_matrix(spec, 0), np.zeros((2, 2)))
-        assert_allclose(grid_matrix(spec, grid_total(spec) - 1), np.ones((2, 2)))
+        total = grid_total(spec)
+        assert_allclose(grid_matrices(spec, 0, 1), np.zeros((1, 2, 2)))
+        assert_allclose(grid_matrices(spec, total - 1, total), np.ones((1, 2, 2)))
 
     def test_cube_odometer_order(self):
         # first cell most significant: index 1 bumps the last cell
-        spec = GridSpec(n=2, d=2)
-        assert_allclose(grid_matrix(spec, 1), [[0.0, 0.0], [0.0, 1.0]])
-        assert_allclose(grid_matrix(spec, 8), [[1.0, 0.0], [0.0, 0.0]])
+        stack = grid_matrices(GridSpec(n=2, d=2), 0, 9)
+        assert_allclose(stack[1], [[0.0, 0.0], [0.0, 1.0]])
+        assert_allclose(stack[8], [[1.0, 0.0], [0.0, 0.0]])
 
     def test_sphere_decode_picks_columns(self):
         spec = GridSpec(n=4, d=3, domain="sphere")
         assert grid_total(spec) == 5 ** 4
-        m = grid_matrix(spec, 0)
+        m = grid_matrices(spec, 0, 1)[0]
         assert_allclose(m, np.tile(sphere_columns(4, 3)[0], (4, 1)).T)
 
-    def test_out_of_range_raises(self):
-        spec = GridSpec(n=2, d=2)
+    @pytest.mark.parametrize("lo, hi", [(16, 17), (15, 17), (-1, 0), (-1, 1)])
+    def test_out_of_range_raises(self, lo, hi):
+        # the 2x2 binary grid has 16 matrices
         with pytest.raises(IndexError):
-            grid_matrix(spec, grid_total(spec))
+            grid_matrices(GridSpec(n=2, d=2), lo, hi)
 
-    def test_enumerate_matches_direct_decode(self):
+    def test_window_matches_one_index_decodes(self):
         spec = GridSpec(n=2, d=3)
-        for index, m in enumerate_grid(spec, start=10, stop=20):
-            assert_allclose(m, grid_matrix(spec, index), atol=0)
+        want = [grid_matrices(spec, index, index + 1)[0] for index in range(10, 20)]
+        assert np.array_equal(grid_matrices(spec, 10, 20), want)
 
     @pytest.mark.parametrize("spec", [
         GridSpec(n=2, d=5),
@@ -210,21 +224,12 @@ class TestGridMatrix:
             stack = grid_matrices(spec, lo, hi)
             assert stack.shape == (hi - lo, spec.n, spec.n)
             assert np.array_equal(stack, want)
-            for index, m in enumerate_grid(spec, lo, hi):
-                assert np.array_equal(m, want[index - lo])
-                assert np.array_equal(grid_matrix(spec, index), want[index - lo])
+            for index in range(lo, hi):
+                assert np.array_equal(grid_matrices(spec, index, index + 1)[0], want[index - lo])
         with pytest.raises(IndexError):
             grid_matrices(spec, total - 1, total + 1)
         with pytest.raises(IndexError):
-            grid_matrix(spec, -1)
-
-    def test_enumerate_guards_runaway_totals(self):
-        spec = GridSpec(n=4, d=20)  # 20^16 matrices
-        with pytest.raises(ValueError, match="guard"):
-            list(enumerate_grid(spec, max_total=10**6))
-        # a base far past the guard is refused before it is raised to its power
-        with pytest.raises(ValueError, match=r"grid has 1000\d*\^65536 matrices"):
-            list(enumerate_grid(GridSpec(n=256, d=10**4000)))
+            grid_matrices(spec, -1, 0)
 
 
 class TestUniquenessSweep:
@@ -271,6 +276,14 @@ class TestUniquenessSweep:
         # the 2x2 binary grid has 16 inputs
         with pytest.raises(ValueError, match="bad index range"):
             uniqueness_sweep(GridSpec(n=2, d=2), lambda m: m, start=start, stop=stop)
+
+    def test_guards_runaway_totals(self):
+        spec = GridSpec(n=4, d=20)  # 20^16 matrices
+        with pytest.raises(ValueError, match="guard"):
+            uniqueness_sweep(spec, lambda m: m, max_total=10**6)
+        # a base far past the guard is refused before it is raised to its power
+        with pytest.raises(ValueError, match=r"grid has 1000\d*\^65536 matrices"):
+            uniqueness_sweep(GridSpec(n=256, d=10**4000), lambda m: m)
 
     def test_raised_guard_reaches_every_chunk(self):
         spec = GridSpec(n=6, d=2)  # 2^36 inputs, above the default 2^32 guard
@@ -353,6 +366,10 @@ class TestTradeoffSweep:
             want.append({"entropy": shannon_entropy(out),
                          "residual": float(np.linalg.norm(m - out))})
         assert tradeoff_sweep(inputs, op, exp_scale_tau=0.7) == want
+        # a (B, n, n) array gives the same rows, and its chunks are read, not written
+        stack = np.array(inputs)
+        assert tradeoff_sweep(stack, op, exp_scale_tau=0.7) == want
+        assert np.array_equal(stack, inputs)
 
     def test_bare_callable_takes_the_whole_stack(self):
         # a bare callable is called as a spec is: once per chunk, on its (B, n, n) stack
@@ -416,6 +433,11 @@ class TestProbeInvariances:
     def test_negative_trials_are_rejected(self):
         with pytest.raises(ValueError, match="trials must be >= 0, got -1"):
             probe_invariances(make_operator("softmax"), trials=-1)
+
+    @pytest.mark.parametrize("n", [0, -1])
+    def test_empty_or_negative_size_is_rejected(self, n):
+        with pytest.raises(ValueError, match=f"n must be >= 1, got {n}"):
+            probe_invariances(make_operator("softmax"), trials=2, n=n)
 
     def test_same_seed_reproduces_witnesses(self):
         op = make_operator("qontot", dsm_dim=4, layers=2, theta_seed=5)

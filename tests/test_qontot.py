@@ -436,6 +436,11 @@ class TestSampleShots:
         with pytest.raises(ValueError, match="at least one shot"):
             sample_shots(c, np.zeros(param_count(c)), np.eye(8), shots=7, seed=0)
 
+    def test_shot_count_fits_an_int64(self):
+        c = CircuitConfig(dsm_dim=4)
+        with pytest.raises(ValueError, match="shots must be < 2\\^63"):
+            sample_shots(c, np.zeros(param_count(c)), np.eye(4), shots=2**63, seed=0)
+
 
 class TestBench:
     def test_row_shape_and_positive_times(self):

@@ -1,11 +1,12 @@
 """Static checks on the source: no dead module-level private name, no scipy import,
 test oracles that share no code with the package, operator names spelled only in
-the operator table, matrix text parsed only in core.py, and no read of argparse's
-private action list."""
+the operator table, matrix text parsed only in core.py, no read of argparse's
+private action list, and an export list that is the package's imports, sorted."""
 
 import ast
 from pathlib import Path
 
+import birkhoff_attn
 from birkhoff_attn import OPERATOR_NAMES
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "birkhoff_attn"
@@ -250,3 +251,30 @@ def test_the_check_finds_actions_reads():
              "p._actions = []\n",
     }
     assert attribute_reads(sources, "_actions") == ["a: 2", "b: 1", "b: 4"]
+
+
+def export_faults(text: str, exported: list[str]) -> list[str]:
+    """How ``exported`` departs from the names ``text`` imports, sorted, then ``__version__``."""
+    want = sorted(alias.asname or alias.name for node in ast.walk(ast.parse(text))
+                  if isinstance(node, (ast.Import, ast.ImportFrom))
+                  for alias in node.names) + ["__version__"]
+    faults = [f"not imported: {name}" for name in exported if name not in want]
+    faults += [f"not exported: {name}" for name in want if name not in exported]
+    return faults or (["out of order"] if exported != want else [])
+
+
+def test_the_export_list_is_the_sorted_imports():
+    # nothing else reads __all__ but a star import, so a stale entry would fail only there
+    text = (SRC / "__init__.py").read_text()
+    assert len(birkhoff_attn.__all__) > 1
+    assert export_faults(text, birkhoff_attn.__all__) == []
+
+
+def test_the_check_finds_export_faults():
+    text = "from .a import f, g\nfrom .b import h as k\n__version__ = '1'\n"
+    assert export_faults(text, ["f", "g", "k", "__version__"]) == []
+    assert export_faults(text, ["f", "k", "old", "__version__"]) == [
+        "not imported: old", "not exported: g"]
+    assert export_faults(text, ["f", "g", "k"]) == ["not exported: __version__"]
+    assert export_faults(text, ["g", "f", "k", "__version__"]) == ["out of order"]
+    assert export_faults(text, ["__version__", "f", "g", "k"]) == ["out of order"]
