@@ -2,7 +2,7 @@
 
 Normalization routes from raw score matrices to (approximately) doubly
 stochastic weights: Sinkhorn iteration in two arithmetic flavors, Euclidean
-projection onto the Birkhoff polytope by two independent solvers, an
+projection onto the Birkhoff polytope by Dykstra's algorithm, an
 orthostochastic map built on QR, and a simulated parameterized-circuit
 normalizer with exact and finite-shot readout.  Around them: exact counting
 of grid-valued doubly stochastic matrices, grid sweeps measuring how many
@@ -12,8 +12,6 @@ VJPs for the differentiable routes.
 
 from .attention import VJP_NORMALIZERS, AttentionConfig, attention_forward, vjp_check
 from .birkhoff import (
-    DYKSTRA,
-    SPLITTING_QP,
     ProjectionError,
     ProjectionSettings,
     affine_project,
@@ -87,7 +85,6 @@ __all__ = [
     "AttentionConfig",
     "BirkhoffNormalizer",
     "CircuitConfig",
-    "DYKSTRA",
     "Dsm",
     "GridSpec",
     "NormSoftmax",
@@ -98,7 +95,6 @@ __all__ = [
     "QontotNormalizer",
     "QrNormalizer",
     "SIMPLE",
-    "SPLITTING_QP",
     "SinkhornNaive",
     "SinkhornOT",
     "Softmax",

@@ -4,13 +4,10 @@ The feasible set is the intersection of the affine set {Y: Y1 = 1, Y'1 = 1}
 with the non-negative orthant.  Projection onto the affine part alone has a
 closed form (the equality system has rank 2n-1; the redundant constraint is
 resolved by gauging the column multipliers to sum to zero).  The full
-projection is computed either by Dykstra's alternating projections between
-the two sets, or by ADMM on the quadratic program min 0.5|X|^2 - <M, X>
-subject to unit marginals and X >= 0, whose x-step is the same closed-form
-affine projection (no explicit constraint matrix).  Two genuinely different
-routes make cross-validation meaningful.  Both step a (B, n, n) stack in one
-loop that retires each matrix as it converges, so a stack is projected in
-one call, each matrix to the same bits as alone.
+projection is computed by Dykstra's alternating projections between the two
+sets.  It steps a (B, n, n) stack in one loop that retires each matrix as it
+converges, so a stack is projected in one call, each matrix to the same bits
+as alone.
 """
 
 from __future__ import annotations
@@ -31,21 +28,15 @@ from .core import (
     frobenius_distance,
 )
 
-DYKSTRA = "dykstra"
-SPLITTING_QP = "splitting-qp"
-METHODS = (DYKSTRA, SPLITTING_QP)
 _VALIDATION = 1e-8  # as_dsm tolerance every projection must pass
 
 
 @dataclass(frozen=True)
 class ProjectionSettings:
-    method: str = DYKSTRA
     tolerance: float = 1e-11  # successive-iterate Frobenius gap at which to stop
     max_iterations: int = 100_000
 
     def __post_init__(self):
-        if self.method not in METHODS:
-            raise ValueError(f"unknown projection method {self.method!r}")
         if not self.tolerance > 0.0:
             raise ValueError("tolerance must be positive")
         if self.max_iterations < 1:
@@ -134,41 +125,13 @@ def _dykstra(x, p, q, w):
     return x_new, (p, q, x), _frobenius_norms(np.subtract(x_new, x, out=x))
 
 
-def _splitting_qp(m: np.ndarray):
-    """ADMM on the QP, splitting the affine-feasible and non-negative parts.
-
-    The x-step is the closed-form :func:`_affine` projection, so the
-    equality constraints are never built as a matrix; the z- and u-steps
-    clip and accumulate the residual entrywise on the same (B, n, n) stack
-    as Dykstra, each matrix to the same bits as alone.
-    """
-    rho = 1.0
-
-    def step(z, q, u):
-        x = _affine((q + rho * (z - u)) / (1.0 + rho))
-        z_new = np.maximum(x + u, 0.0)
-        gap = np.maximum(np.abs(x - z_new).max(axis=(-2, -1)),
-                         np.abs(z_new - z).max(axis=(-2, -1)))
-        return z_new, (q, u + (x - z_new)), gap
-
-    return step, np.clip(m, 0.0, None), (m, np.zeros_like(m))
-
-
-# each route's (step, start, state) for _iterate.  A step may overwrite its
-# state and the iterate it was given, so Dykstra starts from a copy: project's
-# stack may be the caller's own array.
-_SOLVERS = {DYKSTRA: lambda m: (_dykstra, m.copy(),
-                                (np.zeros_like(m), np.zeros_like(m), np.empty_like(m))),
-            SPLITTING_QP: _splitting_qp}
-
-
 def project(m, settings: ProjectionSettings | None = None):
     """Frobenius-nearest doubly stochastic matrix, validated at 1e-8.
 
     Returns a :class:`Dsm` for one matrix.  A (B, n, n) stack is projected in
-    one call on either route and comes back as the (B, n, n) array of
-    projections, each to the same bits as alone and validated as a single
-    matrix would be: one matrix is a batch of one, on one failure path.
+    one call and comes back as the (B, n, n) array of projections, each to
+    the same bits as alone and validated as a single matrix would be: one
+    matrix is a batch of one, on one failure path.
 
     Raises :class:`ProjectionError` with the last iterate attached when the
     iteration budget runs out before the successive-iterate gap drops below
@@ -181,19 +144,21 @@ def project(m, settings: ProjectionSettings | None = None):
     m = as_square(m, stack=True)
     settings = settings or ProjectionSettings()
     stack = m.reshape(-1, *m.shape[-2:])
-    out, converged, iterations = _iterate(*_SOLVERS[settings.method](stack),
-                                          settings.tolerance, settings.max_iterations)
+    # the step writes over the iterate it is given, and stack may be the caller's own array
+    out, converged, iterations = _iterate(
+        _dykstra, stack.copy(), (np.zeros_like(stack), np.zeros_like(stack), np.empty_like(stack)),
+        settings.tolerance, settings.max_iterations)
     out = out.reshape(stack.shape)
     deviations = _deviations(out)
     if (failed := ~converged | _off_polytope(deviations, _VALIDATION)).any():
         first = np.argmax(failed)
         report = _report(deviations, first)
         if converged[first]:
-            message = (f"{settings.method} stopped off the Birkhoff polytope: "
+            message = ("dykstra stopped off the Birkhoff polytope: "
                        f"{_dsm_error(out[first], report, _VALIDATION)}")
         else:
             message = (f"no convergence within {settings.max_iterations} iterations "
-                       f"({settings.method}, tolerance {settings.tolerance})")
+                       f"(dykstra, tolerance {settings.tolerance})")
         raise ProjectionError(message, out[first], report, int(iterations[first]))
     return Dsm(out[0], _VALIDATION, _report(deviations, 0)) if m.ndim == 2 else out
 

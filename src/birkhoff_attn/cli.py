@@ -36,7 +36,7 @@ import numpy as np
 
 from .attention import (VJP_NORMALIZERS, AttentionConfig, _check_shapes, attention_forward,
                         vjp_check)
-from .birkhoff import METHODS, ProjectionError, project
+from .birkhoff import ProjectionError, project
 from .core import (
     as_square,
     check_stochasticity,
@@ -206,7 +206,6 @@ _OPERATOR_FLAGS = {
     "power": ("power", {"type": int}),
     "tau": ("tau", {"type": float,
                     "help": "softmax temperature, or the sinkhorn family's exp-scale one"}),
-    "method": ("method", {"choices": METHODS}),
     "tolerance": ("tolerance", {"type": float}),
     "max_iterations": ("max_iterations", {"type": int}),
     "seed": ("noise_seed", {"type": int}),

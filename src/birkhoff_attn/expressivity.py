@@ -205,9 +205,11 @@ def tradeoff_sweep(inputs, operator, *, exp_scale_tau: float = 1.0) -> list[dict
     """Per-input entropy of the output and Frobenius residual to the input.
 
     The inputs, a (B, n, n) array or a list of n x n matrices, run as one
-    float64 stack in the sweeps' fixed-size chunks, one operator call each.
+    float64 stack in the sweeps' fixed-size chunks, one operator call each;
+    one n x n matrix is a batch of one.
     """
     ms = np.asarray(inputs, dtype=np.float64)
+    ms = ms[None] if ms.ndim == 2 else ms
     chunks = [_chunk_metrics(operator, ms[lo:lo + _SWEEP_CHUNK], exp_scale_tau)[1:]
               for lo in range(0, len(ms), _SWEEP_CHUNK)]
     return [{"entropy": float(h), "residual": float(r)}

@@ -2,19 +2,20 @@
 
 Nothing here shares code with src/: the circuit oracle builds full dense
 unitaries from Kronecker products, Sinkhorn is redone in mpmath arbitrary
-precision, the polytope projections solve KKT systems with lstsq, QR comes
-from LAPACK's Householder factorization, grid matrices are decoded one
-Python-int ``divmod`` at a time, counting candidates are walked with
-``itertools.product`` and classified one by one, f(3, p) is the literal
-quadruple sum and MacMahon's closed polynomial, and f(n, 3) follows the
-integer recurrence for semi-magic squares of line sum 2.  Agreement between
+precision, the polytope projections solve KKT systems with lstsq, a
+projection is certified against every permutation matrix (the polytope's
+vertices), QR comes from LAPACK's Householder factorization, grid matrices
+are decoded one Python-int ``divmod`` at a time, counting candidates are
+walked with ``itertools.product`` and classified one by one, f(3, p) is the
+literal quadruple sum and MacMahon's closed polynomial, and f(n, 3) follows
+the integer recurrence for semi-magic squares of line sum 2.  Agreement between
 these and the streaming / iterative / hand-rolled / vectorized
 implementations is the point of the tests that import this module.
 """
 
 from __future__ import annotations
 
-from itertools import product
+from itertools import permutations, product
 
 import numpy as np
 
@@ -335,6 +336,21 @@ def birkhoff_projection_oracle(m: np.ndarray, rounds: int = 200_000,
             return x_new
         x = x_new
     return x
+
+
+def projection_gap(m: np.ndarray, x: np.ndarray) -> float:
+    """How far a doubly stochastic x is from being the Frobenius projection of m.
+
+    By Birkhoff-von Neumann the polytope's vertices are the permutation
+    matrices, so a feasible x is the projection exactly when no permutation
+    sigma has sum_i (m - x)[i, sigma(i)] > <m - x, x>.  Returns the largest
+    such excess over all n! permutations: rounding-small at the projection,
+    positive at any other feasible point.
+    """
+    r = np.asarray(m, dtype=np.float64) - np.asarray(x, dtype=np.float64)
+    rows = range(len(r))
+    best = max(sum(r[i, sigma[i]] for i in rows) for sigma in permutations(rows))
+    return float(best - (r * x).sum())
 
 
 # --- Householder QR ---------------------------------------------------------

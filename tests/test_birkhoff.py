@@ -7,8 +7,6 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from birkhoff_attn import (
-    DYKSTRA,
-    SPLITTING_QP,
     GridSpec,
     ProjectionError,
     ProjectionSettings,
@@ -23,8 +21,6 @@ from birkhoff_attn import birkhoff
 from birkhoff_attn.expressivity import grid_matrices
 
 import oracles
-
-QP = ProjectionSettings(method=SPLITTING_QP, tolerance=1e-11)
 
 
 class TestAffineProject:
@@ -58,30 +54,42 @@ class TestAffineProject:
         assert_allclose(affine_project(once), once, atol=1e-13)
 
 
+def certificate_inputs() -> list:
+    """Ten 5x5 inputs, small enough for the n! walk of oracles.projection_gap."""
+    rng = np.random.default_rng(4)
+    return [rng.standard_normal((5, 5)) * 2.0 for _ in range(10)]
+
+
 class TestProject:
     def test_identity_is_fixed(self):
-        for s in (None, QP):
-            d = project(np.eye(3), s)
-            assert_allclose(d.matrix, np.eye(3), atol=1e-9)
+        assert_allclose(project(np.eye(3)).matrix, np.eye(3), atol=1e-9)
 
     def test_center_plus_checkerboard(self):
         # J/4 + 0.3 * checkerboard already has exact marginals, so projection
-        # only undoes the sign pattern where it breaks feasibility; both
-        # solver routes must land on the same point as the slow oracle
+        # only undoes the sign pattern where it breaks feasibility; it must
+        # land on the same point as the slow oracle
         n = 4
         checker = np.fromfunction(lambda i, j: (-1.0) ** (i + j), (n, n))
         m = np.full((n, n), 0.25) + 0.3 * checker
-        want = oracles.birkhoff_projection_oracle(m)
-        for s in (None, QP):
-            assert_allclose(project(m, s).matrix, want, atol=1e-7)
+        assert_allclose(project(m).matrix, oracles.birkhoff_projection_oracle(m), atol=1e-7)
 
-    def test_routes_agree_on_random_inputs(self):
-        rng = np.random.default_rng(4)
-        for _ in range(10):
-            m = rng.standard_normal((5, 5)) * 2.0
-            a = project(m).matrix
-            b = project(m, QP).matrix
-            assert frobenius_distance(a, b) < 1e-7
+    def test_passes_the_vertex_certificate_on_random_inputs(self):
+        # the output is feasible and no permutation matrix, no vertex of the
+        # polytope, beats it in the projection's variational inequality
+        for m in certificate_inputs():
+            x = project(m).matrix
+            assert x.min() >= 0.0
+            assert np.abs(x.sum(axis=0) - 1.0).max() <= 1e-8
+            assert np.abs(x.sum(axis=1) - 1.0).max() <= 1e-8
+            assert oracles.projection_gap(m, x) <= 1e-8
+
+    def test_vertex_certificate_rejects_a_feasible_point_off_the_projection(self):
+        # a 0.1% step towards the polytope's centre stays feasible, yet each
+        # such point misses the certificate by over 5e-3
+        for m in certificate_inputs():
+            x = project(m).matrix
+            mix = 0.999 * x + 0.001 * np.full_like(x, 1.0 / len(x))
+            assert oracles.projection_gap(m, mix) > 1e-8
 
     def test_matches_independent_dykstra_oracle(self):
         rng = np.random.default_rng(5)
@@ -94,16 +102,14 @@ class TestProject:
         assert d.tolerance == 1e-8
         assert d.report.max_row_deviation <= 1e-8
 
-    @pytest.mark.parametrize("method", [DYKSTRA, SPLITTING_QP])
-    def test_one_matrix_report_is_its_own_measurement(self, method):
+    def test_one_matrix_report_is_its_own_measurement(self):
         # one matrix is projected and validated as a batch of one; its Dsm
         # report is still the one measured on the matrix alone, bit for bit
-        settings = ProjectionSettings(method=method)
         m = np.random.default_rng(6).standard_normal((6, 6))
         for view in (m, np.asfortranarray(m), m.T):
-            d = project(view, settings)
+            d = project(view)
             assert d.report == check_stochasticity(d.matrix)
-            assert d.matrix.tobytes() == project(view[None], settings)[0].tobytes()
+            assert d.matrix.tobytes() == project(view[None])[0].tobytes()
 
     def test_idempotence(self):
         m = np.random.default_rng(7).standard_normal((4, 4))
@@ -141,64 +147,43 @@ class TestProject:
         assert max(err.report.max_row_deviation, err.report.max_col_deviation) > 1e-8
 
     def test_settings_validation(self):
-        with pytest.raises(ValueError, match="method"):
-            ProjectionSettings(method="newton")
         with pytest.raises(ValueError, match="tolerance"):
             ProjectionSettings(tolerance=0.0)
         with pytest.raises(ValueError, match="max_iterations"):
             ProjectionSettings(max_iterations=0)
 
 
-def iterations_needed(m: np.ndarray, method: str) -> int:
-    """The smallest budget under which ``m`` alone converges on route ``method``."""
+def iterations_needed(m: np.ndarray) -> int:
+    """The smallest budget under which ``m`` alone converges."""
     for budget in range(1, 10_000):
         try:
-            project(m, ProjectionSettings(method=method, max_iterations=budget))
+            project(m, ProjectionSettings(max_iterations=budget))
             return budget
         except ProjectionError:
             continue
     raise AssertionError("no convergence")
 
 
-def each_alone(stack: np.ndarray, settings=None) -> list:
-    return [project(m, settings).matrix for m in stack]
+def each_alone(stack: np.ndarray) -> list:
+    return [project(m).matrix for m in stack]
 
 
-@pytest.mark.parametrize("method", [DYKSTRA, SPLITTING_QP])
 @pytest.mark.parametrize("kind", ["cube", "random"])
 @pytest.mark.parametrize("n", [1, 2, 4, 16])
 @pytest.mark.parametrize("batch", [1, 2, 7, 512])
-def test_stacked_projection_matches_each_matrix_alone(kind, batch, n, method):
+def test_stacked_projection_matches_each_matrix_alone(kind, batch, n):
     rng = np.random.default_rng([batch, n])
     if kind == "cube":
         stack = rng.integers(0, 2, (batch, n, n)).astype(np.float64)
     else:
         stack = rng.standard_normal((batch, n, n))
-    settings = ProjectionSettings(method=method)
-    out = project(stack, settings)
+    out = project(stack)
     assert out.shape == stack.shape
     affine = affine_project(stack)
     # a stack of 512 is checked at 32 spread-out indices, the first and last included
     for i in sorted({*range(0, batch, max(1, batch // 32)), batch - 1}):
-        assert out[i].tobytes() == project(stack[i], settings).matrix.tobytes(), i
+        assert out[i].tobytes() == project(stack[i]).matrix.tobytes(), i
         assert affine[i].tobytes() == affine_project(stack[i]).tobytes(), i
-
-
-@pytest.mark.parametrize("stack, digest", [
-    (grid_matrices(GridSpec(n=4, d=2), 0, 512),
-     "cbe57ca9c09ecb03ed4a62a8acaaf8fb4525cdbabae53c67f5d119f20ebd405d"),
-    (np.random.default_rng(0).standard_normal((4, 8, 8)),
-     "3ad552411a790f39598da1fe5ebdbddd7ddd6093399f630aa972222771fb7606"),
-], ids=["cube-4-2", "normal-8"])
-def test_splitting_qp_output_bits_are_pinned(stack, digest):
-    # digests of the ADMM whose x-step is the closed-form affine projection;
-    # the outputs stay within 1e-10 of the independent Dykstra oracle (6.4e-11
-    # measured on normal-8), checked on at most 32 spread-out matrices
-    out = project(stack, QP)
-    assert hashlib.sha256(out.tobytes()).hexdigest() == digest
-    step = max(1, len(stack) // 32)
-    for m, got in zip(stack[::step], out[::step]):
-        assert np.abs(got - oracles.birkhoff_projection_oracle(m)).max() < 1e-10
 
 
 @pytest.mark.parametrize("stack, digest", [
@@ -224,40 +209,35 @@ def five_samples() -> np.ndarray:
                      rng.standard_normal((4, 4)), np.eye(4), rng.uniform(0.0, 1.0, (4, 4))])
 
 
-NEEDED = pytest.mark.parametrize("method, needed", [(DYKSTRA, [90, 2, 80, 2, 34]),
-                                                    (SPLITTING_QP, [88, 2, 81, 2, 34])],
-                                 ids=[DYKSTRA, SPLITTING_QP])
+NEEDED = [90, 2, 80, 2, 34]  # the budget each of five_samples needs alone
 
 
 class TestStackedProjection:
-    @NEEDED
-    def test_samples_converging_at_different_iterations(self, method, needed):
+    def test_samples_converging_at_different_iterations(self):
         stack = five_samples()
-        assert [iterations_needed(m, method) for m in stack] == needed
-        settings = ProjectionSettings(method=method)
-        out = project(stack, settings)
-        for got, want in zip(out, each_alone(stack, settings)):
+        assert [iterations_needed(m) for m in stack] == NEEDED
+        out = project(stack)
+        for got, want in zip(out, each_alone(stack)):
             assert got.tobytes() == want.tobytes()
             as_dsm(got, tolerance=1e-8)
 
-    @NEEDED
-    def test_each_matrix_counts_the_steps_it_takes_alone(self, method, needed):
+    def test_each_matrix_counts_the_steps_it_takes_alone(self):
         # the solver loop's count is the smallest budget under which the matrix
         # converges, in a stack as alone
-        settings = ProjectionSettings(method=method)
+        settings = ProjectionSettings()
 
         def counts(stack):
-            return birkhoff._iterate(*birkhoff._SOLVERS[method](stack), settings.tolerance,
+            state = (np.zeros_like(stack), np.zeros_like(stack), np.empty_like(stack))
+            return birkhoff._iterate(birkhoff._dykstra, stack.copy(), state, settings.tolerance,
                                      settings.max_iterations)[2]
 
         stack = five_samples()
-        assert counts(stack).tolist() == needed
-        assert [int(counts(m[None])[0]) for m in stack] == needed
+        assert counts(stack).tolist() == NEEDED
+        assert [int(counts(m[None])[0]) for m in stack] == NEEDED
 
-    @pytest.mark.parametrize("method", [DYKSTRA, SPLITTING_QP])
-    def test_a_failure_carries_the_failing_matrix_step_count(self, method):
+    def test_a_failure_carries_the_failing_matrix_step_count(self):
         slow, _, quick = five_samples()[:3]
-        five = ProjectionSettings(method=method, max_iterations=5)
+        five = ProjectionSettings(max_iterations=5)
         for m in (slow, np.array([np.eye(4), slow, quick])):
             with pytest.raises(ProjectionError, match="no convergence within 5") as exc_info:
                 project(m, five)
@@ -267,11 +247,10 @@ class TestStackedProjection:
             project(1e9 * np.random.default_rng(0).standard_normal((4, 4)))
         assert 1 < exc_info.value.iterations < ProjectionSettings().max_iterations
 
-    @pytest.mark.parametrize("method", [DYKSTRA, SPLITTING_QP])
-    def test_first_non_converging_sample_raises_with_its_last_iterate(self, method):
+    def test_first_non_converging_sample_raises_with_its_last_iterate(self):
         rng = np.random.default_rng(12)
         slow, fast = 3.0 * rng.standard_normal((2, 4, 4))
-        tight = ProjectionSettings(method=method, max_iterations=40)
+        tight = ProjectionSettings(max_iterations=40)
         stack = np.array([np.eye(4), slow, fast, 2.0 * slow])
         with pytest.raises(ProjectionError, match="no convergence within 40") as alone:
             project(slow, tight)
@@ -281,32 +260,23 @@ class TestStackedProjection:
         assert stacked.value.report == alone.value.report
         assert str(stacked.value) == str(alone.value)
 
-    @pytest.mark.parametrize("method", [DYKSTRA, SPLITTING_QP])
-    def test_first_sample_off_the_polytope_raises_with_its_last_iterate(self, method):
+    def test_first_sample_off_the_polytope_raises_with_its_last_iterate(self):
+        # at 1e9 the gap test passes while the marginals are off by ~4e-7
         rng = np.random.default_rng(0)
         far = 1e9 * rng.standard_normal((4, 4))
-        if method == DYKSTRA:
-            # at 1e9 the gap test passes while the marginals are off by ~4e-7
-            settings = ProjectionSettings()
-            stack = np.array([np.eye(4), rng.standard_normal((4, 4)), far, 1e9 * np.eye(4)])
-        else:
-            # ADMM stops on a gap of 1e-5 with the marginals still off by more than 1e-8
-            settings = ProjectionSettings(method=method, tolerance=1e-5)
-            far = rng.standard_normal((4, 4))
-            stack = np.array([np.eye(4), np.full((4, 4), 0.25), far, 3.0 * far])
+        stack = np.array([np.eye(4), rng.standard_normal((4, 4)), far, 1e9 * np.eye(4)])
         with pytest.raises(ProjectionError, match="off the Birkhoff polytope") as alone:
-            project(far, settings)
+            project(far)
         with pytest.raises(ProjectionError, match="off the Birkhoff polytope") as stacked:
-            project(stack, settings)
+            project(stack)
         assert stacked.value.last_iterate.tobytes() == alone.value.last_iterate.tobytes()
         assert str(stacked.value) == str(alone.value)
 
-    @pytest.mark.parametrize("method", [DYKSTRA, SPLITTING_QP])
-    def test_an_overflowing_sample_does_not_jump_the_index_order(self, method):
-        # each route's iterate on the 1e308 matrix overflows to NaN; the error
-        # is still the earlier matrix's, and the NaN matrix alone still fails
-        # as a ProjectionError
-        settings = ProjectionSettings(method=method, max_iterations=50)
+    def test_an_overflowing_sample_does_not_jump_the_index_order(self):
+        # the iterate on the 1e308 matrix overflows to NaN; the error is still
+        # the earlier matrix's, and the NaN matrix alone still fails as a
+        # ProjectionError
+        settings = ProjectionSettings(max_iterations=50)
         slow = 3.0 * np.random.default_rng(12).standard_normal((3, 3))
         overflow = np.full((3, 3), 1e308)
         with np.errstate(all="ignore"):
@@ -321,20 +291,17 @@ class TestStackedProjection:
         assert np.isnan(nan.value.last_iterate).all()
         assert np.isnan(nan.value.report.max_row_deviation)
 
-    @pytest.mark.parametrize("method", [DYKSTRA, SPLITTING_QP])
-    def test_the_callers_array_is_left_unchanged(self, method):
+    def test_the_callers_array_is_left_unchanged(self):
         # project works on the caller's float64 array without a conversion
         # copy, so a step that reused its start buffer would write into it
         rng = np.random.default_rng(7)
-        settings = ProjectionSettings(method=method)
         for m in (rng.standard_normal((5, 5)), rng.standard_normal((3, 5, 5))):
             before = m.copy()
-            project(m, settings)
+            project(m)
             assert m.tobytes() == before.tobytes()
 
-    @pytest.mark.parametrize("method", [DYKSTRA, SPLITTING_QP])
-    def test_empty_stack(self, method):
-        out = project(np.ones((0, 3, 3)), ProjectionSettings(method=method))
+    def test_empty_stack(self):
+        out = project(np.ones((0, 3, 3)))
         assert out.shape == (0, 3, 3)
 
 
@@ -350,15 +317,13 @@ class TestBirkhoffDistance:
     def test_positive_off_polytope(self):
         assert birkhoff_distance(np.zeros((3, 3))) > 0.5
 
-    @pytest.mark.parametrize("method", [DYKSTRA, SPLITTING_QP])
-    def test_stack_gives_each_matrix_distance_to_the_bit(self, method):
-        settings = ProjectionSettings(method=method)
+    def test_stack_gives_each_matrix_distance_to_the_bit(self):
         stack = np.random.default_rng(3).standard_normal((6, 5, 5))
-        got = birkhoff_distance(stack, settings)
+        got = birkhoff_distance(stack)
         assert isinstance(got, np.ndarray) and got.shape == (6,)
-        assert got.tolist() == [birkhoff_distance(m, settings) for m in stack]
-        assert isinstance(birkhoff_distance(stack[0], settings), float)
-        assert birkhoff_distance(stack[:0], settings).shape == (0,)
+        assert got.tolist() == [birkhoff_distance(m) for m in stack]
+        assert isinstance(birkhoff_distance(stack[0]), float)
+        assert birkhoff_distance(stack[:0]).shape == (0,)
 
 
 @given(st.integers(0, 2**32 - 1), st.integers(2, 5))

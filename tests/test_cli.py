@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -498,9 +499,9 @@ class TestOperatorFlags:
 
 
 # flags that set an operator other than softmax
-OTHER_OPERATOR_FLAGS = [("--k", "5"), ("--power", "2"), ("--method", "splitting-qp"),
-                        ("--tolerance", "1e-3"), ("--max-iterations", "9"), ("--layers", "4"),
-                        ("--aux-qubits", "1"), ("--ansatz", "trotter"), ("--theta-seed", "1"),
+OTHER_OPERATOR_FLAGS = [("--k", "5"), ("--power", "2"), ("--tolerance", "1e-3"),
+                        ("--max-iterations", "9"), ("--layers", "4"), ("--aux-qubits", "1"),
+                        ("--ansatz", "trotter"), ("--theta-seed", "1"),
                         ("--theta-file", "theta.csv"), ("--seed", "3")]
 
 
@@ -603,6 +604,14 @@ class TestTauAndExpScale:
                    if any(action.dest == "op" for action in sub._actions)]
         shared = set.intersection(*with_op) - {"op", "config", "help"}
         assert set(_OPERATOR_FLAGS) == shared | {"exp_scale"}
+
+
+def test_every_spec_setting_has_an_operator_flag():
+    # and every operator flag sets a spec field some operator has; qontot's
+    # dsm_dim comes from the input's size, not from a flag
+    settings = set().union(*({f.name for f in fields(spec) if f.init} for spec in SPECS.values()))
+    set_by_flags = {key for key, _ in _OPERATOR_FLAGS.values() if key is not None}
+    assert settings - {"dsm_dim"} == set_by_flags
 
 
 class TestUsageErrors:
@@ -1129,7 +1138,6 @@ TAU = (("--tau",), None, None, "float", None,
 SETTINGS = [
     (("--k",), None, None, "int", None, "sinkhorn iteration count (odd)"),
     (("--power",), None, None, "int", None, None),
-    (("--method",), None, None, None, ("dykstra", "splitting-qp"), None),
     (("--tolerance",), None, None, "float", None, None),
     (("--max-iterations",), None, None, "int", None, None),
     (("--seed",), None, None, "int", None, None),
@@ -1167,7 +1175,7 @@ PARSER_ACTIONS = {
     "props": [HELP, CONFIG, OP, TAU, *SETTINGS, int_flag("--n", 4), int_flag("--trials", 10)],
     "count": [HELP, CONFIG, int_flag("--n"), int_flag("--p"),
               (("--mode",), None, "brute", None, ("brute", "analytic", "decompose"), None)],
-    "shots": [HELP, CONFIG, *SETTINGS[5:], INPUT, int_flag("--shots"),
+    "shots": [HELP, CONFIG, *SETTINGS[4:], INPUT, int_flag("--shots"),
               (("--project",), 0, False, None, None,
                "project the sampled matrix back to doubly stochastic"), FORMAT],
     "bench": [HELP, CONFIG, int_flag("--dsm-dim", 4),
@@ -1244,7 +1252,10 @@ class TestDeclaredFlags:
         ("apply-attn", "--tau", "3"),
         *(("shots", flag, value) for flag, value in (
             ("--op", "qr"), ("--k", "4"), ("--tau", "3"), ("--power", "2"),
-            ("--method", "splitting-qp"), ("--tolerance", "1e-3"), ("--max-iterations", "1"))),
+            ("--tolerance", "1e-3"), ("--max-iterations", "1"))),
+        # the projection has one route, so no subcommand takes --method
+        *((command, "--method", "dykstra") for command in
+          ("apply", "apply-attn", "sweep-unique", "sweep-tradeoff", "props")),
     ])
     def test_flag_no_handler_reads_is_rejected(self, command, flag, value, capsys,
                                               monkeypatch, tmp_path):
@@ -1274,6 +1285,16 @@ def test_config_key_naming_no_flag_of_any_subcommand_is_usage_error(capsys, monk
     forbid_work(monkeypatch)
     assert invoke(["props", "--op", "qr", "--seed", "0", "--config", str(config)], capsys) == (
         1, "", "error: config key 'trails' names no flag of any subcommand\n")
+
+
+def test_config_key_of_the_removed_method_flag_is_usage_error(capsys, monkeypatch, tmp_path):
+    # the projection has one route, so --method names no flag any more
+    config = tmp_path / "method.cfg"
+    config.write_text("method=dykstra\n")
+    forbid_work(monkeypatch)
+    assert invoke(["apply", "--op", "birkhoff-project", "--config", str(config)], capsys,
+                  monkeypatch, stdin_text=CSV_2X2) == (
+        1, "", "error: config key 'method' names no flag of any subcommand\n")
 
 
 @pytest.mark.parametrize("key", ["help", "config"])

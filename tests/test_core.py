@@ -304,20 +304,20 @@ import sys
 import numpy as np
 import birkhoff_attn
 import birkhoff_attn.cli
-from birkhoff_attn import ProjectionSettings, project
+from birkhoff_attn import project
 
 def scipy_modules():
     return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
 
 on_import = scipy_modules()
-project(np.eye(3) + 0.5, ProjectionSettings(method="splitting-qp"))
+project(np.eye(3) + 0.5)
 print(json.dumps([on_import, scipy_modules()]))
 """
 
 
 def test_importing_the_package_loads_no_scipy():
     # a fresh process, since the test session itself has scipy loaded; a
-    # splitting-qp projection must load none either
+    # projection must load none either
     src = str(Path(birkhoff_attn.__file__).resolve().parents[1])
     result = subprocess.run([sys.executable, "-c", _SCIPY_AFTER_IMPORT], capture_output=True,
                             env=dict(os.environ, PYTHONPATH=src), check=True, text=True)

@@ -370,6 +370,9 @@ class TestTradeoffSweep:
         stack = np.array(inputs)
         assert tradeoff_sweep(stack, op, exp_scale_tau=0.7) == want
         assert np.array_equal(stack, inputs)
+        # one n x n matrix is a batch of one, and no input gives no rows
+        assert tradeoff_sweep(stack[0], op, exp_scale_tau=0.7) == want[:1]
+        assert tradeoff_sweep([], op) == []
 
     def test_bare_callable_takes_the_whole_stack(self):
         # a bare callable is called as a spec is: once per chunk, on its (B, n, n) stack

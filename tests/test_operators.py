@@ -1,4 +1,5 @@
 import pickle
+import re
 from dataclasses import fields
 
 import numpy as np
@@ -54,6 +55,10 @@ class TestMakeOperator:
             make_operator("softmax", tau=1.0, beta=2.0)
         with pytest.raises(ValueError, match="unexpected settings"):
             make_operator("qr", seed=3)  # the knob is called noise_seed
+        # the projection has one route, so no setting chooses it
+        with pytest.raises(ValueError, match=re.escape(
+                "unexpected settings for operator 'birkhoff-project': ['method']")):
+            make_operator("birkhoff-project", method="dykstra")
 
     def test_qr_rejects_a_negative_seed_when_built(self):
         with pytest.raises(ValueError, match="noise_seed must be >= 0, got -1"):
@@ -102,12 +107,6 @@ class TestMakeOperator:
         with pytest.raises(ValueError, match=message):
             make_operator(name, **settings)
 
-    def test_projection_method_setting_flows_through(self):
-        m = np.random.default_rng(2).standard_normal((3, 3))
-        dykstra = make_operator("birkhoff-project")
-        admm = make_operator("birkhoff-project", method="splitting-qp")
-        assert np.abs(dykstra(m) - admm(m)).max() < 1e-7
-
 
 @pytest.mark.parametrize("name", OPERATOR_NAMES)
 class TestSpec:
@@ -137,15 +136,12 @@ class TestSpec:
 
     @pytest.mark.parametrize("batch", [1, 2, 7, 512])
     def test_batch_matches_each_call(self, name, batch):
-        ops = [make_operator(name, **SETTINGS.get(name, {}))]
-        if name == "birkhoff-project":
-            ops.append(make_operator(name, method="splitting-qp"))
+        op = make_operator(name, **SETTINGS.get(name, {}))
         stack = np.random.default_rng(batch).uniform(0.1, 2.0, (batch, 4, 4))
-        for op in ops:
-            out = op(stack)
-            assert out.shape == stack.shape and out.dtype == np.float64
-            for i, m in enumerate(stack):
-                assert out[i].tobytes() == op(m).tobytes()
+        out = op(stack)
+        assert out.shape == stack.shape and out.dtype == np.float64
+        for i, m in enumerate(stack):
+            assert out[i].tobytes() == op(m).tobytes()
 
 
 class TestBatch:
@@ -173,15 +169,13 @@ class TestBatch:
                 assert out[i].tobytes() == want.tobytes()
 
 
-LAYOUT_SUBJECTS = (*OPERATOR_NAMES, "splitting-qp", "qr_orthonormalize")
+LAYOUT_SUBJECTS = (*OPERATOR_NAMES, "qr_orthonormalize")
 
 
 def layout_subject(label: str, n: int):
-    """Operator ``label``'s spec for n x n inputs, projection by splitting, or the QR kernel."""
+    """Operator ``label``'s spec for n x n inputs, or the QR kernel."""
     if label == "qr_orthonormalize":
         return qr_orthonormalize
-    if label == "splitting-qp":
-        return make_operator("birkhoff-project", method="splitting-qp")
     return make_operator(label, **({"dsm_dim": n, "theta_seed": 0} if label == "qontot"
                                    else SETTINGS.get(label, {})))
 
