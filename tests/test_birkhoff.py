@@ -1,4 +1,5 @@
 import hashlib
+from itertools import permutations
 
 import numpy as np
 import pytest
@@ -151,6 +152,70 @@ class TestProject:
             ProjectionSettings(tolerance=0.0)
         with pytest.raises(ValueError, match="max_iterations"):
             ProjectionSettings(max_iterations=0)
+
+
+def three_inputs(kind: str, n: int) -> np.ndarray:
+    """A (3, n, n) stack of one input kind, seeded by kind and size."""
+    rng = np.random.default_rng([n, len(kind)])
+    if kind == "normal":
+        return 2.0 * rng.standard_normal((3, n, n))
+    if kind == "cube":
+        return rng.integers(0, 2, (3, n, n)).astype(np.float64)
+    if kind == "wide":
+        return 10.0 * rng.standard_normal((3, n, n))
+    return 1.0 / n + 1e-3 * rng.standard_normal((3, n, n))  # "near" the polytope's centre
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+@pytest.mark.parametrize("kind", ["normal", "cube", "wide", "near"])
+def test_each_matrix_of_a_stack_passes_the_vertex_certificate(kind, n):
+    stack = three_inputs(kind, n)
+    for m, x in zip(stack, project(stack)):
+        assert x.min() >= 0.0
+        assert oracles.projection_gap(m, x) <= 1e-8
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+@pytest.mark.parametrize("toward", ["centre", "vertex", "other-projection"])
+def test_vertex_certificate_rejects_a_step_toward_another_feasible_point(toward, n):
+    # for feasible z != x, y = x + t (z - x) has <m - y, x - y> >= t^2 |z - x|^2
+    # > 0, and the certificate's maximum over vertices bounds that from above
+    rng = np.random.default_rng([n, 17])
+    m = 2.0 * rng.standard_normal((n, n))
+    x = project(m).matrix
+    z = {"centre": np.full((n, n), 1.0 / n),
+         "vertex": np.eye(n)[list(min(permutations(range(n)),  # the vertex least like x
+                                      key=lambda sigma: x[range(n), sigma].sum()))],
+         "other-projection": project(-m).matrix}[toward]
+    assert oracles.projection_gap(m, 0.999 * x + 0.001 * z) > 1e-8
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+def test_a_permutation_matrix_is_its_own_projection(n):
+    vertex = np.eye(n)[np.random.default_rng(n).permutation(n)]
+    x = project(vertex).matrix
+    assert np.array_equal(x, vertex)
+    assert oracles.projection_gap(vertex, x) == 0.0
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+@pytest.mark.parametrize("change", ["lines-permuted", "transposed", "lines-offset"])
+def test_projection_follows_the_polytopes_symmetries(change, n):
+    # the polytope is closed under permuting rows and columns and under
+    # transposition, and adding a 1' + 1 b' moves m along the normal space of
+    # its affine hull, which leaves the projection where it was
+    rng = np.random.default_rng([n, 23])
+    m = 2.0 * rng.standard_normal((n, n))
+    x = project(m).matrix
+    if change == "lines-permuted":
+        rows, cols = (np.eye(n)[rng.permutation(n)] for _ in range(2))
+        got, want = project(rows @ m @ cols).matrix, rows @ x @ cols
+    elif change == "transposed":
+        got, want = project(m.T).matrix, x.T
+    else:
+        a, b = rng.standard_normal((2, n, 1))
+        got, want = project(m + a + b.T).matrix, x
+    assert_allclose(got, want, atol=1e-9)
 
 
 def iterations_needed(m: np.ndarray) -> int:
