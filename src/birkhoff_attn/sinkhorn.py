@@ -36,8 +36,10 @@ def exp_scale(m, tau: float = 1.0) -> np.ndarray:
     m = as_square(m, stack=True)
     _check_tau(tau)
     with np.errstate(over="ignore"):  # a tiny tau sends entries to -inf, whose exp is 0
-        out = np.exp((m - m.max(axis=(-2, -1), keepdims=True)) / tau)
-    return np.maximum(out, _TINY)
+        out = np.subtract(m, m.max(axis=(-2, -1), keepdims=True))
+        np.divide(out, tau, out=out)
+        np.exp(out, out=out)
+    return np.maximum(out, _TINY, out=out)
 
 
 def _check_tau(tau: float) -> None:
@@ -95,18 +97,24 @@ def sinkhorn_naive_vjp(m, k: int, upstream) -> np.ndarray:
     return g
 
 
-def _logsumexp(a: np.ndarray, axis: int) -> np.ndarray:
+def _logsumexp(a: np.ndarray, axis: int, ties: np.ndarray) -> np.ndarray:
     """log(sum(exp(a))) along ``axis``, with scipy 1.17's arithmetic for real input.
 
     Every entry equal to the max is left out of the shifted sum s and counted
     instead (m ties), and the result is log1p(s / m) + log(m) + max: the same
     bits as ``scipy.special.logsumexp``, which a plain max shift misses by an
     ulp when a slice holds ties.
+
+    Works in place: ``a`` is overwritten with the shifted exponentials and
+    ``ties``, a bool array of ``a``'s shape, with the tie mask.
     """
     a_max = a.max(axis=axis, keepdims=True)
-    ties = a == a_max
+    np.equal(a, a_max, out=ties)
     m = ties.sum(axis=axis, keepdims=True, dtype=np.float64)
-    s = np.where(ties, 0.0, np.exp(a - a_max)).sum(axis=axis, keepdims=True)
+    np.subtract(a, a_max, out=a)
+    np.exp(a, out=a)
+    np.copyto(a, 0.0, where=ties)
+    s = a.sum(axis=axis, keepdims=True)
     return (np.log1p(s / m) + np.log(m) + a_max).squeeze(axis)
 
 
@@ -121,12 +129,16 @@ def sinkhorn_ot(m, k: int) -> np.ndarray:
     """
     m = _check_sinkhorn_args(m, k)
     log_m = np.log(m)
+    a = np.empty_like(log_m)  # each pass's log_m plus a potential, then the output
+    ties = np.empty(m.shape, dtype=bool)
     u = np.zeros(m.shape[:-1])  # row potentials, one per row of each matrix
     v = np.zeros(m.shape[:-1])  # column potentials
     for t in range(k):
         if t % 2 == 0:
             # column pass: make every column of exp(u + log_m + v) sum to 1
-            v = -_logsumexp(log_m + u[..., :, None], axis=-2)
+            v = -_logsumexp(np.add(log_m, u[..., :, None], out=a), -2, ties)
         else:
-            u = -_logsumexp(log_m + v[..., None, :], axis=-1)
-    return np.exp(u[..., :, None] + log_m + v[..., None, :])
+            u = -_logsumexp(np.add(log_m, v[..., None, :], out=a), -1, ties)
+    np.add(u[..., :, None], log_m, out=a)
+    np.add(a, v[..., None, :], out=a)
+    return np.exp(a, out=a)

@@ -2,13 +2,14 @@
 
 Nothing here shares code with src/: the circuit oracle builds full dense
 unitaries from Kronecker products, Sinkhorn is redone in mpmath arbitrary
-precision, the polytope projections solve KKT systems with lstsq, a
-projection is certified against every permutation matrix (the polytope's
-vertices), QR comes from LAPACK's Householder factorization, grid matrices
-are decoded one Python-int ``divmod`` at a time, counting candidates are
-walked with ``itertools.product`` and classified one by one, f(3, p) is the
-literal quadruple sum and MacMahon's closed polynomial, and f(n, 3) follows
-the integer recurrence for semi-magic squares of line sum 2.  Agreement between
+precision and in the log domain on scipy's ``logsumexp``, the polytope
+projections solve KKT systems with lstsq, a projection is certified against
+every permutation matrix (the polytope's vertices), QR comes from LAPACK's
+Householder factorization, grid matrices are decoded one Python-int
+``divmod`` at a time, counting candidates are walked with
+``itertools.product`` and classified one by one, f(3, p) is the literal
+quadruple sum and MacMahon's closed polynomial, and f(n, 3) follows the
+integer recurrence for semi-magic squares of line sum 2.  Agreement between
 these and the streaming / iterative / hand-rolled / vectorized
 implementations is the point of the tests that import this module.
 """
@@ -261,6 +262,25 @@ def mp_sinkhorn(m: np.ndarray, k: int, dps: int = 60) -> np.ndarray:
                 sums = [sum(row) for row in a]
                 a = [[x / s for x in row] for row, s in zip(a, sums)]
         return np.array([[float(x) for x in row] for row in a])
+
+
+def sinkhorn_ot_reference(m: np.ndarray, k: int) -> np.ndarray:
+    """Log-domain Sinkhorn on ``scipy.special.logsumexp``: column pass at even t, row at odd.
+
+    The potentials u (rows) and v (columns) start at zero; m is one positive
+    matrix or a (B, n, n) stack, and the result is exp(u + log m + v).
+    """
+    from scipy.special import logsumexp
+
+    log_m = np.log(m)
+    u = np.zeros(log_m.shape[:-1])
+    v = np.zeros(log_m.shape[:-1])
+    for t in range(k):
+        if t % 2 == 0:
+            v = -logsumexp(log_m + u[..., :, None], axis=-2)
+        else:
+            u = -logsumexp(log_m + v[..., None, :], axis=-1)
+    return np.exp(u[..., :, None] + log_m + v[..., None, :])
 
 
 def mp_exp_scale(m: np.ndarray, tau: float, dps: int = 60) -> np.ndarray:

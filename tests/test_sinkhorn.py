@@ -230,6 +230,11 @@ class TestStackValidation:
 class TestLogsumexp:
     """The numpy logsumexp is scipy's to the bit, ties included."""
 
+    @staticmethod
+    def lse(a, axis):
+        """_logsumexp on a copy of ``a``, since it overwrites its arguments."""
+        return _logsumexp(a.copy(), axis, np.empty(a.shape, dtype=bool))
+
     @pytest.mark.parametrize("axis", [-1, -2])
     def test_matches_scipy_on_ties(self, axis):
         rng = np.random.default_rng(3)
@@ -239,10 +244,53 @@ class TestLogsumexp:
         a[20:40, :, :2] = a[20:40].max(axis=(1, 2), keepdims=True)  # ties at the max
         for scale in (1.0, 1e-300, 700.0):
             want = logsumexp(a * scale, axis=axis)
-            assert _logsumexp(a * scale, axis=axis).tobytes() == want.tobytes()
+            assert self.lse(a * scale, axis).tobytes() == want.tobytes()
 
     def test_matches_scipy_on_random_logs(self):
         rng = np.random.default_rng(4)
         a = np.log(rng.uniform(1e-300, 1.0, (300, 16, 16)))
         for axis in (-1, -2):
-            assert _logsumexp(a, axis=axis).tobytes() == logsumexp(a, axis=axis).tobytes()
+            want = logsumexp(a, axis=axis)
+            assert self.lse(a, axis).tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("axis", [-1, -2])
+    def test_leaves_the_tie_mask_and_shifted_exponentials(self, axis):
+        a = np.array([[[1.0, 2.0, 2.0], [0.5, -1.0, 2.0], [3.0, 3.0, 3.0]]])
+        work, ties = a.copy(), np.empty(a.shape, dtype=bool)
+        _logsumexp(work, axis, ties)
+        top = a.max(axis=axis, keepdims=True)
+        assert np.array_equal(ties, a == top)
+        assert np.array_equal(work, np.where(a == top, 0.0, np.exp(a - top)))
+
+
+def extreme_kernel(batch: int, n: int, seed: int = 0) -> np.ndarray:
+    """Entries 1e-300 or 1e300 at random: 600 orders of magnitude in one matrix."""
+    rng = np.random.default_rng([seed, batch, n])
+    return np.where(rng.integers(0, 2, (batch, n, n)) == 1, 1e300, 1e-300)
+
+
+KERNELS = {
+    "cube": lambda batch, n: exp_scale(input_stack("cube", batch, n)),  # many ties per line
+    "random": lambda batch, n: exp_scale(input_stack("random", batch, n), 0.3),
+    "extreme": extreme_kernel,
+}
+
+
+@pytest.mark.parametrize("k", [1, 3, 21])
+@pytest.mark.parametrize("batch", [1, 7])
+@pytest.mark.parametrize("n", [*range(1, 10), 16, 17, 64, 129, 256])
+@pytest.mark.parametrize("kind", KERNELS)
+def test_sinkhorn_ot_matches_the_scipy_oracle(kind, n, batch, k):
+    kernel = KERNELS[kind](batch, n)
+    assert sinkhorn_ot(kernel, k).tobytes() == oracles.sinkhorn_ot_reference(kernel, k).tobytes()
+
+
+@pytest.mark.parametrize("kernel", [lambda m: exp_scale(m, 0.01), lambda m: sinkhorn_ot(m, 21)],
+                         ids=["exp_scale", "sinkhorn_ot"])
+@pytest.mark.parametrize("shape", [(5, 5), (7, 5, 5)])
+def test_leaves_the_callers_array_untouched(kernel, shape):
+    # a C-ordered float64 input reaches the kernel as the caller's own array
+    m = np.random.default_rng(11).uniform(0.1, 2.0, shape)
+    before = m.copy()
+    kernel(m)
+    assert m.tobytes() == before.tobytes()
