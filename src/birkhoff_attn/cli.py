@@ -312,7 +312,9 @@ def _cmd_sweep_unique(args) -> int:
         op = _operator(args, name, spec.n, scales=True)
     report = uniqueness_sweep(spec, op, exp_scale_tau=_tau(args), workers=_workers(args),
                               start=start, stop=stop, max_total=_MAX_TOTAL)
-    _emit({"op": name, "domain": spec.domain, "n": spec.n, "d": spec.d} | asdict(report))
+    # the fields as they are: asdict would deep-copy count_multiset
+    _emit({"op": name, "domain": spec.domain, "n": spec.n, "d": spec.d}
+          | {field.name: getattr(report, field.name) for field in fields(report)})
     return 0
 
 

@@ -14,6 +14,7 @@ import json
 import os
 import warnings
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -151,19 +152,43 @@ def as_dsm(m, tolerance: float = 1e-9) -> Dsm | np.ndarray:
     return Dsm(p, float(tolerance), _report(deviations, 0)) if p.ndim == 2 else p
 
 
+_INDEX_LIMIT = 2**63  # odometer indices and place values are int64
+
+
+@lru_cache(maxsize=64)
+def _place_values(base: int, width: int) -> np.ndarray:
+    """Place values below 2**63 of a base-``base`` odometer's last columns, as int64.
+
+    At most 63 columns qualify; the places of the columns before them are at
+    least 2**63, above every decodable index, so their digits are 0.  Built
+    once per (base, width) and read-only.
+    """
+    places = [1]
+    while len(places) < width and places[-1] * base < _INDEX_LIMIT:
+        places.append(places[-1] * base)
+    out = np.array(places[::-1], dtype=np.int64)
+    out.setflags(write=False)
+    return out
+
+
 def _odometer(lo: int, hi: int, base: int, width: int) -> np.ndarray:
     """Base-``base`` digits of lo..hi-1 as a (hi - lo, width) array, most significant first.
 
     The dtype is the smallest unsigned one holding ``base - 1``.  Decoding is
     int64: a range outside [0, min(base**width, 2**63)) raises IndexError.
+    Each digit is (index // place) modulo base: one broadcast floor-divide by
+    the table of :func:`_place_values`, then the modulo.
     """
-    if not 0 <= lo <= hi <= min(base**width, 2**63):
+    if not 0 <= lo <= hi <= min(base**width, _INDEX_LIMIT):
         raise IndexError(f"index range [{lo}, {hi}) outside the {base}^{width} odometer")
-    rem = np.arange(lo, hi, dtype=np.int64)
-    digits = np.empty((rem.size, width), dtype=np.min_scalar_type(base - 1))
-    for c in reversed(range(width)):
-        digits[:, c] = rem % base
-        rem //= base
+    places = _place_values(base, width)
+    digits = np.zeros((hi - lo, width), dtype=np.min_scalar_type(base - 1))
+    # one row per place, so each row divides by a scalar, numpy's fast path
+    quotients = np.arange(lo, hi, dtype=np.int64) // places[:, None]
+    # q modulo base is q - base * (q // base), and q // base is the row above;
+    # the first row is below base already
+    quotients[1:] -= base * quotients[:-1]
+    digits[:, width - places.size:] = quotients.T
     return digits
 
 

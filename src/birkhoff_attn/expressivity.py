@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import hashlib
 import pickle
+from contextlib import nullcontext
 from dataclasses import dataclass
 from functools import lru_cache
 from math import log2
@@ -35,6 +36,7 @@ _SPHERE_CANDIDATES = 1 << 24
 _SPHERE_PASS = 1 << 16
 _MAX_DECIMALS = 308  # 10.0**309 overflows, so np.round would return NaN
 _PROBE_TOLERANCE = 1e-8  # probe_invariances' largest deviation that still counts as equal
+_BLAKE2B_128 = hashlib.blake2b(digest_size=16)  # never updated; _digest hashes a copy
 
 CUBE = "cube"
 SPHERE = "sphere"
@@ -143,21 +145,48 @@ def _chunk_metrics(op, ms: np.ndarray, tau: float):
     return outs, shannon_entropy(outs), frobenius_distance(ms, outs)
 
 
-def _sweep_chunk(spec: GridSpec, op, tau: float, lo: int, hi: int):
-    # 128-bit digests as two uint64 columns: 16 bytes/output keeps the full
-    # 43M-input grids inside a few hundred MB, where a dict of raw matrix
-    # bytes would not fit in memory.
+def _sweep_chunk(task: tuple):
+    """Digests, entropies and residuals of the grid inputs of one (spec, op, tau, lo, hi) task.
+
+    Each rounded output is digested as a 128-bit blake2b, kept as two uint64
+    columns: 16 bytes per input, 689 MB for a 43M-input grid, where a dict of
+    raw matrix bytes would not fit in memory.
+    """
+    spec, op, tau, lo, hi = task
     outs, entropies, residuals = _chunk_metrics(op, grid_matrices(spec, lo, hi), tau)
     rounded = np.round(outs, spec.rounding_decimals) + 0.0  # +0.0 folds -0.0 into 0.0
-    digests = b"".join(hashlib.blake2b(out.tobytes(), digest_size=16).digest() for out in rounded)
+    rows, size = memoryview(rounded.tobytes()), rounded[0].nbytes
+    digests = b"".join(map(_digest, (rows[i:i + size] for i in range(0, len(rows), size))))
     return np.frombuffer(digests, dtype=np.uint64).reshape(-1, 2), entropies, residuals
 
 
+def _digest(row) -> bytes:
+    """The 128-bit blake2b of ``row``, from a copy of one empty hasher."""
+    hasher = _BLAKE2B_128.copy()  # cheaper than a new hasher's keyword parsing
+    hasher.update(row)
+    return hasher.digest()
+
+
+def _digest_counts(digests: np.ndarray) -> np.ndarray:
+    """Multiplicity of each distinct row of an (N, 2) uint64 array, which it sorts in place.
+
+    Each row is sorted as one 16-byte key, so equal rows end up adjacent, and
+    a count is the length of a run.  No copy of the rows is made.
+    """
+    digests.view("S16").sort(axis=0)
+    starts = np.ones(len(digests), dtype=bool)
+    np.not_equal(digests[1:, 0], digests[:-1, 0], out=starts[1:])
+    starts[1:] |= digests[1:, 1] != digests[:-1, 1]
+    return np.diff(np.flatnonzero(starts), append=len(digests))
+
+
 def _stats(values: np.ndarray) -> dict:
+    """Min, median, mean and max of ``values``, which the median reorders in place."""
+    mean = float(values.mean())  # first: its pairwise sum depends on the order, the median does not
     return {
         "min": float(values.min()),
-        "median": float(np.median(values)),
-        "mean": float(values.mean()),
+        "median": float(np.median(values, overwrite_input=True)),
+        "mean": mean,
         "max": float(values.max()),
     }
 
@@ -171,6 +200,8 @@ def uniqueness_sweep(spec: GridSpec, operator, *, exp_scale_tau: float = 1.0,
     callable that, like a spec, maps a (B, n, n) stack to one of the same
     shape; ``workers > 1`` needs it to pickle, which every spec does.
     Positive-domain operators receive exp_scale(m, exp_scale_tau).
+    The window's digests, entropies and residuals are allocated once, and
+    each chunk's results are written into their slice in index order.
     """
     start, stop = _index_range(spec, start, stop, max_total)
     if workers > 1:
@@ -178,27 +209,30 @@ def uniqueness_sweep(spec: GridSpec, operator, *, exp_scale_tau: float = 1.0,
             pickle.dumps(operator)
         except (pickle.PicklingError, AttributeError, TypeError) as exc:
             raise ValueError(f"parallel sweeps need a picklable operator: {exc}") from exc
-    # an empty window still runs one empty chunk, so there are always parts to join
-    tasks = [
-        (spec, operator, exp_scale_tau, lo, min(lo + _SWEEP_CHUNK, stop))
-        for lo in range(start, stop, _SWEEP_CHUNK) or [start]
-    ]
+    total = stop - start
+    digests = np.empty((total, 2), dtype=np.uint64)
+    entropies, residuals = np.empty(total), np.empty(total)
+    tasks = [(spec, operator, exp_scale_tau, lo, min(lo + _SWEEP_CHUNK, stop))
+             for lo in range(start, stop, _SWEEP_CHUNK)]
+    pool = None
     if workers > 1 and len(tasks) > 1:
         import multiprocessing
 
-        with multiprocessing.get_context("fork").Pool(min(workers, len(tasks))) as pool:
-            results = pool.starmap(_sweep_chunk, tasks)
-    else:
-        results = [_sweep_chunk(*task) for task in tasks]
-    digests, entropies, residuals = (np.concatenate(parts) for parts in zip(*results))
-    _, counts = np.unique(digests, axis=0, return_counts=True)
-    return SweepReport(
-        total_inputs=stop - start,
-        unique_outputs=int(counts.size),
-        count_multiset=np.sort(counts)[::-1].tolist(),
-        entropy_stats=_stats(entropies) if entropies.size else {},
-        residual_stats=_stats(residuals) if residuals.size else {},
-    )
+        pool = multiprocessing.get_context("fork").Pool(min(workers, len(tasks)))
+    with pool or nullcontext():
+        parts = pool.imap(_sweep_chunk, tasks) if pool else map(_sweep_chunk, tasks)
+        for (*_, lo, hi), part in zip(tasks, parts):
+            for out, values in zip((digests, entropies, residuals), part):
+                out[lo - start:hi - start] = values
+    entropy_stats = _stats(entropies) if total else {}
+    residual_stats = _stats(residuals) if total else {}
+    del entropies, residuals  # freed before the count's arrays and list are built
+    counts = _digest_counts(digests)
+    del digests
+    counts.sort()
+    return SweepReport(total_inputs=total, unique_outputs=int(counts.size),
+                       entropy_stats=entropy_stats, residual_stats=residual_stats,
+                       count_multiset=counts[::-1].tolist())
 
 
 def tradeoff_sweep(inputs, operator, *, exp_scale_tau: float = 1.0) -> list[dict]:

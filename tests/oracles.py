@@ -6,16 +6,19 @@ precision and in the log domain on scipy's ``logsumexp``, the polytope
 projections solve KKT systems with lstsq, a projection is certified against
 every permutation matrix (the polytope's vertices), QR comes from LAPACK's
 Householder factorization, grid matrices are decoded one Python-int
-``divmod`` at a time, counting candidates are walked with
-``itertools.product`` and classified one by one, f(3, p) is the literal
-quadruple sum and MacMahon's closed polynomial, and f(n, 3) follows the
-integer recurrence for semi-magic squares of line sum 2.  Agreement between
+``divmod`` at a time, distinct outputs are a ``Counter`` of per-matrix
+digests, counting candidates are walked with ``itertools.product`` and
+classified one by one, f(3, p) is the literal quadruple sum and MacMahon's
+closed polynomial, and f(n, 3) follows the integer recurrence for
+semi-magic squares of line sum 2.  Agreement between
 these and the streaming / iterative / hand-rolled / vectorized
 implementations is the point of the tests that import this module.
 """
 
 from __future__ import annotations
 
+import hashlib
+from collections import Counter
 from itertools import permutations, product
 
 import numpy as np
@@ -163,6 +166,19 @@ def grid_matrix_oracle(n: int, d: int, domain: str, index: int) -> np.ndarray:
     cols = [c for c in product(range(d), repeat=n) if sum(v * v for v in c) == scale * scale]
     picks = odometer_digits(index, len(cols), n)
     return np.array([cols[k] for k in picks], dtype=np.float64).T / scale
+
+
+# --- distinct outputs -------------------------------------------------------
+
+def digest_multiset(outputs: np.ndarray, decimals: int) -> list[int]:
+    """Multiplicities of the distinct rounded outputs, descending, by a Counter of digests.
+
+    Each output matrix is rounded, -0.0 folded into 0.0, and digested alone
+    as the sweep's 128-bit blake2b of its bytes.
+    """
+    counts = Counter(hashlib.blake2b((np.round(out, decimals) + 0.0).tobytes(),
+                                     digest_size=16).digest() for out in outputs)
+    return sorted(counts.values(), reverse=True)
 
 
 # --- grid-DSM counting -------------------------------------------------------

@@ -321,7 +321,8 @@ def test_c11_hypercube_ordering(note):
 
 def test_c11_full_cube(note, request):
     if not request.config.getoption("--full"):
-        pytest.skip("multi-hour 43M-input sweep; enable with --full")
+        pytest.skip("43M-input sweep of three operators, 1,290 s on 2 workers; "
+                    "enable with --full")
     spec = GridSpec(n=4, d=3)
     unique = {
         name: uniqueness_sweep(spec, op).unique_outputs

@@ -270,7 +270,8 @@ def test_oracles_import_nothing_from_the_package():
             imported |= {alias.name.split(".")[0] for alias in node.names}
         elif isinstance(node, ast.ImportFrom):
             imported.add("." if node.level else node.module.split(".")[0])
-    assert imported <= {"__future__", "itertools", "numpy", "mpmath", "scipy"}, imported
+    allowed = {"__future__", "collections", "hashlib", "itertools", "numpy", "mpmath", "scipy"}
+    assert imported <= allowed, imported
 
 
 _FAULTS_PER_CALL = """
@@ -473,6 +474,15 @@ class TestOdometer:
             assert digits.dtype.kind == "u" and digits.dtype.itemsize == itemsize
             want = [oracles.odometer_digits(i, base, width) for i in range(lo, hi)]
             assert digits.tolist() == want
+
+    # both odometers are longer than int64: the leading places are at least
+    # 2^63, so those digits are 0 on every admitted index
+    @pytest.mark.parametrize("base, width", [(2, 64), (3, 41)])
+    def test_places_past_int64_at_the_highest_indices(self, base, width):
+        lo, hi = 2**63 - 3, 2**63
+        digits = _odometer(lo, hi, base, width)
+        assert digits.dtype == np.uint8
+        assert digits.tolist() == [oracles.odometer_digits(i, base, width) for i in range(lo, hi)]
 
     # a negative index, a reversed range, one past 2^3, and an index past int64
     @pytest.mark.parametrize("lo, hi, width", [

@@ -36,10 +36,10 @@ def one_input(op, m: np.ndarray, tau: float = 1.0) -> np.ndarray:
     return op(exp_scale(m, tau) if op.needs_positive else m)
 
 
-def per_input_sweep(spec: GridSpec, op) -> SweepReport:
+def per_input_sweep(spec: GridSpec, op, start: int = 0, stop: int | None = None) -> SweepReport:
     """The sweep computed one input at a time: decode, apply, round, digest, measure."""
     digests, entropies, residuals = [], [], []
-    for index in range(grid_total(spec)):
+    for index in range(start, grid_total(spec) if stop is None else stop):
         m = grid_matrices(spec, index, index + 1)[0]
         out = one_input(op, m)
         rounded = np.round(out, spec.rounding_decimals) + 0.0
@@ -292,12 +292,18 @@ class TestUniquenessSweep:
         assert report.total_inputs == report.unique_outputs == 3
 
     def test_worker_count_changes_nothing(self):
-        spec = GridSpec(n=2, d=5)  # 625 inputs: two fixed-size chunks
-        for op in (make_operator("softmax", tau=1.0),
-                   make_operator("qontot", dsm_dim=2, layers=2, theta_seed=0)):
-            base = uniqueness_sweep(spec, op, workers=1)
+        # the whole 625-input grid, two fixed-size chunks; and a window of the
+        # 2,401-input grid that starts off a chunk boundary and ends mid-chunk:
+        # four chunks, more than either pool has workers, so chunks can finish
+        # out of index order and must still be written in it
+        windows = ((GridSpec(n=2, d=5), 0, None), (GridSpec(n=2, d=7), 300, 2000))
+        for (spec, start, stop), op in itertools.product(windows, (
+                make_operator("softmax", tau=1.0),
+                make_operator("qontot", dsm_dim=2, layers=2, theta_seed=0))):
+            base = uniqueness_sweep(spec, op, workers=1, start=start, stop=stop)
+            assert base == per_input_sweep(spec, op, start, stop)
             for workers in (2, 3):
-                assert base == uniqueness_sweep(spec, op, workers=workers)
+                assert base == uniqueness_sweep(spec, op, workers=workers, start=start, stop=stop)
 
     def test_pool_is_no_larger_than_the_chunk_count(self, monkeypatch):
         # a fake context runs the pool in-process, so no process is started
@@ -313,8 +319,8 @@ class TestUniquenessSweep:
             def __exit__(self, *exc):
                 return False
 
-            def starmap(self, func, tasks):
-                return [func(*task) for task in tasks]
+            def imap(self, func, tasks):
+                return map(func, tasks)
 
         class InlineContext:
             Pool = InlinePool
@@ -338,6 +344,24 @@ class TestUniquenessSweep:
         want = per_input_sweep(spec, op)
         assert uniqueness_sweep(spec, op) == want
         assert uniqueness_sweep(spec, op, workers=2) == want
+
+    def test_count_multiset_matches_a_counter_of_digests(self):
+        # a d=3 window where the projection sends several inputs to one output
+        spec, lo, hi = GridSpec(n=4, d=3), 10**6 + 77, 10**6 + 1577
+        op = make_operator("birkhoff-project")
+        want = oracles.digest_multiset(op(grid_matrices(spec, lo, hi)), spec.rounding_decimals)
+        assert want[0] > 1
+        report = uniqueness_sweep(spec, op, start=lo, stop=hi)
+        assert report.count_multiset == want
+        assert report.unique_outputs == len(want)
+
+    def test_digests_count_by_both_words(self):
+        # (a, b), (a, c), (d, b): each pair shares one word with another, so a
+        # count on either word alone merges two of them
+        a, b, c, d = 2**64 - 1, 7, 2**32, 0
+        digests = np.array([[a, b], [a, c], [d, b], [a, b], [d, b], [a, b]], dtype=np.uint64)
+        counts = expressivity._digest_counts(digests)
+        assert sorted(counts.tolist(), reverse=True) == [3, 2, 1]
 
     def test_entropy_stats_of_known_operator(self):
         spec = GridSpec(n=2, d=2)
